@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from .engine import events_csv, run_simulation
-from .metrics import RunMetrics, SweepReport, run_metrics, sweep, sweep_csv
+from .metrics import SWEEP_HEADER, RunMetrics, SweepReport, run_metrics, sweep, sweep_csv
 from .scenario import (
     ScenarioConfig,
     ScenarioError,
@@ -25,7 +25,6 @@ from .scenario import (
 
 METRICS_SCHEMA = "# hodsim metrics schema v1"
 METRICS_HEADER = "mt,nb_ho,mean_score"
-SWEEP_HEADER_BODY = "value,runs,mean_ho_rate,worst_ho,ci_low,ci_high,mean_score_rate"
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -229,7 +228,7 @@ def compare_sweeps(config: ScenarioConfig,
 
 
 def compare_csv(report_a: SweepReport, report_b: SweepReport) -> str:
-    lines = ["# hodsim compare schema v1", "strategy," + SWEEP_HEADER_BODY]
+    lines = ["# hodsim compare schema v1", "strategy," + SWEEP_HEADER]
     for report in (report_a, report_b):
         for r in report.rows:
             lines.append(",".join([

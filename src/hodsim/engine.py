@@ -115,6 +115,22 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     mobility = {m: init_mobility(users[m], config.area, mob_rng[m]) for m in mt_order}
     positions = {u.id: u.initial_position for u in config.users}
 
+    # Within one run a score depends only on the offered QoS, the
+    # requirements and the gate: criteria, objectives and max_benefit are
+    # fixed, and the AP id does not enter the value.  So each distinct input
+    # is scored once, with every check score_network makes.
+    scores: Dict[Tuple[tuple, tuple, bool], float] = {}
+
+    def score(ap_id: str, offered: QosVector, required: QosVector, gated: bool) -> float:
+        key = (tuple(offered.items()), tuple(required.items()), gated)
+        value = scores.get(key)
+        if value is None:
+            value = scores[key] = score_network(
+                ap_id, offered, required, config.criteria, config.objectives,
+                gated=gated, max_benefit=config.max_benefit,
+            ).value
+        return value
+
     log = EventLog(seed=seed, config=config, mt_ids=list(mt_order))
     for m in mt_order:
         log.outcomes[m] = []
@@ -127,20 +143,14 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     associations: Dict[str, Optional[str]] = {}
     loads = {ap_id: 0 for ap_id in ap_order}
     for uid in user_order:
-        profile = users[uid]
+        required = users[uid].app_requirements
         sensed = sensed_aps(positions[uid], config.aps)
         chosen = None
         if sensed:
             scored = [
-                score_network(
-                    ap_id,
-                    qos_model(aps[ap_id], ApLoadState(ap_id, loads[ap_id])),
-                    profile.app_requirements,
-                    config.criteria,
-                    config.objectives,
-                    gated=config.gate_candidates,
-                    max_benefit=config.max_benefit,
-                )
+                CombinedScore(ap_id, score(
+                    ap_id, qos_model(aps[ap_id], ApLoadState(ap_id, loads[ap_id])),
+                    required, config.gate_candidates))
                 for ap_id in sensed
             ]
             best = best_candidate(scored)
@@ -196,7 +206,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         # (4) per-terminal decisions against a frozen snapshot
         pending: Dict[str, Tuple[str, bool]] = {}
         for m in mt_order:
-            profile = users[m]
+            required = users[m].app_requirements
             sensed = sensed_aps(positions[m], config.aps)
             assoc = associations[m]
 
@@ -222,22 +232,11 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
 
             base = mt_bases[m]
             record = base.records.get(assoc)
-            if record is not None:
-                c_asso = score_network(
-                    assoc, record.qos, profile.app_requirements,
-                    config.criteria, config.objectives,
-                    gated=True, max_benefit=config.max_benefit,
-                ).value
-            else:
-                c_asso = 0.0
+            c_asso = score(assoc, record.qos, required, True) if record is not None else 0.0
 
             cands = candidate_view(base, sensed, assoc, now)
             scored = tuple(
-                score_network(
-                    ap_id, qos, profile.app_requirements,
-                    config.criteria, config.objectives,
-                    gated=config.gate_candidates, max_benefit=config.max_benefit,
-                )
+                CombinedScore(ap_id, score(ap_id, qos, required, config.gate_candidates))
                 for ap_id, qos, _age in cands
             )
             best = best_candidate(scored)

@@ -49,7 +49,11 @@ def diffuse(
     Order within the round: every AP pushes its current self-record to its
     wired neighbors (so receivers see the previous period's measurement),
     then every AP refreshes its own record from ``measured``, then every
-    associated terminal's base is replaced by a copy of its AP's base.
+    associated terminal's base is replaced by its AP's new base.
+
+    A terminal's base shares its AP's records dict and is read-only.  That
+    is safe because each round builds a fresh dict for every AP and never
+    writes to the dicts of the bases it was given.
     Returns (new AP bases, terminal bases for associated terminals).
     """
     pushes: Dict[str, Optional[KnowledgeRecord]] = {
@@ -70,8 +74,7 @@ def diffuse(
     for mt_id, ap_id in associations.items():
         if ap_id is None:
             continue
-        source = new_ap_bases[ap_id]
-        mt_bases[mt_id] = KnowledgeBase(owner=mt_id, records=dict(source.records))
+        mt_bases[mt_id] = KnowledgeBase(owner=mt_id, records=new_ap_bases[ap_id].records)
     return new_ap_bases, mt_bases
 
 

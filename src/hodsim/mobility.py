@@ -6,7 +6,7 @@ the generator passed in, so trajectories are reproducible per terminal.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -70,24 +70,15 @@ def step_mobility(state: MobilityState, dt: float, area: Tuple[float, float],
     if state.phase == PAUSED:
         remaining = state.pause_remaining - dt
         if remaining > 0:
-            return replace(state, pause_remaining=remaining)
-        return replace(
-            state,
-            waypoint=draw_waypoint(area, rng),
-            phase=MOVING,
-            pause_remaining=0.0,
-        )
+            return MobilityState(state.position, state.waypoint, PAUSED, remaining, state.speed)
+        return MobilityState(state.position, draw_waypoint(area, rng), MOVING, 0.0, state.speed)
 
     px, py = state.position
     wx, wy = state.waypoint
     dist = math.hypot(wx - px, wy - py)
     travel = state.speed * dt
     if travel + ARRIVAL_EPS >= dist:
-        return replace(
-            state,
-            position=(wx, wy),
-            phase=PAUSED,
-            pause_remaining=draw_pause(profile, rng),
-        )
+        return MobilityState((wx, wy), state.waypoint, PAUSED, draw_pause(profile, rng), state.speed)
     frac = travel / dist
-    return replace(state, position=(px + frac * (wx - px), py + frac * (wy - py)))
+    return MobilityState((px + frac * (wx - px), py + frac * (wy - py)), state.waypoint,
+                         state.phase, state.pause_remaining, state.speed)

@@ -7,6 +7,7 @@ in docs/config.md; unknown keys are rejected to catch typos early.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
@@ -123,6 +124,45 @@ class ScenarioConfig:
         return {o.id: o.weight for o in self.objectives}
 
 
+# Ids are written unquoted into the CSV outputs, so they may not contain a
+# field or line separator.
+_ID_FORBIDDEN = (",", "\n", "\r")
+
+
+def _bad_id(value: str) -> bool:
+    return not value or any(ch in value for ch in _ID_FORBIDDEN)
+
+
+def _nonfinite(config: ScenarioConfig) -> List[str]:
+    """Names of the numeric fields holding NaN or an infinity."""
+    fields = [
+        ("sim_time", (config.sim_time,)),
+        ("decision_step", (config.decision_step,)),
+        ("diffusion_period", (config.diffusion_period,)),
+        ("area", config.area),
+        ("mobility_ratio", (config.mobility_ratio,)),
+        ("max_benefit", (config.max_benefit,)),
+        ("qos_jitter_sigma", (config.qos_jitter_sigma,)),
+        ("strategy.parameter", (config.strategy.parameter,)),
+    ]
+    fields += [(f"criteria[{c.id}].alpha", (c.alpha,)) for c in config.criteria]
+    fields += [(f"objectives[{o.id}].weight", (o.weight,)) for o in config.objectives]
+    for ap in config.aps:
+        fields += [
+            (f"aps[{ap.id}].position", ap.position),
+            (f"aps[{ap.id}].coverage_radius", (ap.coverage_radius,)),
+            (f"aps[{ap.id}].base_qos", tuple(ap.base_qos.values())),
+        ]
+    for u in config.users:
+        fields += [
+            (f"users[{u.id}].initial_position", u.initial_position),
+            (f"users[{u.id}].speed", (u.speed,)),
+            (f"users[{u.id}].pause_range", u.pause_range),
+            (f"users[{u.id}].app_requirements", tuple(u.app_requirements.values())),
+        ]
+    return [name for name, values in fields if not all(math.isfinite(x) for x in values)]
+
+
 def _is_multiple(value: float, step: float, tol: float = 1e-9) -> bool:
     if step <= 0:
         return False
@@ -140,16 +180,20 @@ def validate(config: ScenarioConfig) -> List[str]:
     An empty list means the config is runnable.  Messages name the offending
     field so callers can surface them directly.
     """
-    v: List[str] = []
+    nonfinite = _nonfinite(config)
+    v: List[str] = [f"{name}: must be finite" for name in nonfinite]
+    # the step count is only defined for finite timing
+    timing_finite = not {"sim_time", "decision_step", "diffusion_period"} & set(nonfinite)
     if config.sim_time <= 0:
         v.append("sim_time: must be > 0")
     if config.decision_step <= 0:
         v.append("decision_step: must be > 0")
-    elif not _is_multiple(config.sim_time, config.decision_step):
+    elif timing_finite and not _is_multiple(config.sim_time, config.decision_step):
         v.append("sim_time: not an integer multiple of decision_step")
     if config.diffusion_period <= 0:
         v.append("diffusion_period: must be > 0")
-    elif config.decision_step > 0 and not _is_multiple(config.diffusion_period, config.decision_step):
+    elif (timing_finite and config.decision_step > 0
+          and not _is_multiple(config.diffusion_period, config.decision_step)):
         v.append("diffusion_period: not an integer multiple of decision_step")
     if config.area[0] <= 0 or config.area[1] <= 0:
         v.append("area: dimensions must be > 0")
@@ -185,6 +229,8 @@ def validate(config: ScenarioConfig) -> List[str]:
     ap_id_set = set(ap_ids)
     crit_set = set(crit_ids)
     for ap in config.aps:
+        if _bad_id(ap.id):
+            v.append(f"aps[{ap.id!r}].id: must be non-empty without ',' or line breaks")
         if ap.coverage_radius <= 0:
             v.append(f"aps[{ap.id}].coverage_radius: must be > 0")
         if set(ap.base_qos) != crit_set:
@@ -208,6 +254,8 @@ def validate(config: ScenarioConfig) -> List[str]:
     if len(set(user_ids)) != len(user_ids):
         v.append("users: duplicate user id")
     for u in config.users:
+        if _bad_id(u.id):
+            v.append(f"users[{u.id!r}].id: must be non-empty without ',' or line breaks")
         if not _inside(u.initial_position, config.area):
             v.append(f"users[{u.id}].initial_position: outside area")
         if u.speed < 0:
@@ -273,18 +321,50 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _pair(value, where: str) -> Tuple[float, float]:
+def _objects(value, where: str) -> List[dict]:
+    if not isinstance(value, list) or not all(isinstance(x, dict) for x in value):
+        raise ScenarioError(f"{where}: expected a list of objects")
+    return value
+
+
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
+def _number(value, where: str) -> float:
+    # bool is an int subclass, but true is not a number of seconds or meters
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where}: expected a number, got {value!r}")
     try:
-        x, y = value
-        return (float(x), float(y))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: expected a pair of numbers") from exc
+        return float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ScenarioError(f"{where}: must be finite") from exc
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _flag(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
+def _pair(value, where: str) -> Tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ScenarioError(f"{where}: expected a pair of numbers")
+    return (_number(value[0], where), _number(value[1], where))
 
 
 def _qos_map(value, where: str) -> Dict[str, float]:
     if not isinstance(value, dict):
         raise ScenarioError(f"{where}: expected an object of criterion id -> value")
-    return {str(k): float(val) for k, val in value.items()}
+    return {str(k): _number(val, f"{where}.{k}") for k, val in value.items()}
 
 
 def load_scenario(document: Union[str, dict, Path]) -> ScenarioConfig:
@@ -324,72 +404,81 @@ def parse_scenario(document: Union[str, dict, Path]) -> ScenarioConfig:
         raise ScenarioError("rng_seed: required field missing")
 
     criteria = []
-    for c in doc.get("criteria", _default_criteria_doc()):
-        _reject_unknown(c, _CRIT_KEYS, "criteria")
+    for i, c in enumerate(_objects(doc.get("criteria", _default_criteria_doc()), "criteria")):
+        where = f"criteria.{i}."
+        _reject_unknown(c, _CRIT_KEYS, where[:-1])
         criteria.append(DecisionCriterion(
-            id=str(_require(c, "id", "criteria.")),
-            direction=str(_require(c, "direction", "criteria.")),
-            alpha=float(_require(c, "alpha", "criteria.")),
+            id=_text(_require(c, "id", where), where + "id"),
+            direction=_text(_require(c, "direction", where), where + "direction"),
+            alpha=_number(_require(c, "alpha", where), where + "alpha"),
         ))
     crit_ids = [c.id for c in criteria]
 
     objectives = []
-    for o in doc.get("objectives", [{"id": "application", "weight": 1.0}]):
-        _reject_unknown(o, _OBJ_KEYS, "objectives")
+    for i, o in enumerate(_objects(doc.get("objectives", [{"id": "application", "weight": 1.0}]),
+                                   "objectives")):
+        where = f"objectives.{i}."
+        _reject_unknown(o, _OBJ_KEYS, where[:-1])
         objectives.append(ObjectiveWeight(
-            id=str(_require(o, "id", "objectives.")),
-            weight=float(_require(o, "weight", "objectives.")),
+            id=_text(_require(o, "id", where), where + "id"),
+            weight=_number(_require(o, "weight", where), where + "weight"),
         ))
 
-    aps_doc = _require(doc, "aps", "")
     aps = []
-    for a in aps_doc:
-        _reject_unknown(a, _AP_KEYS, "aps")
+    for i, a in enumerate(_objects(_require(doc, "aps", ""), "aps")):
+        where = f"aps.{i}."
+        _reject_unknown(a, _AP_KEYS, where[:-1])
+        neighbors = a.get("wired_neighbors", [])
+        if not isinstance(neighbors, list):
+            raise ScenarioError(f"{where}wired_neighbors: expected a list of ap ids")
         aps.append(ApProfile(
-            id=str(_require(a, "id", "aps.")),
-            position=_pair(_require(a, "position", "aps."), "aps.position"),
-            coverage_radius=float(_require(a, "coverage_radius", "aps.")),
-            base_qos=_qos_map(_require(a, "base_qos", "aps."), "aps.base_qos"),
-            wired_neighbors=tuple(str(n) for n in a.get("wired_neighbors", [])),
+            id=_text(_require(a, "id", where), where + "id"),
+            position=_pair(_require(a, "position", where), where + "position"),
+            coverage_radius=_number(_require(a, "coverage_radius", where), where + "coverage_radius"),
+            base_qos=_qos_map(_require(a, "base_qos", where), where + "base_qos"),
+            wired_neighbors=tuple(_text(n, where + "wired_neighbors") for n in neighbors),
         ))
 
-    users_doc = _require(doc, "users", "")
     users = []
-    for u in users_doc:
-        _reject_unknown(u, _USER_KEYS, "users")
+    for i, u in enumerate(_objects(_require(doc, "users", ""), "users")):
+        where = f"users.{i}."
+        _reject_unknown(u, _USER_KEYS, where[:-1])
         users.append(UserProfile(
-            id=str(_require(u, "id", "users.")),
-            mobile=bool(u.get("mobile", False)),
-            initial_position=_pair(_require(u, "initial_position", "users."), "users.initial_position"),
-            speed=float(u.get("speed", DEFAULT_SPEED)),
-            pause_range=_pair(u.get("pause_range", DEFAULT_PAUSE_RANGE), "users.pause_range"),
-            app_requirements=_qos_map(u.get("app_requirements", {c: 0.0 for c in crit_ids}), "users.app_requirements"),
+            id=_text(_require(u, "id", where), where + "id"),
+            mobile=_flag(u.get("mobile", False), where + "mobile"),
+            initial_position=_pair(_require(u, "initial_position", where), where + "initial_position"),
+            speed=_number(u.get("speed", DEFAULT_SPEED), where + "speed"),
+            pause_range=_pair(u.get("pause_range", DEFAULT_PAUSE_RANGE), where + "pause_range"),
+            app_requirements=_qos_map(u.get("app_requirements", {c: 0.0 for c in crit_ids}),
+                                      where + "app_requirements"),
         ))
 
     strat_doc = doc.get("strategy", {"kind": "none", "parameter": 0.0})
+    if not isinstance(strat_doc, dict):
+        raise ScenarioError("strategy: expected an object")
     _reject_unknown(strat_doc, _STRAT_KEYS, "strategy")
     strategy = StabilityStrategy(
-        kind=str(strat_doc.get("kind", "none")),
-        parameter=float(strat_doc.get("parameter", 0.0)),
+        kind=_text(strat_doc.get("kind", "none"), "strategy.kind"),
+        parameter=_number(strat_doc.get("parameter", 0.0), "strategy.parameter"),
     )
 
-    decision_step = float(doc.get("decision_step", DEFAULT_DECISION_STEP))
+    decision_step = _number(doc.get("decision_step", DEFAULT_DECISION_STEP), "decision_step")
     return ScenarioConfig(
         aps=tuple(aps),
         users=tuple(users),
-        rng_seed=doc["rng_seed"],
-        sim_time=float(doc.get("sim_time", DEFAULT_SIM_TIME)),
+        rng_seed=_integer(doc["rng_seed"], "rng_seed"),
+        sim_time=_number(doc.get("sim_time", DEFAULT_SIM_TIME), "sim_time"),
         decision_step=decision_step,
-        diffusion_period=float(doc.get("diffusion_period", decision_step)),
+        diffusion_period=_number(doc.get("diffusion_period", decision_step), "diffusion_period"),
         area=_pair(doc.get("area", DEFAULT_AREA), "area"),
         objectives=tuple(objectives),
         criteria=tuple(criteria),
         strategy=strategy,
-        mobility_ratio=float(doc.get("mobility_ratio", DEFAULT_MOBILITY_RATIO)),
-        gate_candidates=bool(doc.get("gate_candidates", True)),
-        max_benefit=float(doc.get("max_benefit", DEFAULT_MAX_BENEFIT)),
-        qos_jitter_sigma=float(doc.get("qos_jitter_sigma", 0.0)),
-        handover_cost_steps=int(doc.get("handover_cost_steps", 1)),
+        mobility_ratio=_number(doc.get("mobility_ratio", DEFAULT_MOBILITY_RATIO), "mobility_ratio"),
+        gate_candidates=_flag(doc.get("gate_candidates", True), "gate_candidates"),
+        max_benefit=_number(doc.get("max_benefit", DEFAULT_MAX_BENEFIT), "max_benefit"),
+        qos_jitter_sigma=_number(doc.get("qos_jitter_sigma", 0.0), "qos_jitter_sigma"),
+        handover_cost_steps=_integer(doc.get("handover_cost_steps", 1), "handover_cost_steps"),
     )
 
 

@@ -101,6 +101,24 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "multiple" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("assignment, field", [
+    ("aps.0.coverage_radius=NaN", "coverage_radius"),
+    ("aps.0.position=[NaN,1]", "position"),
+    ("criteria.0.alpha=Infinity", "alpha"),
+    ("sim_time=Infinity", "sim_time"),
+    ("users.0.mobile=\"false\"", "mobile"),
+    ("handover_cost_steps=1.7", "handover_cost_steps"),
+    ("users.0.id=\"u,0\"", "id"),
+])
+def test_bad_values_exit_one_naming_the_field(assignment, field, tmp_path, capsys):
+    # every path above exists in the built-in scenario's document
+    assert main(["validate", "--set", assignment]) == 1
+    assert field in capsys.readouterr().err
+    assert main(["run", "--set", assignment, "--out", str(tmp_path / "o")]) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_set_override_via_cli(tmp_path, config_file):
     rc = main(["run", "--config", config_file, "--out", str(tmp_path / "o"),
                "--seed", "1", "--set", "strategy.kind=hysteresis",

@@ -114,31 +114,66 @@ def test_zero_cost_keeps_scoring_through_switch():
     assert any(log.outcomes[mt][k].c_asso > 0 for mt, k in switch_steps)
 
 
-def test_knowledge_chain_never_fabricates_qos(tiny_config):
+def test_knowledge_chain_never_fabricates_qos(tiny_config, monkeypatch):
     # every candidate score a decision ever saw must be explainable by a QoS
-    # vector the radio model actually produced for that AP
+    # vector the radio layer actually offered for that AP.  With jitter nearly
+    # every offered vector is new, so nearly every score is computed afresh.
+    import hodsim.engine
     from hodsim.decision import score_network
+    from hodsim.radio import apply_jitter
 
-    produced = {}
+    for config in (tiny_config, replace(tiny_config, qos_jitter_sigma=2.0)):
+        offered = {}
+        modelled = []
 
-    def spying_model(ap, load):
-        qos = ap_qos(ap, load)
-        produced.setdefault(ap.id, []).append(dict(qos))
-        return qos
+        def spying_model(ap, load):
+            modelled.append(ap.id)
+            return ap_qos(ap, load)
 
-    log = run_simulation(tiny_config, 4, qos_model=spying_model)
-    requirements = {u.id: u.app_requirements for u in tiny_config.users}
-    for mt in log.mt_ids:
-        for o in log.outcomes[mt]:
-            for cand in o.candidates:
-                explainable = [
-                    score_network(cand.ap_id, qos, requirements[mt],
-                                  tiny_config.criteria, tiny_config.objectives,
-                                  gated=tiny_config.gate_candidates,
-                                  max_benefit=tiny_config.max_benefit).value
-                    for qos in produced[cand.ap_id]
-                ]
-                assert any(abs(cand.value - v) < 1e-12 for v in explainable)
+        def spying_jitter(qos, sigma, rng):
+            # the engine jitters each AP's vector right after modelling it
+            out = apply_jitter(qos, sigma, rng)
+            offered.setdefault(modelled[-1], []).append(dict(out))
+            return out
+
+        monkeypatch.setattr(hodsim.engine, "apply_jitter", spying_jitter)
+        log = run_simulation(config, 4, qos_model=spying_model)
+        requirements = {u.id: u.app_requirements for u in config.users}
+        checked = 0
+        for mt in log.mt_ids:
+            for o in log.outcomes[mt]:
+                for cand in o.candidates:
+                    explainable = [
+                        score_network(cand.ap_id, qos, requirements[mt],
+                                      config.criteria, config.objectives,
+                                      gated=config.gate_candidates,
+                                      max_benefit=config.max_benefit).value
+                        for qos in offered[cand.ap_id]
+                    ]
+                    assert any(abs(cand.value - v) < 1e-12 for v in explainable)
+                    checked += 1
+        assert checked > 0
+
+
+def test_each_distinct_score_input_is_scored_once(default_config, monkeypatch):
+    # within a run a score depends only on (offered QoS, requirements, gate),
+    # so the engine calls score_network once per distinct input
+    import hodsim.engine
+
+    keys = []
+    score_network = hodsim.engine.score_network
+
+    def counting(ap_id, offered, required, *args, gated=True, **kwargs):
+        keys.append((tuple(offered.items()), tuple(required.items()), gated))
+        return score_network(ap_id, offered, required, *args, gated=gated, **kwargs)
+
+    monkeypatch.setattr(hodsim.engine, "score_network", counting)
+    log = run_simulation(default_config, 1)
+    assert keys
+    assert len(keys) == len(set(keys))
+    # far fewer calls than scored networks: the inputs repeat across steps
+    scored = sum(len(o.candidates) for m in log.mt_ids for o in log.outcomes[m])
+    assert len(keys) < scored
 
 
 def test_stationary_users_hold_their_association(tiny_config):

@@ -42,6 +42,26 @@ def test_terminal_receives_copy_of_associated_ap_base():
     assert set(mts["mt1"].records) == {"ap1", "ap2"}
 
 
+def test_diffuse_leaves_given_bases_unchanged():
+    # terminal bases share their AP's records dict, which is only safe while
+    # a round never writes to the dicts of the bases it was given
+    neighbors = {"a": ("b",), "b": ("a", "c"), "c": ("b",)}
+    bases = fresh_bases("a", "b", "c")
+    terminals = {"m0": "a", "m1": "b", "m2": None}
+    for t in range(4):
+        given = {ap_id: (base.records, dict(base.records)) for ap_id, base in bases.items()}
+        qos = {ap_id: {"bw": float(t + i)} for i, ap_id in enumerate(sorted(bases))}
+        new_bases, mts = diffuse(bases, neighbors, qos, terminals, now=float(t))
+        for ap_id, (records, snapshot) in given.items():
+            assert bases[ap_id].records is records
+            assert records == snapshot
+            assert new_bases[ap_id].records is not records
+        for mt_id, ap_id in terminals.items():
+            if ap_id is not None:
+                assert mts[mt_id].records is new_bases[ap_id].records
+        bases = new_bases
+
+
 def test_unassociated_terminal_receives_nothing():
     bases = fresh_bases("ap1")
     _, mts = diffuse(bases, {"ap1": ()}, {"ap1": {"bw": 1.0}}, {"mt1": None}, now=0.0)

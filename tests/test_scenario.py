@@ -162,3 +162,65 @@ def test_validate_collects_violations_without_raising():
     lopsided = replace(config, objectives=(
         ObjectiveWeight("application", 0.7), ObjectiveWeight("operator", 0.4)))
     assert any("weights sum" in m for m in validate(lopsided))
+
+
+def set_path(doc, path, value):
+    """Set a dot path such as "aps.0.position" in a raw document."""
+    keys = [int(k) if k.isdigit() else k for k in path.split(".")]
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+
+
+@pytest.mark.parametrize("path, value, field", [
+    ("aps.0.coverage_radius", float("nan"), "coverage_radius"),
+    ("aps.0.position", [float("nan"), 1.0], "position"),
+    ("criteria.0.alpha", float("inf"), "alpha"),
+    ("sim_time", float("inf"), "sim_time"),
+    ("decision_step", float("nan"), "decision_step"),
+    ("users.0.pause_range", [1.0, float("inf")], "pause_range"),
+    ("aps.1.base_qos.delay", float("nan"), "base_qos"),
+    ("strategy.parameter", float("inf"), "strategy.parameter"),
+])
+def test_nonfinite_numbers_rejected(path, value, field):
+    doc = tiny_document()
+    set_path(doc, path, value)
+    with pytest.raises(ScenarioError, match=field) as excinfo:
+        load_scenario(doc)
+    assert "finite" in str(excinfo.value)
+    # the same document as JSON text, where NaN and Infinity are literals
+    with pytest.raises(ScenarioError, match=field):
+        load_scenario(json.dumps(doc))
+
+
+@pytest.mark.parametrize("path, value, field", [
+    ("users.0.mobile", "false", "mobile"),
+    ("users.0.mobile", 1, "mobile"),
+    ("gate_candidates", "yes", "gate_candidates"),
+    ("handover_cost_steps", 1.7, "handover_cost_steps"),
+    ("handover_cost_steps", True, "handover_cost_steps"),
+    ("rng_seed", 1.5, "rng_seed"),
+    ("rng_seed", "7", "rng_seed"),
+    ("sim_time", "10", "sim_time"),
+    ("aps.0.base_qos.bandwidth", None, "bandwidth"),
+    ("users.0.id", "m,0", r"\.id"),
+    ("users.0.id", "", r"\.id"),
+    ("aps.0.id", "ap\nA", r"\.id"),
+    ("aps.0.id", 5, r"\.id"),
+    ("aps", 5, "aps"),
+    ("area", [10 ** 400, 50.0], "area"),
+])
+def test_values_are_parsed_with_types(path, value, field):
+    doc = tiny_document()
+    set_path(doc, path, value)
+    with pytest.raises(ScenarioError, match=field):
+        load_scenario(doc)
+
+
+def test_integral_numbers_accepted_where_floats_expected():
+    doc = tiny_document(sim_time=10, decision_step=1)
+    doc["aps"][0]["coverage_radius"] = 90
+    config = load_scenario(doc)
+    assert config.sim_time == 10.0 and isinstance(config.sim_time, float)
+    assert config.nb_steps == 10
