@@ -8,12 +8,22 @@ document stays the single source of truth.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .engine import events_csv, run_simulation
-from .metrics import SWEEP_HEADER, RunMetrics, SweepReport, run_metrics, sweep, sweep_csv
+from .metrics import (
+    SWEEP_HEADER,
+    RunMetrics,
+    SweepReport,
+    SweepRow,
+    run_metrics,
+    sweep,
+    sweep_csv,
+    sweep_row_csv,
+)
 from .scenario import (
     ScenarioConfig,
     ScenarioError,
@@ -41,6 +51,8 @@ DEFAULT_VALUE_GRIDS = {
     "waiting_time": "0:10:0.5",
     "randomized_wait": "0:10:0.5",
 }
+# Largest --values grid; a sweep runs every value once per seed.
+MAX_GRID_VALUES = 10_000
 
 
 def parse_values(grid: str) -> List[float]:
@@ -49,16 +61,24 @@ def parse_values(grid: str) -> List[float]:
         start, stop, step = (float(p) for p in grid.split(":"))
     except ValueError as exc:
         raise ScenarioError(f"--values: expected start:stop:step, got {grid!r}") from exc
+    if not all(math.isfinite(p) for p in (start, stop, step)):
+        raise ScenarioError(f"--values: start, stop and step must be finite in {grid!r}")
     if step <= 0 or stop < start:
         raise ScenarioError(f"--values: need step > 0 and stop >= start in {grid!r}")
+    # The count is bounded before anything is built.  The loop keeps the
+    # stop test it always had; its two extra steps leave room for the 1e-9
+    # tolerance and the rounding.
+    span = (stop - start + 1e-9) / step
+    if span >= MAX_GRID_VALUES:
+        raise ScenarioError(f"--values: {grid!r} gives more than {MAX_GRID_VALUES} values")
     values = []
-    i = 0
-    while True:
+    for i in range(int(span) + 2):
         v = round(start + i * step, 10)
         if v > stop + 1e-9:
             break
         values.append(v)
-        i += 1
+    if len(set(values)) != len(values):
+        raise ScenarioError(f"--values: step too small, {grid!r} repeats values")
     return values
 
 
@@ -123,12 +143,17 @@ def _seeds(args: argparse.Namespace, config: ScenarioConfig) -> List[int]:
     if getattr(args, "seed", None) is not None and getattr(args, "seeds", None):
         raise ScenarioError("use either --seed or --seeds, not both")
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ScenarioError(f"--seed: must be a non-negative integer, got {args.seed}")
         return [args.seed]
     if getattr(args, "seeds", None):
         try:
-            return [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+            seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
         except ValueError as exc:
             raise ScenarioError(f"--seeds: expected comma-separated integers, got {args.seeds!r}") from exc
+        if any(s < 0 for s in seeds):
+            raise ScenarioError(f"--seeds: seeds must be non-negative, got {args.seeds!r}")
+        return seeds
     return [config.rng_seed]
 
 
@@ -149,18 +174,17 @@ def metrics_csv(rm: RunMetrics) -> str:
     return "\n".join(lines) + "\n"
 
 
-def recommend(report: SweepReport, retention: float) -> Optional[Tuple[float, int, float]]:
-    """Smallest-worst-case value whose score rate keeps at least ``retention``
-    of the zero-parameter baseline; ties go to the smaller parameter."""
+def best_at_retention(report: SweepReport, retention: float,
+                      key: Callable[[SweepRow], tuple]) -> Optional[SweepRow]:
+    """The row minimizing ``key`` among those whose score rate keeps at least
+    ``retention`` of the zero-parameter baseline; None without a baseline row
+    or an eligible one."""
     baseline = next((r for r in report.rows if r.value == 0.0), None)
     if baseline is None:
         return None
     floor = retention * baseline.mean_score_rate
     eligible = [r for r in report.rows if r.mean_score_rate >= floor]
-    if not eligible:
-        return None
-    chosen = min(eligible, key=lambda r: (r.worst_ho, r.value))
-    return (chosen.value, chosen.worst_ho, chosen.mean_score_rate)
+    return min(eligible, key=key) if eligible else None
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -202,14 +226,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     report = sweep(config, kind, values, seeds)
     out_dir = Path(args.out)
     path = _write(out_dir, f"sweep_{kind}.csv", sweep_csv(report))
-    pick = recommend(report, args.retention)
+    # smallest worst case; ties go to the smaller parameter
+    pick = best_at_retention(report, args.retention, lambda r: (r.worst_ho, r.value))
     print(f"sweep {kind}: {len(report.rows)} values x {len(seeds)} seeds -> {path}")
     if pick is None:
         print(f"no value keeps {args.retention:.0%} of the baseline score rate")
     else:
-        value, worst, score = pick
-        print(f"recommended {kind} parameter {value!r} "
-              f"(worst-case HO count {worst}, mean score rate {score!r}, "
+        print(f"recommended {kind} parameter {pick.value!r} "
+              f"(worst-case HO count {pick.worst_ho}, mean score rate {pick.mean_score_rate!r}, "
               f"retention floor {args.retention:.0%})")
     return EXIT_OK
 
@@ -230,24 +254,8 @@ def compare_sweeps(config: ScenarioConfig,
 def compare_csv(report_a: SweepReport, report_b: SweepReport) -> str:
     lines = ["# hodsim compare schema v1", "strategy," + SWEEP_HEADER]
     for report in (report_a, report_b):
-        for r in report.rows:
-            lines.append(",".join([
-                report.strategy_kind, repr(r.value), str(r.runs), repr(r.mean_ho_rate),
-                str(r.worst_ho), repr(r.ci_low), repr(r.ci_high), repr(r.mean_score_rate),
-            ]))
+        lines.extend(f"{report.strategy_kind},{sweep_row_csv(r)}" for r in report.rows)
     return "\n".join(lines) + "\n"
-
-
-def _best_at_retention(report: SweepReport, retention: float) -> Optional[Tuple[float, float]]:
-    baseline = next((r for r in report.rows if r.value == 0.0), None)
-    if baseline is None:
-        return None
-    floor = retention * baseline.mean_score_rate
-    eligible = [r for r in report.rows if r.mean_score_rate >= floor]
-    if not eligible:
-        return None
-    chosen = min(eligible, key=lambda r: (r.mean_ho_rate, r.value))
-    return (chosen.value, chosen.mean_ho_rate)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -261,14 +269,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     path = _write(out_dir, f"compare_{kind_a}_vs_{kind_b}.csv", compare_csv(report_a, report_b))
     print(f"compare {kind_a} vs {kind_b} on seeds {','.join(str(s) for s in seeds)} -> {path}")
-    best_a = _best_at_retention(report_a, args.retention)
-    best_b = _best_at_retention(report_b, args.retention)
+    best_a, best_b = (best_at_retention(report, args.retention, lambda r: (r.mean_ho_rate, r.value))
+                      for report in (report_a, report_b))
     if best_a is None or best_b is None:
         print(f"no value keeps {args.retention:.0%} of the baseline score rate for both strategies")
         return EXIT_OK
-    (va, ha), (vb, hb) = best_a, best_b
-    print(f"{kind_a}: mean HO_rate {ha!r} at parameter {va!r}")
-    print(f"{kind_b}: mean HO_rate {hb!r} at parameter {vb!r}")
+    ha, hb = best_a.mean_ho_rate, best_b.mean_ho_rate
+    print(f"{kind_a}: mean HO_rate {ha!r} at parameter {best_a.value!r}")
+    print(f"{kind_b}: mean HO_rate {hb!r} at parameter {best_b.value!r}")
     if ha < hb:
         print(f"{kind_a} attains the lower mean HO_rate at matched score retention")
     elif hb < ha:

@@ -1,18 +1,27 @@
 """Deterministic discrete-time simulation loop.
 
-One run is fully determined by (config, seed).  Per decision step, in fixed
-order: mobile terminals move, AP load and QoS are recomputed, knowledge
-diffuses on period boundaries, every terminal evaluates its decision, and
-handovers are applied atomically so association switches take effect on the
-next step.  Switching costs one disconnected step (configurable) during
-which the terminal scores zero and makes no decision, reflecting the
-break-before-make nature of WLAN re-association.
+One run is fully determined by (config, seed) and has two passes.  The
+world pass moves every mobile terminal and records what it senses at each
+step; it draws only from the per-terminal mobility streams, so it does not
+depend on the strategy.  The decision pass then walks the steps in fixed
+order: AP load and QoS are recomputed, knowledge diffuses on period
+boundaries, every terminal evaluates its decision, and handovers are applied
+atomically so association switches take effect on the next step.  Switching
+costs one disconnected step (configurable) during which the terminal scores
+zero and makes no decision, reflecting the break-before-make nature of WLAN
+re-association.
+
+Inside ``shared_worlds()`` runs with the same world inputs reuse one world
+pass; ``metrics.sweep`` opens that scope so each seed's world is computed
+once per sweep.  Outside it every run computes its own.
 """
 
 import hashlib
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -85,6 +94,94 @@ def _stream(seed: int, *labels: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + words))
 
 
+@dataclass(frozen=True, eq=False)
+class _World:
+    """The strategy-independent part of one run.
+
+    ``initial[i]`` is what the i-th user in id order senses at t=0;
+    ``sensed[k][i]`` and ``xy[k, i]`` are what the i-th mobile terminal in id
+    order senses, and where it is, after the move of step ``k``.  Equal
+    sensed tuples are one object, and ``xy`` is read-only.
+    """
+
+    initial: Tuple[Tuple[str, ...], ...]
+    sensed: Tuple[Tuple[Tuple[str, ...], ...], ...]
+    xy: np.ndarray
+
+
+def _world(config: ScenarioConfig, seed: int) -> _World:
+    """Move every mobile terminal through the run and record what it senses.
+
+    Each terminal draws only from its own stream ``_stream(seed, "mobility",
+    m)``, so its trajectory depends neither on the other terminals nor on the
+    strategy.  A paused terminal keeps its previous sensed tuple instead of
+    being sensed again.
+    """
+    dt = config.decision_step
+    users = {u.id: u for u in config.users}
+    mt_order = sorted(u.id for u in config.users if u.mobile)
+    interned: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+
+    def sense(position: Tuple[float, float]) -> Tuple[str, ...]:
+        hits = tuple(sensed_aps(position, config.aps))
+        return interned.setdefault(hits, hits)
+
+    rngs = [_stream(seed, "mobility", m) for m in mt_order]
+    states = [init_mobility(users[m], config.area, rng) for m, rng in zip(mt_order, rngs)]
+    initial = {uid: sense(users[uid].initial_position) for uid in sorted(users)}
+    last = [(users[m].initial_position, initial[m]) for m in mt_order]
+    xy = np.empty((config.nb_steps, len(mt_order), 2))
+    sensed = []
+    for k in range(config.nb_steps):
+        row = []
+        for i, m in enumerate(mt_order):
+            states[i] = step_mobility(states[i], dt, config.area, users[m], rngs[i])
+            position = states[i].position
+            if position != last[i][0]:
+                last[i] = (position, sense(position))
+            row.append(last[i][1])
+            xy[k, i] = position
+        sensed.append(tuple(row))
+    xy.flags.writeable = False
+    return _World(tuple(initial.values()), tuple(sensed), xy)
+
+
+# The worlds of the innermost open shared_worlds() scope; None outside one.
+# A context variable, so each thread sees only the scopes it opened.
+_worlds: ContextVar[Optional[Dict[tuple, _World]]] = ContextVar("hodsim_worlds", default=None)
+
+
+@contextmanager
+def shared_worlds() -> Iterator[None]:
+    """Let the runs made inside the block share world passes.
+
+    Runs whose world inputs are equal get the same (immutable) world; the
+    worlds are dropped when the block exits.
+    """
+    token = _worlds.set({})
+    try:
+        yield
+    finally:
+        _worlds.reset(token)
+
+
+def _world_for(config: ScenarioConfig, seed: int) -> _World:
+    worlds = _worlds.get()
+    if worlds is None:
+        return _world(config, seed)
+    # every input _world reads
+    key = (
+        seed, config.area, config.decision_step, config.nb_steps,
+        tuple((u.id, u.mobile, u.initial_position, u.speed, u.pause_range)
+              for u in config.users),
+        tuple((ap.id, ap.position, ap.coverage_radius) for ap in config.aps),
+    )
+    world = worlds.get(key)
+    if world is None:
+        world = worlds[key] = _world(config, seed)
+    return world
+
+
 def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
                    qos_model=ap_qos) -> EventLog:
     """Execute one run and return its event log.
@@ -108,12 +205,9 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     user_order = sorted(users)
     mt_order = sorted(u.id for u in config.users if u.mobile)
 
-    mob_rng = {m: _stream(seed, "mobility", m) for m in mt_order}
+    world = _world_for(config, seed)
     strat_rng = {m: _stream(seed, "strategy", m) for m in mt_order}
     jitter_rng = _stream(seed, "qos-jitter")
-
-    mobility = {m: init_mobility(users[m], config.area, mob_rng[m]) for m in mt_order}
-    positions = {u.id: u.initial_position for u in config.users}
 
     # Within one run a score depends only on the offered QoS, the
     # requirements and the gate: criteria, objectives and max_benefit are
@@ -142,9 +236,8 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     # next user's view.
     associations: Dict[str, Optional[str]] = {}
     loads = {ap_id: 0 for ap_id in ap_order}
-    for uid in user_order:
+    for uid, sensed in zip(user_order, world.initial):
         required = users[uid].app_requirements
-        sensed = sensed_aps(positions[uid], config.aps)
         chosen = None
         if sensed:
             scored = [
@@ -177,12 +270,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     for k in range(nb_steps):
         now = k * dt
 
-        # (1) mobility
-        for m in mt_order:
-            mobility[m] = step_mobility(mobility[m], dt, config.area, users[m], mob_rng[m])
-            positions[m] = mobility[m].position
-
-        # (2) load and offered QoS per AP
+        # (1) load and offered QoS per AP
         loads = {ap_id: 0 for ap_id in ap_order}
         for uid in user_order:
             ap_id = associations[uid]
@@ -197,17 +285,18 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
             for ap_id in ap_order
         }
 
-        # (3) knowledge diffusion on period boundaries
+        # (2) knowledge diffusion on period boundaries
         if k % diffuse_every == 0:
             mt_assoc = {m: associations[m] for m in mt_order}
             ap_bases, fresh = diffuse(ap_bases, neighbors, qos_now, mt_assoc, now)
             mt_bases.update(fresh)
 
-        # (4) per-terminal decisions against a frozen snapshot
+        # (3) per-terminal decisions against a frozen snapshot; movement
+        # and sensing come from the world pass
         pending: Dict[str, Tuple[str, bool]] = {}
-        for m in mt_order:
+        for i, m in enumerate(mt_order):
             required = users[m].app_requirements
-            sensed = sensed_aps(positions[m], config.aps)
+            sensed = world.sensed[k][i]
             assoc = associations[m]
 
             if assoc is not None and assoc not in sensed:
@@ -223,7 +312,8 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
                 continue
 
             if assoc is None:
-                target = _nearest_usable(positions[m], sensed, aps, qos_now)
+                xy = world.xy[k, i]
+                target = _nearest_usable((float(xy[0]), float(xy[1])), sensed, aps, qos_now)
                 if target is not None:
                     pending[m] = (target, False)
                 log.outcomes[m].append(DecisionOutcome(
@@ -249,7 +339,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
                 c_asso, best.value if best is not None else 0.0,
                 outcome.suppressed, scored))
 
-        # (5) apply switches atomically; they take effect next step
+        # (4) apply switches atomically; they take effect next step
         switch_time = (k + 1) * dt
         for m, (target, is_handover) in pending.items():
             close_interval(m, switch_time)
@@ -264,7 +354,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     return log
 
 
-def _nearest_usable(position: Tuple[float, float], sensed: List[str],
+def _nearest_usable(position: Tuple[float, float], sensed: Tuple[str, ...],
                     aps: Dict[str, ApProfile], qos_now: Dict[str, QosVector]) -> Optional[str]:
     """Blind (re-)association: nearest sensed AP currently offering any
     nonzero QoS, ties broken by id.  An unassociated terminal holds no usable

@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from scipy import stats
 
-from .engine import EventLog, run_simulation
+from .engine import EventLog, run_simulation, shared_worlds
 from .scenario import ScenarioConfig, with_strategy
 
 SWEEP_SCHEMA = "# hodsim sweep schema v1"
@@ -111,6 +111,7 @@ def sweep(config: ScenarioConfig, strategy_kind: str, values: Sequence[float],
     Worst case is the maximum per-terminal handover count over all runs of a
     value; the confidence interval is over per-terminal counts pooled across
     the value's runs, matching how per-terminal variability is reported.
+    Every run of one seed shares one world pass (see engine.shared_worlds).
     """
     if not values:
         raise ValueError("values must be non-empty")
@@ -118,37 +119,45 @@ def sweep(config: ScenarioConfig, strategy_kind: str, values: Sequence[float],
         raise ValueError("seeds must be non-empty")
     rows: List[SweepRow] = []
     raw: Dict[float, Tuple[RunMetrics, ...]] = {}
-    for value in values:
-        cfg = with_strategy(config, strategy_kind, value)
-        per_seed: List[RunMetrics] = []
-        for seed in seeds:
-            try:
-                per_seed.append(run_metrics(run_simulation(cfg, seed)))
-            except Exception as exc:
-                raise RuntimeError(f"run failed for value={value!r} seed={seed}: {exc}") from exc
-        pooled_counts = [float(c) for rm in per_seed for c in rm.nb_ho.values()]
-        if len(pooled_counts) >= 2:
-            ci_low, ci_high = confidence_interval(pooled_counts)
-        else:
-            ci_low = ci_high = pooled_counts[0]
-        rows.append(SweepRow(
-            value=float(value),
-            runs=len(per_seed),
-            mean_ho_rate=sum(rm.ho_rate for rm in per_seed) / len(per_seed),
-            worst_ho=max(c for rm in per_seed for c in rm.nb_ho.values()),
-            ci_low=ci_low,
-            ci_high=ci_high,
-            mean_score_rate=sum(rm.score_rate for rm in per_seed) / len(per_seed),
-        ))
-        raw[float(value)] = tuple(per_seed)
+    with shared_worlds():
+        for value in values:
+            cfg = with_strategy(config, strategy_kind, value)
+            per_seed: List[RunMetrics] = []
+            for seed in seeds:
+                try:
+                    per_seed.append(run_metrics(run_simulation(cfg, seed)))
+                except Exception as exc:
+                    raise RuntimeError(f"run failed for value={value!r} seed={seed}: {exc}") from exc
+            rows.append(_sweep_row(value, per_seed))
+            raw[float(value)] = tuple(per_seed)
     return SweepReport(strategy_kind=strategy_kind, rows=tuple(rows), runs=raw)
 
 
+def _sweep_row(value: float, per_seed: Sequence[RunMetrics]) -> SweepRow:
+    pooled_counts = [float(c) for rm in per_seed for c in rm.nb_ho.values()]
+    if len(pooled_counts) >= 2:
+        ci_low, ci_high = confidence_interval(pooled_counts)
+    else:
+        ci_low = ci_high = pooled_counts[0]
+    return SweepRow(
+        value=float(value),
+        runs=len(per_seed),
+        mean_ho_rate=sum(rm.ho_rate for rm in per_seed) / len(per_seed),
+        worst_ho=max(c for rm in per_seed for c in rm.nb_ho.values()),
+        ci_low=ci_low,
+        ci_high=ci_high,
+        mean_score_rate=sum(rm.score_rate for rm in per_seed) / len(per_seed),
+    )
+
+
+def sweep_row_csv(r: SweepRow) -> str:
+    """One SWEEP_HEADER row; floats use repr so they round-trip exactly."""
+    return ",".join([
+        repr(r.value), str(r.runs), repr(r.mean_ho_rate), str(r.worst_ho),
+        repr(r.ci_low), repr(r.ci_high), repr(r.mean_score_rate),
+    ])
+
+
 def sweep_csv(report: SweepReport) -> str:
-    lines = [SWEEP_SCHEMA, SWEEP_HEADER]
-    for r in report.rows:
-        lines.append(",".join([
-            repr(r.value), str(r.runs), repr(r.mean_ho_rate), str(r.worst_ho),
-            repr(r.ci_low), repr(r.ci_high), repr(r.mean_score_rate),
-        ]))
+    lines = [SWEEP_SCHEMA, SWEEP_HEADER] + [sweep_row_csv(r) for r in report.rows]
     return "\n".join(lines) + "\n"

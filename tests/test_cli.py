@@ -1,8 +1,9 @@
 import json
+import tracemalloc
 
 import pytest
 
-from hodsim.cli import apply_override, compare_sweeps, main, parse_values
+from hodsim.cli import MAX_GRID_VALUES, apply_override, compare_sweeps, main, parse_values
 from hodsim.scenario import ScenarioError, load_scenario
 
 from conftest import tiny_document
@@ -26,6 +27,34 @@ def test_parse_values_rejects_garbage():
         parse_values("1:0:-1")
     with pytest.raises(ScenarioError):
         parse_values("nope")
+
+
+@pytest.mark.parametrize("grid", ["0:nan:0.1", "nan:1:0.1", "0:1:nan", "0:inf:1",
+                                  "-inf:0:1", "0:1:inf"])
+def test_parse_values_rejects_non_finite(grid):
+    with pytest.raises(ScenarioError, match="--values"):
+        parse_values(grid)
+
+
+def test_parse_values_caps_the_grid_without_building_it():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioError, match="--values"):
+            parse_values("0:1:1e-12")  # about 1e12 values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(parse_values(f"1:{MAX_GRID_VALUES}:1")) == MAX_GRID_VALUES
+    with pytest.raises(ScenarioError, match="--values"):
+        parse_values(f"0:{MAX_GRID_VALUES}:1")
+    with pytest.raises(ScenarioError, match="--values"):
+        parse_values("0:1e308:1e-308")
+
+
+def test_parse_values_rejects_steps_below_the_rounding():
+    with pytest.raises(ScenarioError, match="repeats"):
+        parse_values("0:1e-9:1e-12")
 
 
 def test_override_sets_nested_key():
@@ -117,6 +146,20 @@ def test_bad_values_exit_one_naming_the_field(assignment, field, tmp_path, capsy
     assert main(["run", "--set", assignment, "--out", str(tmp_path / "o")]) == 1
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--seed", "-1"], "--seed"),
+    (["run", "--seeds", "1,-2"], "--seeds"),
+    (["sweep", "--values", "0:0.1:0.1", "--seeds", "1,-2"], "--seeds"),
+    (["compare", "--strategy-a", "hysteresis", "--strategy-b", "waiting", "--seed", "-3"],
+     "--seed"),
+])
+def test_negative_seeds_exit_one_before_writing(argv, flag, tmp_path, config_file, capsys):
+    out = tmp_path / "o"
+    assert main(argv + ["--config", config_file, "--out", str(out)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_set_override_via_cli(tmp_path, config_file):
