@@ -9,17 +9,14 @@ harness producing handover-rate / score-rate sweeps.
 from .decision import (
     CombinedScore,
     Decision,
-    ObjectiveScore,
     StrategyState,
     best_candidate,
-    combine,
     decide,
     normalize_criterion,
-    objective_score,
     score_network,
     utility,
 )
-from .engine import AssociationInterval, DecisionOutcome, EventLog, events_csv, run_simulation
+from .engine import DecisionOutcome, EventLog, events_csv, run_simulation
 from .knowledge import KnowledgeBase, KnowledgeRecord, candidate_view, diffuse
 from .metrics import (
     RunMetrics,
@@ -27,7 +24,6 @@ from .metrics import (
     SweepRow,
     confidence_interval,
     ho_rate,
-    nb_steps,
     run_metrics,
     score_rate,
     sweep,

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .engine import events_csv, run_simulation
+from .engine import events_csv, run_simulation, shared_worlds
 from .metrics import (
     SWEEP_HEADER,
     RunMetrics,
@@ -243,11 +243,13 @@ def compare_sweeps(config: ScenarioConfig,
                    plan_b: Tuple[str, Sequence[float]],
                    seeds_a: Sequence[int], seeds_b: Sequence[int]) -> Tuple[SweepReport, SweepReport]:
     """Run both sweeps on identical seeds; refuses mismatched seed lists
-    because the comparison is paired run-for-run."""
+    because the comparison is paired run-for-run.  The two sweeps share one
+    world scope, so each seed's world pass is computed once."""
     if list(seeds_a) != list(seeds_b):
         raise ScenarioError("compare: seed lists must match for a paired comparison")
-    report_a = sweep(config, plan_a[0], plan_a[1], seeds_a)
-    report_b = sweep(config, plan_b[0], plan_b[1], seeds_b)
+    with shared_worlds():
+        report_a = sweep(config, plan_a[0], plan_a[1], seeds_a)
+        report_b = sweep(config, plan_b[0], plan_b[1], seeds_b)
     return report_a, report_b
 
 

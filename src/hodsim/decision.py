@@ -1,16 +1,17 @@
-"""Handover decision logic: utility scoring, weighted combination, candidate
-selection, and the stability strategies that suppress unnecessary switches.
+"""Handover decision logic: utility scoring, candidate selection, and the
+stability strategies that suppress unnecessary switches.
 
-Scores are built in three stages.  Each QoS criterion is first normalized to
-a benefit value (cost criteria are inverted), then mapped through the
-saturating utility ``1 - exp(-alpha * x)``, and summed into an objective
-score in [0, k) for k criteria.  Objective scores are combined by weighted
-sum into the network's combined score, which is what strategies compare.
+Each QoS criterion is first normalized to a benefit value (cost criteria are
+inverted), then mapped through the saturating utility ``1 - exp(-alpha * x)``,
+and the utilities are summed, in criteria order, into a value in [0, k) for k
+criteria.  Every objective scores that same value, so the objective weights
+only scale it: the combined score, which is what strategies compare, is
+``sum(weight * value)`` over the objectives in order.
 """
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -19,12 +20,6 @@ from .scenario import DecisionCriterion, ObjectiveWeight, StabilityStrategy
 
 STAY = "stay"
 HANDOVER = "handover"
-
-
-@dataclass(frozen=True)
-class ObjectiveScore:
-    objective_id: str
-    value: float
 
 
 @dataclass(frozen=True)
@@ -105,43 +100,24 @@ def meets_requirements(offered: QosVector, required: QosVector,
     return True
 
 
-def objective_score(offered: QosVector, required: QosVector,
-                    criteria: Sequence[DecisionCriterion], objective_id: str,
-                    gated: bool = True, max_benefit: float = 1e6) -> ObjectiveScore:
-    """Score one objective for one network: sum of per-criterion utilities,
-    forced to zero when the offered QoS misses the requirements (if gated)."""
-    missing = set(c.id for c in criteria) - set(offered)
-    if missing:
-        raise ValueError(f"offered QoS missing criteria {sorted(missing)}")
-    if gated and not meets_requirements(offered, required, criteria):
-        return ObjectiveScore(objective_id, 0.0)
-    total = 0.0
-    for c in criteria:
-        total += utility(normalize_criterion(offered[c.id], c, max_benefit), c.alpha)
-    return ObjectiveScore(objective_id, total)
-
-
-def combine(scores: Iterable[ObjectiveScore], weights: Mapping[str, float]) -> float:
-    """Weighted sum of objective scores; weights must cover every objective."""
-    total = 0.0
-    for s in scores:
-        if s.objective_id not in weights:
-            raise KeyError(f"no weight for objective {s.objective_id!r}")
-        total += weights[s.objective_id] * s.value
-    return total
-
-
 def score_network(ap_id: str, offered: QosVector, required: QosVector,
                   criteria: Sequence[DecisionCriterion],
                   objectives: Sequence[ObjectiveWeight],
                   gated: bool = True, max_benefit: float = 1e6) -> CombinedScore:
-    """Full pipeline for one network: per-objective scores combined by weight."""
-    weights = {o.id: o.weight for o in objectives}
-    scores = [
-        objective_score(offered, required, criteria, o.id, gated=gated, max_benefit=max_benefit)
-        for o in objectives
-    ]
-    return CombinedScore(ap_id, combine(scores, weights))
+    """Combined score of one network: the sum of per-criterion utilities,
+    forced to zero when the offered QoS misses the requirements (if gated),
+    weighted by each objective in turn."""
+    missing = set(c.id for c in criteria) - set(offered)
+    if missing:
+        raise ValueError(f"offered QoS missing criteria {sorted(missing)}")
+    value = 0.0
+    if not gated or meets_requirements(offered, required, criteria):
+        for c in criteria:
+            value += utility(normalize_criterion(offered[c.id], c, max_benefit), c.alpha)
+    total = 0.0
+    for o in objectives:
+        total += o.weight * value
+    return CombinedScore(ap_id, total)
 
 
 def best_candidate(candidates: Sequence[CombinedScore]) -> Optional[CombinedScore]:

@@ -11,6 +11,11 @@ costs one disconnected step (configurable) during which the terminal scores
 zero and makes no decision, reflecting the break-before-make nature of WLAN
 re-association.
 
+The run's log keeps, per terminal and step, exactly the five fields of its
+``events_*.csv`` row (associated AP, action, ``c_asso``, ``c_best``,
+suppressed), plus each terminal's handover count; the time and the terminal
+id follow from the row's position.
+
 Inside ``shared_worlds()`` runs with the same world inputs reuse one world
 pass; ``metrics.sweep`` opens that scope so each seed's world is computed
 once per sweep.  Outside it every run computes its own.
@@ -21,7 +26,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -43,42 +48,37 @@ EVENTS_SCHEMA = "# hodsim events schema v1"
 EVENTS_HEADER = "time,mt,associated_ap,action,c_asso,c_best,suppressed"
 
 
-@dataclass(frozen=True)
-class DecisionOutcome:
-    """Result of one terminal's decision at one step.
+class DecisionOutcome(NamedTuple):
+    """One terminal's logged step: the fields of its ``events_*.csv`` row.
 
     ``c_asso`` is the effective score of the associated network for this step
-    (0 while unassociated or disconnected mid-switch); ``candidates`` keeps
-    the scored candidate list for inspection.
+    (0 while unassociated or disconnected mid-switch); ``c_best`` is the best
+    candidate's score (0 without candidates).
     """
 
-    mt_id: str
-    time: float
     associated: Optional[str]
     action: str
-    target: Optional[str]
     c_asso: float
     c_best: float
     suppressed: bool
-    candidates: Tuple[CombinedScore, ...] = ()
 
 
-@dataclass(frozen=True)
-class AssociationInterval:
-    ap_id: str
-    start: float
-    end: float
+# Logged for a terminal that holds no association at a step.
+_UNASSOCIATED = DecisionOutcome(None, STAY, 0.0, 0.0, False)
 
 
 @dataclass
 class EventLog:
-    """Everything one run produced, sufficient to recompute all metrics."""
+    """Everything one run produced, sufficient to recompute all metrics.
+
+    ``outcomes[m][k]`` is terminal ``m`` at step ``k``, time ``k *
+    decision_step``.
+    """
 
     seed: int
     config: ScenarioConfig
     mt_ids: List[str]
     outcomes: Dict[str, List[DecisionOutcome]] = field(default_factory=dict)
-    associations: Dict[str, List[AssociationInterval]] = field(default_factory=dict)
     nb_ho: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -156,8 +156,12 @@ def shared_worlds() -> Iterator[None]:
     """Let the runs made inside the block share world passes.
 
     Runs whose world inputs are equal get the same (immutable) world; the
-    worlds are dropped when the block exits.
+    worlds are dropped when the outermost block exits.  A block opened inside
+    another joins it.
     """
+    if _worlds.get() is not None:
+        yield
+        return
     token = _worlds.set({})
     try:
         yield
@@ -225,11 +229,8 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
             ).value
         return value
 
-    log = EventLog(seed=seed, config=config, mt_ids=list(mt_order))
-    for m in mt_order:
-        log.outcomes[m] = []
-        log.associations[m] = []
-        log.nb_ho[m] = 0
+    log = EventLog(seed=seed, config=config, mt_ids=list(mt_order),
+                   outcomes={m: [] for m in mt_order}, nb_ho={m: 0 for m in mt_order})
 
     # Initial association at t=0: users in id order greedily pick the best
     # sensed AP by live QoS, strategy-free; each pick loads the AP for the
@@ -251,21 +252,10 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
             loads[chosen] += 1
         associations[uid] = chosen
 
-    open_interval: Dict[str, Optional[Tuple[str, float]]] = {}
-    for m in mt_order:
-        ap0 = associations[m]
-        open_interval[m] = (ap0, 0.0) if ap0 is not None else None
-
     strategy_states = {m: StrategyState.from_strategy(config.strategy) for m in mt_order}
     ap_bases = {ap_id: KnowledgeBase(owner=ap_id) for ap_id in ap_order}
     mt_bases = {m: KnowledgeBase(owner=m) for m in mt_order}
     disconnected = {m: 0 for m in mt_order}
-
-    def close_interval(m: str, end: float) -> None:
-        current = open_interval[m]
-        if current is not None:
-            log.associations[m].append(AssociationInterval(current[0], current[1], end))
-            open_interval[m] = None
 
     for k in range(nb_steps):
         now = k * dt
@@ -301,14 +291,12 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
 
             if assoc is not None and assoc not in sensed:
                 # walked out of coverage: connectivity lost, not a handover
-                close_interval(m, now)
                 associations[m] = None
                 assoc = None
 
             if disconnected[m] > 0:
                 disconnected[m] -= 1
-                log.outcomes[m].append(DecisionOutcome(
-                    m, now, assoc, STAY, None, 0.0, 0.0, False))
+                log.outcomes[m].append(DecisionOutcome(assoc, STAY, 0.0, 0.0, False))
                 continue
 
             if assoc is None:
@@ -316,8 +304,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
                 target = _nearest_usable((float(xy[0]), float(xy[1])), sensed, aps, qos_now)
                 if target is not None:
                     pending[m] = (target, False)
-                log.outcomes[m].append(DecisionOutcome(
-                    m, now, None, STAY, None, 0.0, 0.0, False))
+                log.outcomes[m].append(_UNASSOCIATED)
                 continue
 
             base = mt_bases[m]
@@ -325,32 +312,26 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
             c_asso = score(assoc, record.qos, required, True) if record is not None else 0.0
 
             cands = candidate_view(base, sensed, assoc, now)
-            scored = tuple(
+            scored = [
                 CombinedScore(ap_id, score(ap_id, qos, required, config.gate_candidates))
                 for ap_id, qos, _age in cands
-            )
+            ]
             best = best_candidate(scored)
             outcome = decide(c_asso, best, strategy_states[m], now, strat_rng[m])
             strategy_states[m] = outcome.state
             if outcome.action == HANDOVER:
                 pending[m] = (outcome.target, True)
             log.outcomes[m].append(DecisionOutcome(
-                m, now, assoc, outcome.action, outcome.target,
-                c_asso, best.value if best is not None else 0.0,
-                outcome.suppressed, scored))
+                assoc, outcome.action, c_asso,
+                best.value if best is not None else 0.0, outcome.suppressed))
 
         # (4) apply switches atomically; they take effect next step
-        switch_time = (k + 1) * dt
         for m, (target, is_handover) in pending.items():
-            close_interval(m, switch_time)
             associations[m] = target
-            open_interval[m] = (target, switch_time)
             if is_handover:
                 log.nb_ho[m] += 1
                 disconnected[m] = config.handover_cost_steps
 
-    for m in mt_order:
-        close_interval(m, config.sim_time)
     return log
 
 
@@ -378,16 +359,18 @@ def events_csv(log: EventLog) -> str:
     runs produce byte-identical output.
     """
     lines = [EVENTS_SCHEMA, EVENTS_HEADER]
+    dt = log.config.decision_step
     for k in range(log.nb_steps):
+        time = repr(k * dt)
         for m in log.mt_ids:
-            o = log.outcomes[m][k]
+            associated, action, c_asso, c_best, suppressed = log.outcomes[m][k]
             lines.append(",".join([
-                repr(o.time),
-                o.mt_id,
-                o.associated if o.associated is not None else "",
-                o.action,
-                repr(o.c_asso),
-                repr(o.c_best),
-                "1" if o.suppressed else "0",
+                time,
+                m,
+                associated if associated is not None else "",
+                action,
+                repr(c_asso),
+                repr(c_best),
+                "1" if suppressed else "0",
             ]))
     return "\n".join(lines) + "\n"

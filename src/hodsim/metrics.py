@@ -49,16 +49,6 @@ class SweepReport:
     runs: Dict[float, Tuple[RunMetrics, ...]]
 
 
-def nb_steps(sim_time: float, decision_step: float) -> int:
-    """Number of decision steps in a run; the division must be exact."""
-    if decision_step <= 0:
-        raise ValueError("decision_step must be > 0")
-    ratio = sim_time / decision_step
-    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-        raise ValueError(f"sim_time {sim_time!r} is not a multiple of decision_step {decision_step!r}")
-    return int(round(ratio))
-
-
 def ho_rate(log: EventLog) -> float:
     """Mean handover count over the run's mobile terminals."""
     if not log.mt_ids:
@@ -68,28 +58,28 @@ def ho_rate(log: EventLog) -> float:
 
 def score_rate(log: EventLog) -> float:
     """Mean over terminals of the per-step mean associated-network score."""
+    return run_metrics(log).score_rate
+
+
+def run_metrics(log: EventLog) -> RunMetrics:
+    """Both criteria of one run; the score rate is the mean of the
+    per-terminal means."""
     if not log.mt_ids:
         raise ValueError("event log covers no mobile terminals")
     steps = log.nb_steps
+    mt_score = {}
     total = 0.0
     for m in log.mt_ids:
         outcomes = log.outcomes[m]
         if len(outcomes) != steps:
             raise ValueError(f"terminal {m}: {len(outcomes)} outcomes, expected {steps}")
-        total += sum(o.c_asso for o in outcomes) / steps
-    return total / len(log.mt_ids)
-
-
-def run_metrics(log: EventLog) -> RunMetrics:
-    steps = log.nb_steps
-    per_mt_score = {
-        m: sum(o.c_asso for o in log.outcomes[m]) / steps for m in log.mt_ids
-    }
+        mt_score[m] = sum(o.c_asso for o in outcomes) / steps
+        total += mt_score[m]
     return RunMetrics(
         ho_rate=ho_rate(log),
-        score_rate=score_rate(log),
+        score_rate=total / len(log.mt_ids),
         nb_ho=dict(log.nb_ho),
-        mt_score=per_mt_score,
+        mt_score=mt_score,
     )
 
 

@@ -120,9 +120,6 @@ class ScenarioConfig:
     def ap_by_id(self) -> Dict[str, ApProfile]:
         return {ap.id: ap for ap in self.aps}
 
-    def weights(self) -> Dict[str, float]:
-        return {o.id: o.weight for o in self.objectives}
-
 
 # Ids are written unquoted into the CSV outputs, so they may not contain a
 # field or line separator.

@@ -171,8 +171,8 @@ def test_criterion_7_invariant_suites():
             assert ua < ub
 
     # requirement gating zeroes the score
-    from hodsim.decision import objective_score
-    from hodsim.scenario import DecisionCriterion
+    from hodsim.decision import score_network
+    from hodsim.scenario import DecisionCriterion, ObjectiveWeight
     for _ in range(1000):
         k = int(rng.integers(1, 4))
         crits = [DecisionCriterion(f"c{i}", "benefit" if rng.random() < 0.5 else "cost",
@@ -185,7 +185,8 @@ def test_criterion_7_invariant_suites():
         else:
             offered[victim.id] = float(rng.uniform(1, 10))
             required[victim.id] = offered[victim.id] / 2.0
-        assert objective_score(offered, required, crits, "application").value == 0.0
+        objectives = [ObjectiveWeight("application", 1.0)]
+        assert score_network("ap", offered, required, crits, objectives).value == 0.0
 
     # hysteresis monotonicity
     for _ in range(1000):

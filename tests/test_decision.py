@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from hodsim.decision import (
     CombinedScore,
-    ObjectiveScore,
     StrategyState,
     best_candidate,
-    combine,
     decide,
     normalize_criterion,
-    objective_score,
     score_network,
     utility,
 )
@@ -23,6 +20,11 @@ import reference
 
 BW = DecisionCriterion("bandwidth", "benefit", 1.0)
 DELAY = DecisionCriterion("delay", "cost", 1.0)
+APPLICATION = [ObjectiveWeight("application", 1.0)]
+
+
+def score(offered, required, criteria, objectives=APPLICATION, gated=True):
+    return score_network("ap", offered, required, criteria, objectives, gated=gated).value
 
 
 # --- utility -----------------------------------------------------------------
@@ -81,39 +83,34 @@ def test_cost_zero_is_capped():
     assert normalize_criterion(1e-9, DELAY, max_benefit=1e6) == 1e6
 
 
-# --- objective score ---------------------------------------------------------
+# --- network score -----------------------------------------------------------
 
 def test_score_single_criterion_matches_utility():
-    s = objective_score({"bandwidth": 1.0}, {"bandwidth": 0.0}, [BW], "application")
-    assert abs(s.value - 0.6321205588285577) < 1e-15
+    s = score({"bandwidth": 1.0}, {"bandwidth": 0.0}, [BW])
+    assert abs(s - 0.6321205588285577) < 1e-15
 
 
 def test_requirement_gate_zeroes_score():
-    s = objective_score({"bandwidth": 5.0}, {"bandwidth": 10.0}, [BW], "application")
-    assert s.value == 0.0
+    assert score({"bandwidth": 5.0}, {"bandwidth": 10.0}, [BW]) == 0.0
 
 
 def test_cost_requirement_gate():
-    s = objective_score({"delay": 30.0}, {"delay": 10.0}, [DELAY], "application")
-    assert s.value == 0.0
-    ok = objective_score({"delay": 5.0}, {"delay": 10.0}, [DELAY], "application")
-    assert ok.value > 0.0
+    assert score({"delay": 30.0}, {"delay": 10.0}, [DELAY]) == 0.0
+    assert score({"delay": 5.0}, {"delay": 10.0}, [DELAY]) > 0.0
 
 
 def test_two_zero_criteria_score_zero():
     crits = [BW, DecisionCriterion("snr", "benefit", 2.0)]
-    s = objective_score({"bandwidth": 0.0, "snr": 0.0}, {"bandwidth": 0.0, "snr": 0.0}, crits, "application")
-    assert s.value == 0.0
+    assert score({"bandwidth": 0.0, "snr": 0.0}, {"bandwidth": 0.0, "snr": 0.0}, crits) == 0.0
 
 
 def test_gate_ignored_when_disabled():
-    s = objective_score({"bandwidth": 5.0}, {"bandwidth": 10.0}, [BW], "application", gated=False)
-    assert s.value > 0.0
+    assert score({"bandwidth": 5.0}, {"bandwidth": 10.0}, [BW], gated=False) > 0.0
 
 
 def test_missing_criterion_rejected():
     with pytest.raises(ValueError):
-        objective_score({"bandwidth": 5.0}, {}, [BW, DELAY], "application")
+        score({"bandwidth": 5.0}, {}, [BW, DELAY])
 
 
 @given(st.lists(st.floats(0, 50), min_size=1, max_size=4))
@@ -124,30 +121,47 @@ def test_zero_requirements_never_gate(values):
              for i in range(len(values))]
     offered = {c.id: v for c, v in zip(crits, values)}
     required = {c.id: 0.0 for c in crits}
-    s = objective_score(offered, required, crits, "application")
     expected = sum(utility(normalize_criterion(offered[c.id], c), c.alpha) for c in crits)
-    assert abs(s.value - expected) < 1e-12
+    assert abs(score(offered, required, crits) - expected) < 1e-12
 
 
-# --- combination and selection -------------------------------------------------
+# --- objective weights and selection -------------------------------------------
+
+HALVES = [ObjectiveWeight("a", 0.5), ObjectiveWeight("b", 0.5)]
+
 
 def test_combine_identity():
-    assert combine([ObjectiveScore("application", 0.5)], {"application": 1.0}) == 0.5
+    # one objective of weight 1 leaves the utility sum unchanged
+    offered, required = {"bandwidth": 2.0, "delay": 4.0}, {"bandwidth": 0.0, "delay": 0.0}
+    expected = utility(2.0, 1.0) + utility(0.25, 1.0)
+    assert score(offered, required, [BW, DELAY]) == expected
 
 
 def test_combine_weighted_sum():
-    scores = [ObjectiveScore("a", 0.6), ObjectiveScore("b", 0.2)]
-    assert abs(combine(scores, {"a": 0.5, "b": 0.5}) - 0.4) < 1e-15
+    # every objective scores the same value, so the weights only scale it
+    offered, required = {"bandwidth": 0.8}, {"bandwidth": 0.0}
+    single = score(offered, required, [BW])
+    assert score(offered, required, [BW], HALVES) == single
+    thirds = [ObjectiveWeight("a", 0.3), ObjectiveWeight("b", 0.7)]
+    assert abs(score(offered, required, [BW], thirds) - single) < 1e-15
 
 
 def test_combine_zeros():
-    scores = [ObjectiveScore("a", 0.0), ObjectiveScore("b", 0.0)]
-    assert combine(scores, {"a": 0.5, "b": 0.5}) == 0.0
+    assert score({"bandwidth": 5.0}, {"bandwidth": 10.0}, [BW], HALVES) == 0.0
+    assert score({"bandwidth": 0.0}, {"bandwidth": 0.0}, [BW], HALVES) == 0.0
 
 
-def test_combine_missing_weight():
-    with pytest.raises(KeyError):
-        combine([ObjectiveScore("a", 1.0)], {"b": 1.0})
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5), st.floats(0, 20))
+def test_weights_accumulate_in_objective_order(weights, bandwidth):
+    # the combined score is sum(weight * value) accumulated in objective
+    # order, bit for bit, whatever the number of objectives
+    objectives = [ObjectiveWeight(f"o{i}", w) for i, w in enumerate(weights)]
+    offered, required = {"bandwidth": bandwidth, "delay": 3.0}, {"bandwidth": 0.0, "delay": 0.0}
+    value = utility(bandwidth, 1.0) + utility(1.0 / 3.0, 1.0)
+    expected = 0.0
+    for w in weights:
+        expected += w * value
+    assert score(offered, required, [BW, DELAY], objectives) == expected
 
 
 def test_best_candidate_picks_max():

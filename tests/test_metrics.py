@@ -7,13 +7,12 @@ from hodsim.engine import EventLog, events_csv, run_simulation
 from hodsim.metrics import (
     confidence_interval,
     ho_rate,
-    nb_steps,
     run_metrics,
     score_rate,
     sweep,
     sweep_csv,
 )
-from hodsim.scenario import load_scenario, with_strategy
+from hodsim.scenario import ScenarioError, load_scenario, with_strategy
 
 from conftest import tiny_document
 
@@ -25,12 +24,9 @@ def synthetic_log(per_mt_scores, per_mt_ho, config):
     log = EventLog(seed=0, config=config, mt_ids=sorted(per_mt_scores))
     for mt, scores in per_mt_scores.items():
         log.outcomes[mt] = [
-            DecisionOutcome(mt, k * config.decision_step, "ap", "stay", None,
-                            s, 0.0, False)
-            for k, s in enumerate(scores)
+            DecisionOutcome("ap", "stay", s, 0.0, False) for s in scores
         ]
         log.nb_ho[mt] = per_mt_ho[mt]
-        log.associations[mt] = []
     return log
 
 
@@ -86,17 +82,31 @@ def test_metrics_match_recount_from_csv(default_config):
     assert abs(recount_score - score_rate(log)) < 1e-12
 
 
-def test_nb_steps_default_timing():
-    assert nb_steps(75.0, 0.5) == 150
+def test_nb_steps_default_timing(default_config):
+    # the metrics divide by the log's step count, which is the scenario's
+    assert default_config.nb_steps == 150
+    assert EventLog(seed=0, config=default_config, mt_ids=[]).nb_steps == 150
 
 
 def test_nb_steps_plain_division():
-    assert nb_steps(10.0, 1.0) == 10
+    config = load_scenario(tiny_document(sim_time=10.0, decision_step=1.0))
+    assert config.nb_steps == 10
+    assert run_simulation(config, 0).nb_steps == 10
 
 
 def test_nb_steps_rejects_inexact():
-    with pytest.raises(ValueError):
-        nb_steps(75.0, 0.4)
+    with pytest.raises(ScenarioError, match="multiple"):
+        load_scenario(tiny_document(sim_time=75.0, decision_step=0.4))
+
+
+def test_score_rate_is_the_mean_of_terminal_means(default_config):
+    log = run_simulation(default_config, 2)
+    rm = run_metrics(log)
+    total = 0.0
+    for mt in log.mt_ids:
+        total += sum(o.c_asso for o in log.outcomes[mt]) / log.nb_steps
+        assert rm.mt_score[mt] == sum(o.c_asso for o in log.outcomes[mt]) / log.nb_steps
+    assert rm.score_rate == score_rate(log) == total / len(log.mt_ids)
 
 
 def test_ci_zero_variance():

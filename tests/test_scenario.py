@@ -24,6 +24,7 @@ def test_default_timing_gives_150_steps():
     assert config.sim_time == 75.0
     assert config.decision_step == 0.5
     assert config.nb_steps == 150
+    assert load_scenario(tiny_document(decision_step=0.25)).nb_steps == 40
 
 
 def test_mobility_ratio_reported():
@@ -80,6 +81,9 @@ def test_sim_time_must_be_multiple_of_step():
     doc["decision_step"] = 0.4
     with pytest.raises(ScenarioError, match="multiple"):
         load_scenario(doc)
+    # a step longer than the run leaves no whole step
+    with pytest.raises(ScenarioError, match="multiple"):
+        load_scenario(tiny_document(decision_step=20.0, diffusion_period=20.0))
 
 
 def test_mobility_ratio_enforced_within_one_user():

@@ -1,5 +1,6 @@
 """The world pass (movement and sensing) is shared by the runs of one sweep
-and by nothing else, and sharing it never changes a run's events."""
+or one compare and by nothing else, and sharing it never changes a run's
+events."""
 
 import gc
 import weakref
@@ -8,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 import hodsim.engine
+from hodsim.cli import compare_csv, compare_sweeps
 from hodsim.engine import events_csv, run_simulation, shared_worlds
 from hodsim.metrics import sweep
 from hodsim.scenario import with_strategy
@@ -73,6 +75,32 @@ def test_no_world_outlives_a_call(tiny_config, world_spy):
     assert hodsim.engine._worlds.get() is None
     gc.collect()
     assert all(ref() is None for ref in world_spy)
+
+
+def test_compare_computes_each_seeds_world_once(tiny_config, world_spy):
+    seeds = [1, 2]
+    plan_a, plan_b = ("hysteresis", [0.0, 0.05]), ("randomized_wait", [0.0, 3.0])
+    separate = compare_csv(sweep(tiny_config, *plan_a, seeds), sweep(tiny_config, *plan_b, seeds))
+    assert len(world_spy) == 2 * len(seeds)
+
+    shared = compare_csv(*compare_sweeps(tiny_config, plan_a, plan_b, seeds, seeds))
+    assert len(world_spy) - 2 * len(seeds) == len(seeds)
+    assert shared == separate
+    assert hodsim.engine._worlds.get() is None
+
+
+def test_nested_scopes_share_one_dict(tiny_config, world_spy):
+    with shared_worlds():
+        outer = hodsim.engine._worlds.get()
+        sweep(tiny_config, "hysteresis", [0.0, 0.5], [1, 2])
+        with shared_worlds():
+            assert hodsim.engine._worlds.get() is outer
+            run_simulation(tiny_config, 1)
+        # the inner block kept the outer scope's worlds alive
+        assert hodsim.engine._worlds.get() is outer and len(outer) == 2
+        sweep(tiny_config, "waiting_time", [0.0, 2.0], [2, 1])
+    assert len(world_spy) == 2
+    assert hodsim.engine._worlds.get() is None
 
 
 def test_scope_is_dropped_when_a_run_fails(tiny_config):
