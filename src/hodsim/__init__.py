@@ -17,7 +17,7 @@ from .decision import (
     utility,
 )
 from .engine import DecisionOutcome, EventLog, events_csv, run_simulation
-from .knowledge import KnowledgeBase, KnowledgeRecord, candidate_view, diffuse
+from .knowledge import KnowledgeBase, KnowledgeRecord, candidate_view, diffuse, known
 from .metrics import (
     RunMetrics,
     SweepReport,

@@ -11,7 +11,7 @@ only scale it: the combined score, which is what strategies compare, is
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -22,8 +22,7 @@ STAY = "stay"
 HANDOVER = "handover"
 
 
-@dataclass(frozen=True)
-class CombinedScore:
+class CombinedScore(NamedTuple):
     ap_id: str
     value: float
 
@@ -43,8 +42,7 @@ class StrategyState:
         return cls(kind=strategy.kind, parameter=strategy.parameter)
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     action: str
     target: Optional[str]
     suppressed: bool

@@ -11,6 +11,14 @@ costs one disconnected step (configurable) during which the terminal scores
 zero and makes no decision, reflecting the break-before-make nature of WLAN
 re-association.
 
+The decision pass keeps knowledge in its closed form (see ``knowledge``):
+after a diffusion round an AP knows its own QoS of that round and each wired
+neighbor's QoS of the round before, nothing else.  So a terminal's
+knowledge is just the view its AP held at the last round at which the
+terminal was associated, and no record is ever copied or merged.  Offered
+QoS comes from a per-run table by (AP, load), and each distinct scoring
+input is scored once per run.
+
 The run's log keeps, per terminal and step, exactly the five fields of its
 ``events_*.csv`` row (associated AP, action, ``c_asso``, ``c_best``,
 suppressed), plus each terminal's handover count; the time and the terminal
@@ -39,7 +47,9 @@ from .decision import (
     decide,
     score_network,
 )
-from .knowledge import KnowledgeBase, candidate_view, diffuse
+# candidate_view and diffuse are not called here; they stay bound because
+# perfbench/tracing.py wraps every collaborator by its name in this module.
+from .knowledge import candidate_view, diffuse, known  # noqa: F401
 from .mobility import init_mobility, step_mobility
 from .radio import ApLoadState, QosVector, ap_qos, apply_jitter, sensed_aps
 from .scenario import ApProfile, ScenarioConfig, validate
@@ -65,6 +75,16 @@ class DecisionOutcome(NamedTuple):
 
 # Logged for a terminal that holds no association at a step.
 _UNASSOCIATED = DecisionOutcome(None, STAY, 0.0, 0.0, False)
+
+
+class _Profile(NamedTuple):
+    """One (requirements, gate) pair of a run and its score memo: the id of
+    each offered vector scored so far -> (that vector, its score)."""
+
+    required: QosVector
+    items: tuple
+    gated: bool
+    memo: Dict[int, Tuple[QosVector, float]]
 
 
 @dataclass
@@ -191,7 +211,8 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     """Execute one run and return its event log.
 
     ``seed`` defaults to config.rng_seed.  ``qos_model(ap, load)`` may replace
-    the default load-sharing model.
+    the default load-sharing model; it is called once per distinct (AP,
+    load) of the run, so it must depend on nothing else.
     """
     violations = validate(config)
     if violations:
@@ -200,139 +221,191 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         seed = config.rng_seed
 
     dt = config.decision_step
-    nb_steps = config.nb_steps
     diffuse_every = int(round(config.diffusion_period / dt))
+    sigma = config.qos_jitter_sigma
     aps = config.ap_by_id()
     ap_order = sorted(aps)
-    neighbors = {ap_id: aps[ap_id].wired_neighbors for ap_id in ap_order}
     users = {u.id: u for u in config.users}
     user_order = sorted(users)
     mt_order = sorted(u.id for u in config.users if u.mobile)
 
     world = _world_for(config, seed)
-    strat_rng = {m: _stream(seed, "strategy", m) for m in mt_order}
+    strat_rng = [_stream(seed, "strategy", m) for m in mt_order]
     jitter_rng = _stream(seed, "qos-jitter")
+
+    table: Dict[Tuple[str, int], QosVector] = {}
+
+    def offered(ap_id: str, load: int) -> QosVector:
+        qos = table.get((ap_id, load))
+        if qos is None:
+            qos = table[ap_id, load] = qos_model(aps[ap_id], ApLoadState(ap_id, load))
+        return qos
 
     # Within one run a score depends only on the offered QoS, the
     # requirements and the gate: criteria, objectives and max_benefit are
     # fixed, and the AP id does not enter the value.  So each distinct input
-    # is scored once, with every check score_network makes.
+    # is scored once, with every check score_network makes.  A vector seen
+    # before is found by its identity in its profile's memo; the memo entry
+    # holds the vector, so the id cannot be reused within the run.
     scores: Dict[Tuple[tuple, tuple, bool], float] = {}
+    profiles: Dict[Tuple[tuple, bool], _Profile] = {}
 
-    def score(ap_id: str, offered: QosVector, required: QosVector, gated: bool) -> float:
-        key = (tuple(offered.items()), tuple(required.items()), gated)
-        value = scores.get(key)
-        if value is None:
-            value = scores[key] = score_network(
-                ap_id, offered, required, config.criteria, config.objectives,
-                gated=gated, max_benefit=config.max_benefit,
-            ).value
-        return value
+    def profile(required: QosVector, gated: bool) -> _Profile:
+        items = tuple(required.items())
+        found = profiles.get((items, gated))
+        if found is None:
+            found = profiles[items, gated] = _Profile(required, items, gated, {})
+        return found
 
-    log = EventLog(seed=seed, config=config, mt_ids=list(mt_order),
-                   outcomes={m: [] for m in mt_order}, nb_ho={m: 0 for m in mt_order})
+    def score(ap_id: str, qos: QosVector, prof: _Profile) -> float:
+        entry = prof.memo.get(id(qos))
+        if entry is None:
+            key = (tuple(qos.items()), prof.items, prof.gated)
+            value = scores.get(key)
+            if value is None:
+                value = scores[key] = score_network(
+                    ap_id, qos, prof.required, config.criteria, config.objectives,
+                    gated=prof.gated, max_benefit=config.max_benefit,
+                ).value
+            entry = prof.memo[id(qos)] = (qos, value)
+        return entry[1]
 
     # Initial association at t=0: users in id order greedily pick the best
     # sensed AP by live QoS, strategy-free; each pick loads the AP for the
     # next user's view.
-    associations: Dict[str, Optional[str]] = {}
-    loads = {ap_id: 0 for ap_id in ap_order}
+    gate = config.gate_candidates
+    loads = dict.fromkeys(ap_order, 0)
+    initial: Dict[str, Optional[str]] = {}
     for uid, sensed in zip(user_order, world.initial):
-        required = users[uid].app_requirements
-        chosen = None
-        if sensed:
-            scored = [
-                CombinedScore(ap_id, score(
-                    ap_id, qos_model(aps[ap_id], ApLoadState(ap_id, loads[ap_id])),
-                    required, config.gate_candidates))
-                for ap_id in sensed
-            ]
-            best = best_candidate(scored)
-            chosen = best.ap_id
-            loads[chosen] += 1
-        associations[uid] = chosen
+        prof = profile(users[uid].app_requirements, gate)
+        best = best_candidate([
+            CombinedScore(ap_id, score(ap_id, offered(ap_id, loads[ap_id]), prof))
+            for ap_id in sensed
+        ])
+        initial[uid] = best.ap_id if best is not None else None
+        if best is not None:
+            loads[best.ap_id] += 1
+    # stationary users never move, so they keep their AP and its load
+    static_loads = dict.fromkeys(ap_order, 0)
+    for uid, ap_id in initial.items():
+        if ap_id is not None and not users[uid].mobile:
+            static_loads[ap_id] += 1
 
-    strategy_states = {m: StrategyState.from_strategy(config.strategy) for m in mt_order}
-    ap_bases = {ap_id: KnowledgeBase(owner=ap_id) for ap_id in ap_order}
-    mt_bases = {m: KnowledgeBase(owner=m) for m in mt_order}
-    disconnected = {m: 0 for m in mt_order}
+    n = len(mt_order)
+    assoc = [initial[m] for m in mt_order]
+    asso_profiles = [profile(users[m].app_requirements, True) for m in mt_order]
+    cand_profiles = [profile(users[m].app_requirements, gate) for m in mt_order]
+    states = [StrategyState.from_strategy(config.strategy)] * n
+    disconnected = [0] * n
+    rows: List[List[DecisionOutcome]] = [[] for _ in mt_order]
+    nb_ho = [0] * n
+    # Each terminal's knowledge in closed form: the view its AP held at the
+    # last round at which it was associated (see knowledge.known).
+    views: List[Dict[str, QosVector]] = [{}] * n
+    current: Dict[str, QosVector] = {}
+    previous = current
+    round_views: Dict[str, Dict[str, QosVector]] = {}
+    qos_now: Dict[str, QosVector] = {}
+    last_loads: Optional[Dict[str, int]] = None
 
-    for k in range(nb_steps):
+    for k in range(config.nb_steps):
         now = k * dt
 
         # (1) load and offered QoS per AP
-        loads = {ap_id: 0 for ap_id in ap_order}
-        for uid in user_order:
-            ap_id = associations[uid]
+        loads = dict(static_loads)
+        for ap_id in assoc:
             if ap_id is not None:
                 loads[ap_id] += 1
-        qos_now: Dict[str, QosVector] = {
-            ap_id: apply_jitter(
-                qos_model(aps[ap_id], ApLoadState(ap_id, loads[ap_id])),
-                config.qos_jitter_sigma,
-                jitter_rng,
-            )
-            for ap_id in ap_order
-        }
+        if sigma > 0:
+            qos_now = {ap_id: apply_jitter(offered(ap_id, loads[ap_id]), sigma, jitter_rng)
+                       for ap_id in ap_order}
+        elif loads != last_loads:
+            qos_now = {ap_id: offered(ap_id, loads[ap_id]) for ap_id in ap_order}
+            last_loads = loads
 
-        # (2) knowledge diffusion on period boundaries
+        # (2) diffusion round: every associated terminal takes its AP's view;
+        # while the measured QoS repeats, the views of the last round do too
         if k % diffuse_every == 0:
-            mt_assoc = {m: associations[m] for m in mt_order}
-            ap_bases, fresh = diffuse(ap_bases, neighbors, qos_now, mt_assoc, now)
-            mt_bases.update(fresh)
+            if qos_now is not current or previous is not current:
+                previous, current = current, qos_now
+                round_views = {}
+            for i, ap_id in enumerate(assoc):
+                if ap_id is not None:
+                    view = round_views.get(ap_id)
+                    if view is None:
+                        view = round_views[ap_id] = known(
+                            ap_id, aps[ap_id].wired_neighbors, current, previous)
+                    views[i] = view
 
         # (3) per-terminal decisions against a frozen snapshot; movement
         # and sensing come from the world pass
-        pending: Dict[str, Tuple[str, bool]] = {}
-        for i, m in enumerate(mt_order):
-            required = users[m].app_requirements
-            sensed = world.sensed[k][i]
-            assoc = associations[m]
-
-            if assoc is not None and assoc not in sensed:
+        pending: List[Tuple[int, str, bool]] = []
+        for i, sensed in enumerate(world.sensed[k]):
+            ap_id = assoc[i]
+            if ap_id is not None and ap_id not in sensed:
                 # walked out of coverage: connectivity lost, not a handover
-                associations[m] = None
-                assoc = None
+                assoc[i] = ap_id = None
 
-            if disconnected[m] > 0:
-                disconnected[m] -= 1
-                log.outcomes[m].append(DecisionOutcome(assoc, STAY, 0.0, 0.0, False))
+            if disconnected[i]:
+                disconnected[i] -= 1
+                rows[i].append(DecisionOutcome(ap_id, STAY, 0.0, 0.0, False))
                 continue
 
-            if assoc is None:
+            if ap_id is None:
                 xy = world.xy[k, i]
                 target = _nearest_usable((float(xy[0]), float(xy[1])), sensed, aps, qos_now)
                 if target is not None:
-                    pending[m] = (target, False)
-                log.outcomes[m].append(_UNASSOCIATED)
+                    pending.append((i, target, False))
+                rows[i].append(_UNASSOCIATED)
                 continue
 
-            base = mt_bases[m]
-            record = base.records.get(assoc)
-            c_asso = score(assoc, record.qos, required, True) if record is not None else 0.0
+            view = views[i]
+            qos = view.get(ap_id)
+            c_asso = 0.0
+            if qos is not None:
+                prof = asso_profiles[i]
+                entry = prof.memo.get(id(qos))
+                c_asso = entry[1] if entry is not None else score(ap_id, qos, prof)
 
-            cands = candidate_view(base, sensed, assoc, now)
-            scored = [
-                CombinedScore(ap_id, score(ap_id, qos, required, config.gate_candidates))
-                for ap_id, qos, _age in cands
-            ]
-            best = best_candidate(scored)
-            outcome = decide(c_asso, best, strategy_states[m], now, strat_rng[m])
-            strategy_states[m] = outcome.state
+            # one pass for the best candidate; ties go to the lowest AP id,
+            # as in best_candidate
+            prof = cand_profiles[i]
+            best_id = None
+            best_value = 0.0
+            for cand in sensed:
+                if cand == ap_id:
+                    continue
+                qos = view.get(cand)
+                if qos is None:
+                    continue
+                entry = prof.memo.get(id(qos))
+                value = entry[1] if entry is not None else score(cand, qos, prof)
+                if best_id is None or value > best_value or (value == best_value and cand < best_id):
+                    best_id = cand
+                    best_value = value
+
+            # Unless the best candidate beats the associated network, the base
+            # rule does not fire and decide would keep the terminal in place,
+            # unsuppressed, with its state and rng untouched.
+            if best_id is None or best_value <= c_asso:
+                rows[i].append(DecisionOutcome(ap_id, STAY, c_asso, best_value, False))
+                continue
+            outcome = decide(c_asso, CombinedScore(best_id, best_value), states[i], now, strat_rng[i])
+            states[i] = outcome.state
             if outcome.action == HANDOVER:
-                pending[m] = (outcome.target, True)
-            log.outcomes[m].append(DecisionOutcome(
-                assoc, outcome.action, c_asso,
-                best.value if best is not None else 0.0, outcome.suppressed))
+                pending.append((i, outcome.target, True))
+            rows[i].append(DecisionOutcome(
+                ap_id, outcome.action, c_asso, best_value, outcome.suppressed))
 
         # (4) apply switches atomically; they take effect next step
-        for m, (target, is_handover) in pending.items():
-            associations[m] = target
+        for i, target, is_handover in pending:
+            assoc[i] = target
             if is_handover:
-                log.nb_ho[m] += 1
-                disconnected[m] = config.handover_cost_steps
+                nb_ho[i] += 1
+                disconnected[i] = config.handover_cost_steps
 
-    return log
+    return EventLog(seed=seed, config=config, mt_ids=list(mt_order),
+                    outcomes=dict(zip(mt_order, rows)), nb_ho=dict(zip(mt_order, nb_ho)))
 
 
 def _nearest_usable(position: Tuple[float, float], sensed: Tuple[str, ...],

@@ -1,17 +1,32 @@
 """Knowledge diffusion between AP agents and terminal agents.
 
-APs measure their own QoS and periodically push it to their one-hop wired
-neighbors and to associated terminals.  Pushes carry the sender's knowledge
-as of the previous period (push happens before the sender refreshes its own
-measurement), so neighbor records in a terminal's base are between one and
-two periods old.  Terminals only ever learn about APs relayed by their
-associated AP; a sensed AP without a record is simply not a candidate.
+APs measure their own QoS and, once per diffusion round, push their own
+record to their one-hop wired neighbors; then each AP refreshes its own
+record and every associated terminal takes over its AP's knowledge.  A push
+carries the sender's record from before its refresh, and an AP only ever
+pushes its own record, so the protocol has a closed form.  After round r,
+AP ``a`` knows exactly
+
+- its own round-r measurement, and
+- each wired neighbor's round r-1 measurement (none after round 0),
+
+and nothing else: nothing older survives, because every round replaces every
+record it delivers.  A terminal knows what its AP knew at the last round at
+which it was associated, so neighbor records in a terminal's view are
+between one and two periods old.  Terminals only ever learn about APs
+relayed by their associated AP; a sensed AP without a record is simply not a
+candidate.
+
+``known`` is that closed form.  ``diffuse`` and ``candidate_view`` express
+one round and one terminal's candidates in terms of timestamped records.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, TypeVar
 
 from .radio import QosVector
+
+V = TypeVar("V")
 
 
 @dataclass(frozen=True)
@@ -25,16 +40,20 @@ class KnowledgeRecord:
 
 @dataclass
 class KnowledgeBase:
-    """Latest-wins store of records held by one agent (AP or terminal)."""
+    """The records held by one agent (AP or terminal), by AP id."""
 
     owner: str
     records: Dict[str, KnowledgeRecord] = field(default_factory=dict)
 
-    def merge(self, record: KnowledgeRecord) -> None:
-        """Insert the record unless a strictly newer one is already held."""
-        existing = self.records.get(record.ap_id)
-        if existing is None or record.timestamp > existing.timestamp:
-            self.records[record.ap_id] = record
+
+def known(home: str, neighbors: Tuple[str, ...], current: Mapping[str, V],
+          previous: Mapping[str, V]) -> Dict[str, V]:
+    """What AP ``home`` knows after a round: its own entry of ``current``
+    (this round) and its wired neighbors' entries of ``previous`` (the round
+    before; empty before the first round), by AP id."""
+    view = {n: previous[n] for n in neighbors if n in previous}
+    view[home] = current[home]
+    return view
 
 
 def diffuse(
@@ -46,29 +65,22 @@ def diffuse(
 ) -> Tuple[Dict[str, KnowledgeBase], Dict[str, KnowledgeBase]]:
     """Run one synchronous diffusion round at simulated time ``now``.
 
-    Order within the round: every AP pushes its current self-record to its
-    wired neighbors (so receivers see the previous period's measurement),
-    then every AP refreshes its own record from ``measured``, then every
-    associated terminal's base is replaced by its AP's new base.
+    ``ap_bases`` are the bases the previous round returned (empty before the
+    first); only each AP's own record is read from them.  Every AP's new
+    base is ``known`` of this round's records and those own records.
 
     A terminal's base shares its AP's records dict and is read-only.  That
     is safe because each round builds a fresh dict for every AP and never
     writes to the dicts of the bases it was given.
     Returns (new AP bases, terminal bases for associated terminals).
     """
-    pushes: Dict[str, Optional[KnowledgeRecord]] = {
-        ap_id: base.records.get(ap_id) for ap_id, base in ap_bases.items()
-    }
-
+    pushes = {ap_id: base.records[ap_id]
+              for ap_id, base in ap_bases.items() if ap_id in base.records}
     new_ap_bases: Dict[str, KnowledgeBase] = {}
-    for ap_id, base in ap_bases.items():
-        updated = KnowledgeBase(owner=ap_id, records=dict(base.records))
-        for neighbor in neighbors.get(ap_id, ()):
-            pushed = pushes.get(neighbor)
-            if pushed is not None:
-                updated.merge(pushed)
-        updated.merge(KnowledgeRecord(ap_id=ap_id, qos=dict(measured[ap_id]), timestamp=now))
-        new_ap_bases[ap_id] = updated
+    for ap_id in ap_bases:
+        own = {ap_id: KnowledgeRecord(ap_id, dict(measured[ap_id]), now)}
+        records = known(ap_id, neighbors.get(ap_id, ()), own, pushes)
+        new_ap_bases[ap_id] = KnowledgeBase(ap_id, records)
 
     mt_bases: Dict[str, KnowledgeBase] = {}
     for mt_id, ap_id in associations.items():

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from scipy import stats
+from scipy.special import stdtrit
 
 from .engine import EventLog, run_simulation, shared_worlds
 from .scenario import ScenarioConfig, with_strategy
@@ -84,13 +84,19 @@ def run_metrics(log: EventLog) -> RunMetrics:
 
 
 def confidence_interval(samples: Sequence[float], level: float = 0.95) -> Tuple[float, float]:
-    """Student-t interval for the mean: mean +- t_{(1+level)/2, n-1} * s/sqrt(n)."""
+    """Student-t interval for the mean: mean +- t_{(1+level)/2, n-1} * s/sqrt(n).
+
+    The t quantile is ``scipy.special.stdtrit``, which is what
+    ``scipy.stats.t.ppf`` evaluates, without importing ``scipy.stats``.
+    """
     n = len(samples)
     if n < 2:
         raise ValueError("confidence interval needs at least 2 samples")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"confidence level must lie in (0, 1), got {level!r}")
     mean = sum(samples) / n
     var = sum((x - mean) ** 2 for x in samples) / (n - 1)
-    half = float(stats.t.ppf((1.0 + level) / 2.0, n - 1)) * math.sqrt(var / n)
+    half = float(stdtrit(n - 1, (1.0 + level) / 2.0)) * math.sqrt(var / n)
     return (mean - half, mean + half)
 
 

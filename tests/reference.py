@@ -79,3 +79,41 @@ def ref_decide(c_asso, scored, kind, parameter, wait_until, now):
             return ("stay", None, True)
         return ("handover", ap, False)
     return ("handover", ap, False)
+
+
+def ref_merge(records, ap_id, qos, timestamp):
+    """Latest-wins insert into records (ap id -> (qos, timestamp)): keep the
+    held record unless the offered one is strictly newer."""
+    held = records.get(ap_id)
+    if held is None or timestamp > held[1]:
+        records[ap_id] = (qos, timestamp)
+
+
+def ref_diffuse(ap_records, neighbors, measured, associations, now):
+    """One round of the generic record-merging protocol.
+
+    ap_records: ap id -> {ap id -> (qos, timestamp)} after the previous round
+    (empty dicts before the first).  Every AP pushes whatever record it holds
+    of itself to its wired neighbors, each receiver merges the pushes into a
+    copy of everything it held, then every AP merges its fresh measurement,
+    and every associated terminal receives a copy of its AP's records.
+    Returns (new ap_records, terminal id -> records for associated terminals).
+    """
+    pushes = {}
+    for ap, records in ap_records.items():
+        if ap in records:
+            pushes[ap] = records[ap]
+    new_records = {}
+    for ap, records in ap_records.items():
+        updated = dict(records)
+        for other in neighbors.get(ap, ()):
+            if other in pushes:
+                qos, timestamp = pushes[other]
+                ref_merge(updated, other, qos, timestamp)
+        ref_merge(updated, ap, dict(measured[ap]), now)
+        new_records[ap] = updated
+    terminals = {}
+    for mt, ap in associations.items():
+        if ap is not None:
+            terminals[mt] = dict(new_records[ap])
+    return new_records, terminals

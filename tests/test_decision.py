@@ -289,6 +289,24 @@ def test_hysteresis_monotone_in_margin(c_asso, c_best, h1, h2):
         assert decide(c_asso, best, hyst(lo), 0.0).action == "handover"
 
 
+@given(st.sampled_from(["none", "hysteresis", "waiting_time", "randomized_wait"]),
+       score_floats, st.one_of(st.none(), score_floats), st.floats(0, 10),
+       st.floats(0, 30), st.floats(0, 30))
+def test_decide_leaves_a_terminal_alone_unless_the_base_rule_fires(
+        kind, c_asso, c_best, parameter, wait_until, now):
+    # the engine asks decide only when the best candidate beats the
+    # associated network; otherwise decide must stay, unsuppressed, with the
+    # state unchanged and no random draw
+    if c_best is not None and c_best > c_asso:
+        c_best = c_asso
+    best = None if c_best is None else CombinedScore("B", c_best)
+    state = StrategyState(kind, parameter, wait_until)
+    rng = np.random.default_rng(3)
+    d = decide(c_asso, best, state, now, rng)
+    assert (d.action, d.target, d.suppressed, d.state) == ("stay", None, False, state)
+    assert rng.uniform() == np.random.default_rng(3).uniform()
+
+
 # --- oracle equivalence -------------------------------------------------------
 
 def run_both_pipelines(criteria_doc, objectives_doc, offered_by_ap, required,

@@ -117,50 +117,61 @@ def test_zero_cost_keeps_scoring_through_switch():
     assert any(log.outcomes[mt][k].c_asso > 0 for mt, k in switch_steps)
 
 
-def candidate_spy(monkeypatch):
-    """Record every candidate list the engine builds for a decision."""
+def knowledge_spy(monkeypatch):
+    """Record every QoS record a decision reads from a terminal's knowledge.
+
+    The engine reads knowledge only through the views knowledge.known
+    builds; each view is wrapped so that every lookup is logged as
+    (AP id, QoS vector or None when the AP is not known).
+    """
     import hodsim.engine
 
-    views = []
-    candidate_view = hodsim.engine.candidate_view
+    lookups = []
+    known = hodsim.engine.known
 
-    def recording(*args):
-        view = candidate_view(*args)
-        views.append(view)
-        return view
+    class RecordingView(dict):
+        def get(self, ap_id, default=None):
+            qos = dict.get(self, ap_id, default)
+            lookups.append((ap_id, qos))
+            return qos
 
-    monkeypatch.setattr(hodsim.engine, "candidate_view", recording)
-    return views
+    monkeypatch.setattr(hodsim.engine, "known", lambda *args: RecordingView(known(*args)))
+    return lookups
 
 
 def test_knowledge_chain_never_fabricates_qos(tiny_config, monkeypatch):
-    # every candidate a decision ever saw must carry a QoS vector the radio
-    # layer actually offered for that AP.  With jitter nearly every offered
-    # vector is new, so a fabricated or mixed-up record would show.
+    # every record a decision ever read, the candidates' and the associated
+    # AP's, must carry a QoS vector the radio layer actually offered for
+    # that AP.  With jitter nearly every offered vector is new, so a
+    # fabricated or mixed-up record would show.
     import hodsim.engine
     from hodsim.radio import apply_jitter
 
-    views = candidate_spy(monkeypatch)
+    lookups = knowledge_spy(monkeypatch)
     for config in (tiny_config, replace(tiny_config, qos_jitter_sigma=2.0)):
+        jittered = config.qos_jitter_sigma > 0
         offered = {}
-        modelled = []
-        views.clear()
+        modelled = {}
+        lookups.clear()
 
         def spying_model(ap, load):
-            modelled.append(ap.id)
-            return ap_qos(ap, load)
+            out = ap_qos(ap, load)
+            modelled[id(out)] = (ap.id, out)
+            if not jittered:
+                offered.setdefault(ap.id, []).append(dict(out))
+            return out
 
         def spying_jitter(qos, sigma, rng):
-            # the engine jitters each AP's vector right after modelling it
+            # the engine jitters the vector the model gave for the AP
             out = apply_jitter(qos, sigma, rng)
-            offered.setdefault(modelled[-1], []).append(dict(out))
+            offered.setdefault(modelled[id(qos)][0], []).append(dict(out))
             return out
 
         monkeypatch.setattr(hodsim.engine, "apply_jitter", spying_jitter)
         run_simulation(config, 4, qos_model=spying_model)
         checked = 0
-        for view in views:
-            for ap_id, qos, _age in view:
+        for ap_id, qos in lookups:
+            if qos is not None:
                 assert qos in offered[ap_id]
                 checked += 1
         assert checked > 0
@@ -179,12 +190,17 @@ def test_each_distinct_score_input_is_scored_once(default_config, monkeypatch):
         return score_network(ap_id, offered, required, *args, gated=gated, **kwargs)
 
     monkeypatch.setattr(hodsim.engine, "score_network", counting)
-    views = candidate_spy(monkeypatch)
-    run_simulation(default_config, 1)
+    lookups = knowledge_spy(monkeypatch)
+    log = run_simulation(default_config, 1)
     assert keys
     assert len(keys) == len(set(keys))
-    # far fewer calls than scored candidates: the inputs repeat across steps
-    assert len(keys) < sum(len(view) for view in views)
+    # far fewer calls than scored candidates: the inputs repeat across steps.
+    # Besides its candidates a decision reads one record, its associated
+    # AP's, and only a step with an association can be a decision; so the
+    # scored candidates number at least the records read minus those steps.
+    read = sum(qos is not None for _, qos in lookups)
+    associated = sum(o.associated is not None for m in log.mt_ids for o in log.outcomes[m])
+    assert len(keys) < read - associated
 
 
 def test_stationary_users_hold_their_association(tiny_config):

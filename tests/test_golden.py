@@ -7,12 +7,13 @@ entry that says why the outputs moved.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from hodsim.engine import events_csv, run_simulation
 from hodsim.metrics import sweep, sweep_csv
-from hodsim.scenario import STRATEGY_KINDS, load_scenario
+from hodsim.scenario import STRATEGY_KINDS, load_scenario, with_strategy
 
 from conftest import tiny_document
 
@@ -32,6 +33,15 @@ TINY_EVENTS = {
 TINY_JITTER_EVENTS = "940035c7e7029a00fa831f9aa0b11e6b16440f8065562e9cea2e0193358e52d0"
 TINY_SWEEP = "dab3481df067016fe23c55bd486a4de3c3c8b28519d2e0a4860771d47387da76"
 
+# The default scenario under hysteresis 0.05 with one switching step, seed 1,
+# by diffusion period in decision steps.  tiny_document never clears a
+# hysteresis margin, so these are the goldens that execute hysteresis
+# handovers (4 and 5) next to suppressed decisions.
+HYSTERESIS_EVENTS = {
+    1: "b2ca30c30c498953a0da4581c7dc8a827693d233f64dbc21fdec9703bb7fdbb9",
+    3: "c8c4e7b5c95340ef75b8a42a7bbb73391d87bcf042d6834a1b6eae0a8a727598",
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -40,6 +50,16 @@ def sha256(text: str) -> str:
 @pytest.mark.parametrize("seed", sorted(DEFAULT_EVENTS))
 def test_default_scenario_events(default_config, seed):
     assert sha256(events_csv(run_simulation(default_config, seed))) == DEFAULT_EVENTS[seed]
+
+
+@pytest.mark.parametrize("period_steps", sorted(HYSTERESIS_EVENTS))
+def test_default_scenario_hysteresis_handovers(default_config, period_steps):
+    config = replace(with_strategy(default_config, "hysteresis", 0.05), handover_cost_steps=1,
+                     diffusion_period=period_steps * default_config.decision_step)
+    log = run_simulation(config, 1)
+    assert sum(log.nb_ho.values()) >= 1
+    assert any(o.suppressed for m in log.mt_ids for o in log.outcomes[m])
+    assert sha256(events_csv(log)) == HYSTERESIS_EVENTS[period_steps]
 
 
 def test_every_strategy_kind_is_pinned():

@@ -1,6 +1,10 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hodsim.knowledge import KnowledgeBase, KnowledgeRecord, candidate_view, diffuse
+from hodsim.knowledge import KnowledgeBase, KnowledgeRecord, candidate_view, diffuse, known
+
+from reference import ref_diffuse, ref_merge
 
 
 def fresh_bases(*ap_ids):
@@ -69,11 +73,12 @@ def test_unassociated_terminal_receives_nothing():
 
 
 def test_newer_record_never_overwritten_by_older():
-    base = KnowledgeBase(owner="x")
-    base.merge(KnowledgeRecord("ap1", {"bw": 5.0}, timestamp=10.0))
-    base.merge(KnowledgeRecord("ap1", {"bw": 9.0}, timestamp=4.0))
-    assert base.records["ap1"].timestamp == 10.0
-    assert base.records["ap1"].qos == {"bw": 5.0}
+    # the latest-wins rule of the reference protocol the closed form is
+    # checked against
+    records = {}
+    ref_merge(records, "ap1", {"bw": 5.0}, 10.0)
+    ref_merge(records, "ap1", {"bw": 9.0}, 4.0)
+    assert records["ap1"] == ({"bw": 5.0}, 10.0)
 
 
 def test_timestamps_never_regress_across_rounds():
@@ -92,17 +97,19 @@ def test_timestamps_never_regress_across_rounds():
                 seen[owner][ap_id] = record.timestamp
 
 
+def base_of(owner, *records):
+    return KnowledgeBase(owner=owner, records={r.ap_id: r for r in records})
+
+
 def test_candidate_view_intersects_sensed_and_known():
-    base = KnowledgeBase(owner="mt")
-    base.merge(KnowledgeRecord("A", {"bw": 1.0}, timestamp=3.0))
-    base.merge(KnowledgeRecord("B", {"bw": 2.0}, timestamp=4.0))
+    base = base_of("mt", KnowledgeRecord("A", {"bw": 1.0}, timestamp=3.0),
+                    KnowledgeRecord("B", {"bw": 2.0}, timestamp=4.0))
     got = candidate_view(base, ["A", "B", "C"], associated="A", now=5.0)
     assert got == [("B", {"bw": 2.0}, 1.0)]
 
 
 def test_candidate_view_empty_when_nothing_sensed():
-    base = KnowledgeBase(owner="mt")
-    base.merge(KnowledgeRecord("A", {"bw": 1.0}, timestamp=0.0))
+    base = base_of("mt", KnowledgeRecord("A", {"bw": 1.0}, timestamp=0.0))
     assert candidate_view(base, [], associated="A", now=1.0) == []
 
 
@@ -125,3 +132,75 @@ def test_neighbor_records_at_most_two_periods_old():
             for probe in (now, now + period - 1e-9):
                 age = probe - mt_base.records["b"].timestamp
                 assert age <= 2 * period + 1e-9
+
+
+def test_known_is_own_current_and_neighbors_previous():
+    current = {"a": "a1", "b": "b1", "c": "c1"}
+    previous = {"a": "a0", "b": "b0", "c": "c0"}
+    assert known("b", ("a", "c"), current, previous) == {"a": "a0", "b": "b1", "c": "c0"}
+    assert known("a", ("b",), current, previous) == {"a": "a1", "b": "b0"}
+    # before the first round nothing has been pushed
+    assert known("b", ("a", "c"), current, {}) == {"b": "b1"}
+
+
+TERMINALS = ("m0", "m1", "m2")
+
+
+@st.composite
+def diffusion_histories(draw):
+    """A wired graph, a diffusion period in steps, and each terminal's
+    association at every step: an AP, or None while unassociated.  Between
+    rounds associations change freely, as after a handover whose switching
+    steps end before the next round, so terminals often hold an AP other
+    than the one whose knowledge they carry."""
+    ids = [f"ap{i}" for i in range(draw(st.integers(1, 6)))]
+    links = draw(st.sets(st.tuples(st.sampled_from(ids), st.sampled_from(ids))))
+    neighbors = {a: tuple(sorted({y for x, y in links if x == a and y != a}
+                                 | {x for x, y in links if y == a and x != a}))
+                 for a in ids}
+    period = draw(st.integers(1, 4))
+    steps = draw(st.lists(
+        st.tuples(*[st.one_of(st.none(), st.sampled_from(ids)) for _ in TERMINALS]),
+        min_size=1, max_size=16))
+    return ids, neighbors, period, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(diffusion_histories())
+def test_closed_form_matches_the_merging_protocol(history):
+    # At every step each terminal must hold the same AP -> (QoS, timestamp)
+    # map under the reference record-merging protocol, under diffuse, and
+    # under the closed form: known() of the rounds at the last round at which
+    # the terminal was associated.
+    ids, neighbors, period, steps = history
+    dt = 0.5
+    ref_aps, ref_mts = {a: {} for a in ids}, {}
+    bases, mt_bases = {a: KnowledgeBase(owner=a) for a in ids}, {}
+    rounds, holds = [], {}
+    for k, row in enumerate(steps):
+        now = k * dt
+        associations = dict(zip(TERMINALS, row))
+        if k % period == 0:
+            # distinct values per (round, AP), so a record from the wrong
+            # round or AP shows
+            measured = {a: {"bw": float(10 * len(rounds) + i)} for i, a in enumerate(ids)}
+            ref_aps, fresh = ref_diffuse(ref_aps, neighbors, measured, associations, now)
+            ref_mts.update(fresh)
+            bases, fresh = diffuse(bases, neighbors, measured, associations, now)
+            mt_bases.update(fresh)
+            rounds.append({a: (measured[a], now) for a in ids})
+            for mt, ap in associations.items():
+                if ap is not None:
+                    holds[mt] = (ap, len(rounds) - 1)
+        for mt in TERMINALS:
+            expected = ref_mts.get(mt, {})
+            base = mt_bases.get(mt, KnowledgeBase(owner=mt))
+            assert {ap: (r.qos, r.timestamp) for ap, r in base.records.items()} == expected
+            closed = {}
+            if mt in holds:
+                home, r = holds[mt]
+                closed = known(home, neighbors[home], rounds[r], rounds[r - 1] if r else {})
+            assert closed == expected
+            assert candidate_view(base, ids, associations[mt], now) == [
+                (ap, expected[ap][0], now - expected[ap][1])
+                for ap in ids if ap != associations[mt] and ap in expected]

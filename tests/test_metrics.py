@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +129,35 @@ def test_ci_against_t_table():
 def test_ci_requires_two_samples():
     with pytest.raises(ValueError):
         confidence_interval([1.0])
+
+
+def test_ci_matches_scipy_stats_t_bit_for_bit():
+    from scipy.stats import t
+
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        samples = rng.normal(0.0, 3.0, size=int(rng.integers(2, 60))).tolist()
+        level = float(rng.uniform(0.01, 0.999))
+        n = len(samples)
+        mean = sum(samples) / n
+        var = sum((x - mean) ** 2 for x in samples) / (n - 1)
+        half = float(t.ppf((1.0 + level) / 2.0, n - 1)) * math.sqrt(var / n)
+        assert confidence_interval(samples, level) == (mean - half, mean + half)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5, float("nan")])
+def test_ci_rejects_levels_outside_the_open_unit_interval(level):
+    with pytest.raises(ValueError, match="level"):
+        confidence_interval([1.0, 2.0, 3.0], level)
+
+
+def test_importing_hodsim_leaves_scipy_stats_unloaded():
+    code = "import sys, hodsim; print('scipy.stats' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_ci_coverage_monte_carlo():

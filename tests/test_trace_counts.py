@@ -42,3 +42,23 @@ def test_decide_counts_match_the_event_log():
         # the tracer put every call site back
         assert hodsim.engine.decide is decide
     assert all(seen.values()), seen
+
+
+def test_traced_default_hysteresis_run_counts_its_handovers(default_config):
+    # the default scenario under hysteresis 0.05 both executes and
+    # suppresses handovers; the tracer's decide counts must equal the log's,
+    # and every call site must be put back afterwards
+    config = with_strategy(default_config, "hysteresis", 0.05)
+    before = [(module, attr, getattr(module, attr)) for module, attr, _, _ in tracing.CALL_SITES]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        log = hodsim.engine.run_simulation(config, 1)
+    layers = tracer.layer_metrics()
+
+    handovers = sum(log.nb_ho.values())
+    suppressed = sum(o.suppressed for m in log.mt_ids for o in log.outcomes[m])
+    assert handovers > 0 and suppressed > 0
+    assert layers["decision.decide.handovers"] == handovers
+    assert layers["decision.decide.suppressed"] == suppressed
+    for module, attr, fn in before:
+        assert getattr(module, attr) is fn, attr
