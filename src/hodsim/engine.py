@@ -25,15 +25,27 @@ suppressed), plus each terminal's handover count; the time and the terminal
 id follow from the row's position.
 
 Inside ``shared_worlds()`` runs with the same world inputs reuse one world
-pass; ``metrics.sweep`` opens that scope so each seed's world is computed
-once per sweep.  Outside it every run computes its own.
+pass, and runs of one *family* (same seed, ``qos_model`` and config but for
+the strategy) share their decision prefix.  The strategy enters a run only
+through ``decide``, which is called only where the base rule fires.  So the
+scope keeps the latest run of each family with its *tape* (every such call's
+inputs and outcome) and, at each step with a non-empty tape, the loop state
+after phase (3).  A later run of the family replays the tape through
+``decide`` with its own strategy states and generators; at the first step
+whose outcomes differ it takes that step's state, applies its own switches
+and executes normally from the next step.  If no step differs, it reuses the
+whole log.  Every row, ``decide`` call and generator draw is the one a
+fresh run makes.  ``metrics.sweep`` opens the scope, so each seed's world is
+computed once per sweep and each value executes only the steps after its
+first difference from the value before.  Outside a scope every run computes
+everything and nothing is recorded.
 """
 
 import hashlib
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -42,6 +54,7 @@ from .decision import (
     HANDOVER,
     STAY,
     CombinedScore,
+    Decision,
     StrategyState,
     best_candidate,
     decide,
@@ -52,7 +65,7 @@ from .decision import (
 from .knowledge import candidate_view, diffuse, known  # noqa: F401
 from .mobility import init_mobility, step_mobility
 from .radio import ApLoadState, QosVector, ap_qos, apply_jitter, sensed_aps
-from .scenario import ApProfile, ScenarioConfig, validate
+from .scenario import ApProfile, ScenarioConfig, strategy_violations, validate
 
 EVENTS_SCHEMA = "# hodsim events schema v1"
 EVENTS_HEADER = "time,mt,associated_ap,action,c_asso,c_best,suppressed"
@@ -166,27 +179,78 @@ def _world(config: ScenarioConfig, seed: int) -> _World:
     return _World(tuple(initial.values()), tuple(sensed), xy)
 
 
-# The worlds of the innermost open shared_worlds() scope; None outside one.
-# A context variable, so each thread sees only the scopes it opened.
+class _Step(NamedTuple):
+    """One step of a run at which the base rule fired for some terminal.
+
+    ``fired`` is the step's tape: ``(i, c_asso, best_id, best_value, action,
+    suppressed)`` for each such terminal in order, plain tuples so that the
+    garbage collector stops tracking them; ``rejoins`` holds its blind
+    re-joins ``(i, ap_id)``.  The other fields are the loop state after
+    phase (3); ``jitter`` is the jitter generator's state (None without
+    jitter).
+    """
+
+    k: int
+    fired: tuple
+    rejoins: tuple
+    assoc: tuple
+    disconnected: tuple
+    views: tuple
+    nb_ho: tuple
+    current: dict
+    previous: dict
+    qos_now: dict
+    last_loads: Optional[dict]
+    jitter: Optional[dict]
+
+
+@dataclass(eq=False)
+class _Family:
+    """The latest run of one family inside a ``shared_worlds()`` scope:
+    its rows and handover counts, and every step at which it could differ
+    from another run of the family."""
+
+    seed: int
+    config: ScenarioConfig
+    qos_model: object
+    static_loads: Dict[str, int]
+    rows: Tuple[Tuple[DecisionOutcome, ...], ...]
+    nb_ho: Tuple[int, ...]
+    steps: List[_Step]
+
+
+# A family is a seed, a QoS model and a config less its strategy.
+_FAMILY_FIELDS = tuple(f.name for f in fields(ScenarioConfig) if f.name != "strategy")
+
+# The worlds and the families of the innermost open shared_worlds() scope;
+# None outside one.  Context variables, so each thread sees only the scopes
+# it opened.
 _worlds: ContextVar[Optional[Dict[tuple, _World]]] = ContextVar("hodsim_worlds", default=None)
+_families: ContextVar[Optional[List[_Family]]] = ContextVar("hodsim_families", default=None)
 
 
 @contextmanager
 def shared_worlds() -> Iterator[None]:
-    """Let the runs made inside the block share world passes.
+    """Let the runs made inside the block share world passes and decision
+    prefixes.
 
-    Runs whose world inputs are equal get the same (immutable) world; the
-    worlds are dropped when the outermost block exits.  A block opened inside
-    another joins it.
+    Runs whose world inputs are equal get the same (immutable) world.  Runs
+    of one family (equal seed, ``qos_model`` and config but for the
+    strategy) share the steps up to the first decision the strategy changes:
+    the block keeps the latest run of each family, and a later run replays
+    its decisions through ``decide`` and executes only from the first step
+    whose outcomes differ.  Everything is dropped when the outermost block
+    exits; a block opened inside another joins it.
     """
     if _worlds.get() is not None:
         yield
         return
-    token = _worlds.set({})
+    worlds, families = _worlds.set({}), _families.set([])
     try:
         yield
     finally:
-        _worlds.reset(token)
+        _families.reset(families)
+        _worlds.reset(worlds)
 
 
 def _world_for(config: ScenarioConfig, seed: int) -> _World:
@@ -206,32 +270,76 @@ def _world_for(config: ScenarioConfig, seed: int) -> _World:
     return world
 
 
+def _family_of(families: List[_Family], config: ScenarioConfig, seed: int,
+               qos_model) -> Optional[_Family]:
+    for family in families:
+        if (family.seed == seed and family.qos_model is qos_model
+                and all(a is b or a == b for a, b in (
+                    (getattr(family.config, f), getattr(config, f)) for f in _FAMILY_FIELDS))):
+            return family
+    return None
+
+
+def _replay(family: _Family, states: List[StrategyState], rngs: list,
+            dt: float) -> Optional[Tuple[int, List[Decision]]]:
+    """Feed the family's tape to ``decide`` with this run's strategy states
+    and generators, as a fresh run would, up to the first step whose
+    outcomes differ from the tape.  Return that step's index in
+    ``family.steps`` and this run's decisions at it, or None if no step
+    differs."""
+    for index, step in enumerate(family.steps):
+        now = step.k * dt
+        decisions = []
+        differs = False
+        for i, c_asso, best_id, best_value, action, suppressed in step.fired:
+            outcome = decide(c_asso, CombinedScore(best_id, best_value), states[i], now, rngs[i])
+            states[i] = outcome.state
+            decisions.append(outcome)
+            differs = differs or outcome.action != action or outcome.suppressed != suppressed
+        if differs:
+            return index, decisions
+    return None
+
+
 def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
                    qos_model=ap_qos) -> EventLog:
     """Execute one run and return its event log.
 
     ``seed`` defaults to config.rng_seed.  ``qos_model(ap, load)`` may replace
     the default load-sharing model; it is called once per distinct (AP,
-    load) of the run, so it must depend on nothing else.
+    load) the run computes, so it must depend on nothing else.
     """
-    violations = validate(config)
-    if violations:
-        raise ValueError("invalid config: " + "; ".join(violations))
     if seed is None:
         seed = config.rng_seed
+    families = _families.get()
+    family = None if families is None else _family_of(families, config, seed, qos_model)
+    # a family's latest run passed validate, so only the strategy is new
+    violations = validate(config) if family is None else strategy_violations(config.strategy)
+    if violations:
+        raise ValueError("invalid config: " + "; ".join(violations))
 
     dt = config.decision_step
+    mt_order = sorted(u.id for u in config.users if u.mobile)
+    n = len(mt_order)
+    states = [StrategyState.from_strategy(config.strategy)] * n
+    # only randomized_wait draws from its terminal's strategy stream
+    strat_rng = ([_stream(seed, "strategy", m) for m in mt_order]
+                 if config.strategy.kind == "randomized_wait" else [None] * n)
+    resume = None
+    if family is not None:
+        resume = _replay(family, states, strat_rng, dt)
+        if resume is None:
+            return EventLog(seed=seed, config=config, mt_ids=mt_order,
+                            outcomes={m: list(r) for m, r in zip(mt_order, family.rows)},
+                            nb_ho=dict(zip(mt_order, family.nb_ho)))
+
     diffuse_every = int(round(config.diffusion_period / dt))
     sigma = config.qos_jitter_sigma
     aps = config.ap_by_id()
     ap_order = sorted(aps)
     users = {u.id: u for u in config.users}
-    user_order = sorted(users)
-    mt_order = sorted(u.id for u in config.users if u.mobile)
-
     world = _world_for(config, seed)
-    strat_rng = [_stream(seed, "strategy", m) for m in mt_order]
-    jitter_rng = _stream(seed, "qos-jitter")
+    jitter_rng = _stream(seed, "qos-jitter") if sigma > 0 else None
 
     table: Dict[Tuple[str, int], QosVector] = {}
 
@@ -270,45 +378,83 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
             entry = prof.memo[id(qos)] = (qos, value)
         return entry[1]
 
-    # Initial association at t=0: users in id order greedily pick the best
-    # sensed AP by live QoS, strategy-free; each pick loads the AP for the
-    # next user's view.
-    gate = config.gate_candidates
-    loads = dict.fromkeys(ap_order, 0)
-    initial: Dict[str, Optional[str]] = {}
-    for uid, sensed in zip(user_order, world.initial):
-        prof = profile(users[uid].app_requirements, gate)
-        best = best_candidate([
-            CombinedScore(ap_id, score(ap_id, offered(ap_id, loads[ap_id]), prof))
-            for ap_id in sensed
-        ])
-        initial[uid] = best.ap_id if best is not None else None
-        if best is not None:
-            loads[best.ap_id] += 1
-    # stationary users never move, so they keep their AP and its load
-    static_loads = dict.fromkeys(ap_order, 0)
-    for uid, ap_id in initial.items():
-        if ap_id is not None and not users[uid].mobile:
-            static_loads[ap_id] += 1
+    def switch(pending: List[Tuple[int, str, bool]]) -> None:
+        # (4) apply switches atomically; they take effect next step
+        for i, target, is_handover in pending:
+            assoc[i] = target
+            if is_handover:
+                nb_ho[i] += 1
+                disconnected[i] = config.handover_cost_steps
 
-    n = len(mt_order)
-    assoc = [initial[m] for m in mt_order]
+    gate = config.gate_candidates
     asso_profiles = [profile(users[m].app_requirements, True) for m in mt_order]
     cand_profiles = [profile(users[m].app_requirements, gate) for m in mt_order]
-    states = [StrategyState.from_strategy(config.strategy)] * n
-    disconnected = [0] * n
-    rows: List[List[DecisionOutcome]] = [[] for _ in mt_order]
-    nb_ho = [0] * n
-    # Each terminal's knowledge in closed form: the view its AP held at the
-    # last round at which it was associated (see knowledge.known).
-    views: List[Dict[str, QosVector]] = [{}] * n
-    current: Dict[str, QosVector] = {}
-    previous = current
-    round_views: Dict[str, Dict[str, QosVector]] = {}
-    qos_now: Dict[str, QosVector] = {}
-    last_loads: Optional[Dict[str, int]] = None
+    # the steps this run records for its family; None outside a scope
+    steps: Optional[List[_Step]] = None if families is None else []
+    if resume is None:
+        # Initial association at t=0: users in id order greedily pick the
+        # best sensed AP by live QoS, strategy-free; each pick loads the AP
+        # for the next user's view.
+        loads = dict.fromkeys(ap_order, 0)
+        initial: Dict[str, Optional[str]] = {}
+        for uid, sensed in zip(sorted(users), world.initial):
+            prof = profile(users[uid].app_requirements, gate)
+            best = best_candidate([
+                CombinedScore(ap_id, score(ap_id, offered(ap_id, loads[ap_id]), prof))
+                for ap_id in sensed
+            ])
+            initial[uid] = best.ap_id if best is not None else None
+            if best is not None:
+                loads[best.ap_id] += 1
+        # stationary users never move, so they keep their AP and its load
+        static_loads = dict.fromkeys(ap_order, 0)
+        for uid, ap_id in initial.items():
+            if ap_id is not None and not users[uid].mobile:
+                static_loads[ap_id] += 1
 
-    for k in range(config.nb_steps):
+        assoc = [initial[m] for m in mt_order]
+        disconnected = [0] * n
+        rows: List[List[DecisionOutcome]] = [[] for _ in mt_order]
+        nb_ho = [0] * n
+        # Each terminal's knowledge in closed form: the view its AP held at
+        # the last round at which it was associated (see knowledge.known).
+        views: List[Dict[str, QosVector]] = [{}] * n
+        current: Dict[str, QosVector] = {}
+        previous = current
+        qos_now: Dict[str, QosVector] = {}
+        last_loads: Optional[Dict[str, int]] = None
+        start = 0
+    else:
+        # Up to this step the run is its family's latest run: take that
+        # run's state after phase (3), its rows with this run's outcomes
+        # where the base rule fired, and go on from phase (4).
+        index, decisions = resume
+        step = family.steps[index]
+        static_loads = family.static_loads
+        assoc, disconnected = list(step.assoc), list(step.disconnected)
+        views, nb_ho = list(step.views), list(step.nb_ho)
+        current, previous, qos_now, last_loads = step.current, step.previous, step.qos_now, step.last_loads
+        if step.jitter is not None:
+            jitter_rng.bit_generator.state = step.jitter
+        rows = [list(r[:step.k + 1]) for r in family.rows]
+        fired = []
+        pending = [(i, ap_id, False) for i, ap_id in step.rejoins]
+        for (i, c_asso, best_id, best_value, _, _), outcome in zip(step.fired, decisions):
+            rows[i][-1] = rows[i][-1]._replace(action=outcome.action, suppressed=outcome.suppressed)
+            fired.append((i, c_asso, best_id, best_value, outcome.action, outcome.suppressed))
+            if outcome.action == HANDOVER:
+                pending.append((i, outcome.target, True))
+        steps = family.steps[:index] + [step._replace(fired=tuple(fired))]
+        # this run replaces the record; drop it now, so that its steps after
+        # this one are freed while the run goes on
+        families.remove(family)
+        family = None
+        switch(pending)
+        start = step.k + 1
+    # the views of the last diffusion round, by AP
+    round_views: Dict[str, Dict[str, QosVector]] = {}
+
+    for k in range(start, config.nb_steps):
         now = k * dt
 
         # (1) load and offered QoS per AP
@@ -339,7 +485,8 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
 
         # (3) per-terminal decisions against a frozen snapshot; movement
         # and sensing come from the world pass
-        pending: List[Tuple[int, str, bool]] = []
+        pending = []
+        fired = []
         for i, sensed in enumerate(world.sensed[k]):
             ap_id = assoc[i]
             if ap_id is not None and ap_id not in sensed:
@@ -396,15 +543,21 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
                 pending.append((i, outcome.target, True))
             rows[i].append(DecisionOutcome(
                 ap_id, outcome.action, c_asso, best_value, outcome.suppressed))
+            fired.append((i, c_asso, best_id, best_value, outcome.action, outcome.suppressed))
 
-        # (4) apply switches atomically; they take effect next step
-        for i, target, is_handover in pending:
-            assoc[i] = target
-            if is_handover:
-                nb_ho[i] += 1
-                disconnected[i] = config.handover_cost_steps
+        # only a step at which the base rule fired can differ between the
+        # runs of a family, so only such a step is recorded
+        if steps is not None and fired:
+            steps.append(_Step(
+                k, tuple(fired), tuple((i, t) for i, t, h in pending if not h),
+                tuple(assoc), tuple(disconnected), tuple(views), tuple(nb_ho), current, previous,
+                qos_now, last_loads, jitter_rng.bit_generator.state if sigma > 0 else None))
+        switch(pending)
 
-    return EventLog(seed=seed, config=config, mt_ids=list(mt_order),
+    if steps is not None:
+        families.append(_Family(seed, config, qos_model, static_loads,
+                                tuple(tuple(r) for r in rows), tuple(nb_ho), steps))
+    return EventLog(seed=seed, config=config, mt_ids=mt_order,
                     outcomes=dict(zip(mt_order, rows)), nb_ho=dict(zip(mt_order, nb_ho)))
 
 

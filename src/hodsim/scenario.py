@@ -140,7 +140,6 @@ def _nonfinite(config: ScenarioConfig) -> List[str]:
         ("mobility_ratio", (config.mobility_ratio,)),
         ("max_benefit", (config.max_benefit,)),
         ("qos_jitter_sigma", (config.qos_jitter_sigma,)),
-        ("strategy.parameter", (config.strategy.parameter,)),
     ]
     fields += [(f"criteria[{c.id}].alpha", (c.alpha,)) for c in config.criteria]
     fields += [(f"objectives[{o.id}].weight", (o.weight,)) for o in config.objectives]
@@ -169,6 +168,19 @@ def _is_multiple(value: float, step: float, tol: float = 1e-9) -> bool:
 
 def _inside(pos: Tuple[float, float], area: Tuple[float, float]) -> bool:
     return 0.0 <= pos[0] <= area[0] and 0.0 <= pos[1] <= area[1]
+
+
+def strategy_violations(strategy: StabilityStrategy) -> List[str]:
+    """The violations of ``validate`` that concern the strategy alone; a
+    config whose other fields are valid has exactly these."""
+    v = []
+    if not math.isfinite(strategy.parameter):
+        v.append("strategy.parameter: must be finite")
+    if strategy.kind not in STRATEGY_KINDS:
+        v.append(f"strategy.kind: must be one of {STRATEGY_KINDS}")
+    if strategy.parameter < 0:
+        v.append("strategy.parameter: must be >= 0")
+    return v
 
 
 def validate(config: ScenarioConfig) -> List[str]:
@@ -275,10 +287,7 @@ def validate(config: ScenarioConfig) -> List[str]:
                 f"is more than one user away from ratio {config.mobility_ratio!r}"
             )
 
-    if config.strategy.kind not in STRATEGY_KINDS:
-        v.append(f"strategy.kind: must be one of {STRATEGY_KINDS}")
-    if config.strategy.parameter < 0:
-        v.append("strategy.parameter: must be >= 0")
+    v += strategy_violations(config.strategy)
     if not isinstance(config.rng_seed, int) or isinstance(config.rng_seed, bool) or config.rng_seed < 0:
         v.append("rng_seed: must be a non-negative integer")
     if not (0.0 <= config.mobility_ratio <= 1.0):

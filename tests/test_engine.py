@@ -7,6 +7,7 @@ from hodsim.radio import ap_qos
 from hodsim.scenario import load_scenario, with_strategy
 
 from conftest import tiny_document
+from logcheck import check_log
 
 
 def test_same_config_and_seed_bitwise_identical(tiny_config):
@@ -265,3 +266,36 @@ def test_events_csv_shape(tiny_config):
     first = lines[2].split(",")
     assert first[0] == "0.0"
     assert first[1] == "m0"
+
+
+def test_check_log_rejects_broken_logs(default_config):
+    # a switching step after each handover, and both handovers and
+    # suppressions in the log
+    config = replace(with_strategy(default_config, "hysteresis", 0.05), handover_cost_steps=1)
+    log = run_simulation(config, 1)
+    check_log(log)
+    m, k = next((m, k) for m in log.mt_ids for k, o in enumerate(log.outcomes[m][:-2])
+                if o.action == "handover")
+    suppressed = next((m, k) for m in log.mt_ids for k, o in enumerate(log.outcomes[m])
+                      if o.suppressed)
+    after = log.outcomes[m][k + 1]
+
+    def broken(target, k, **fields):
+        rows = {mt: list(r) for mt, r in log.outcomes.items()}
+        rows[target][k] = rows[target][k]._replace(**fields)
+        return replace(log, outcomes=rows, nb_ho=dict(log.nb_ho))
+
+    corrupt = [
+        replace(log, nb_ho={**log.nb_ho, m: log.nb_ho[m] + 1}),
+        broken(m, k, action="stay"),  # the handover count no longer matches
+        broken(m, k + 1, c_asso=0.5, c_best=0.4),  # a scored row in the switching step
+        broken(m, k + 1, associated=log.outcomes[m][k].associated),  # handover kept the AP
+        broken(*suppressed, c_best=0.0),  # suppressed without the base rule firing
+        broken(*suppressed, c_asso=float(len(config.criteria))),
+    ]
+    if after.associated is not None:
+        # an AP change at a step that follows no handover or re-join
+        corrupt.append(broken(m, k + 2, associated=log.outcomes[m][k].associated))
+    for bad in corrupt:
+        with pytest.raises(AssertionError):
+            check_log(bad)

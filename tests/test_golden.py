@@ -11,11 +11,14 @@ from dataclasses import replace
 
 import pytest
 
+import hodsim.metrics
+from hodsim.cli import compare_csv, compare_sweeps, parse_values
 from hodsim.engine import events_csv, run_simulation
 from hodsim.metrics import sweep, sweep_csv
 from hodsim.scenario import STRATEGY_KINDS, load_scenario, with_strategy
 
 from conftest import tiny_document
+from logcheck import check_log
 
 DEFAULT_EVENTS = {
     1: "64d882d6ec8ecca971817ffd8f1c3260f3d746fec4f30f13b61e037d092a9786",
@@ -42,6 +45,36 @@ HYSTERESIS_EVENTS = {
     3: "c8c4e7b5c95340ef75b8a42a7bbb73391d87bcf042d6834a1b6eae0a8a727598",
 }
 
+# Sweep CSVs of the default scenario on seeds 1 and 2: strategy kind ->
+# (grid, qos_jitter_sigma, digest).
+DEFAULT_SWEEPS = {
+    "hysteresis": ("0:1:0.05", 0.0,
+                   "ecbb9711a1f324d5e3965fb2fecab068564080279c8a2b5fcdcbf2418f3c97bd"),
+    "waiting_time": ("0:10:0.5", 0.0,
+                     "c0d561b85fb8b6fa256555fd18934295445a20f38c536cfae5da2bdae87e89bc"),
+    "randomized_wait": ("0:10:0.5", 0.5,
+                        "8141822f8bf1804830f1b47e79fb7a4dfbbe8a1d850600f346ef2152b3365396"),
+}
+# compare_sweeps of the default scenario, hysteresis 0:1:0.05 against
+# waiting_time 0:10:0.5, on seeds 1 and 2
+DEFAULT_COMPARE = "2ffa1c4c4efbca785e2e4f5670ff7bf91d240e2e08b9e254937d63776f635d26"
+
+
+@pytest.fixture
+def checked_sweeps(monkeypatch):
+    """Run check_log over every log a sweep makes; returns the run count."""
+    runs = []
+    run = hodsim.metrics.run_simulation
+
+    def checking(config, seed):
+        log = run(config, seed)
+        check_log(log)
+        runs.append(seed)
+        return log
+
+    monkeypatch.setattr(hodsim.metrics, "run_simulation", checking)
+    return runs
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -49,7 +82,9 @@ def sha256(text: str) -> str:
 
 @pytest.mark.parametrize("seed", sorted(DEFAULT_EVENTS))
 def test_default_scenario_events(default_config, seed):
-    assert sha256(events_csv(run_simulation(default_config, seed))) == DEFAULT_EVENTS[seed]
+    log = run_simulation(default_config, seed)
+    check_log(log)
+    assert sha256(events_csv(log)) == DEFAULT_EVENTS[seed]
 
 
 @pytest.mark.parametrize("period_steps", sorted(HYSTERESIS_EVENTS))
@@ -57,6 +92,7 @@ def test_default_scenario_hysteresis_handovers(default_config, period_steps):
     config = replace(with_strategy(default_config, "hysteresis", 0.05), handover_cost_steps=1,
                      diffusion_period=period_steps * default_config.decision_step)
     log = run_simulation(config, 1)
+    check_log(log)
     assert sum(log.nb_ho.values()) >= 1
     assert any(o.suppressed for m in log.mt_ids for o in log.outcomes[m])
     assert sha256(events_csv(log)) == HYSTERESIS_EVENTS[period_steps]
@@ -70,16 +106,38 @@ def test_every_strategy_kind_is_pinned():
 def test_tiny_events_per_strategy(kind):
     parameter, digest = TINY_EVENTS[kind]
     config = load_scenario(tiny_document(strategy={"kind": kind, "parameter": parameter}))
-    assert sha256(events_csv(run_simulation(config, 3))) == digest
+    log = run_simulation(config, 3)
+    check_log(log)
+    assert sha256(events_csv(log)) == digest
 
 
 def test_tiny_events_with_jitter():
     # jittered QoS is new on every step, so nearly every score is computed afresh
     config = load_scenario(tiny_document(
         qos_jitter_sigma=2.0, strategy={"kind": "randomized_wait", "parameter": 3.0}))
-    assert sha256(events_csv(run_simulation(config, 3))) == TINY_JITTER_EVENTS
+    log = run_simulation(config, 3)
+    check_log(log)
+    assert sha256(events_csv(log)) == TINY_JITTER_EVENTS
 
 
-def test_tiny_sweep_csv(tiny_config):
+def test_tiny_sweep_csv(tiny_config, checked_sweeps):
     report = sweep(tiny_config, "hysteresis", [0.0, 0.05, 0.2], [1, 2])
     assert sha256(sweep_csv(report)) == TINY_SWEEP
+    assert len(checked_sweeps) == 6
+
+
+@pytest.mark.parametrize("kind", sorted(DEFAULT_SWEEPS))
+def test_default_scenario_sweeps(default_config, checked_sweeps, kind):
+    grid, sigma, digest = DEFAULT_SWEEPS[kind]
+    config = replace(default_config, qos_jitter_sigma=sigma)
+    report = sweep(config, kind, parse_values(grid), [1, 2])
+    assert sha256(sweep_csv(report)) == digest
+    assert len(checked_sweeps) == 42
+
+
+def test_default_scenario_compare(default_config, checked_sweeps):
+    # one scope for both sweeps, so runs of different strategy kinds meet
+    reports = compare_sweeps(default_config, ("hysteresis", parse_values("0:1:0.05")),
+                             ("waiting_time", parse_values("0:10:0.5")), [1, 2], [1, 2])
+    assert sha256(compare_csv(*reports)) == DEFAULT_COMPARE
+    assert len(checked_sweeps) == 84

@@ -1,18 +1,33 @@
 """The world pass (movement and sensing) is shared by the runs of one sweep
 or one compare and by nothing else, and sharing it never changes a run's
-events."""
+events.  Nor does replaying the decision prefix a run has in common with the
+latest run of its family (same seed, QoS model and config but for the
+strategy)."""
 
 import gc
 import weakref
+from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hodsim.engine
+import hodsim.metrics
 from hodsim.cli import compare_csv, compare_sweeps
 from hodsim.engine import events_csv, run_simulation, shared_worlds
-from hodsim.metrics import sweep
-from hodsim.scenario import with_strategy
+from hodsim.metrics import run_metrics, sweep
+from hodsim.radio import ApLoadState, ap_qos
+from hodsim.scenario import STRATEGY_KINDS, default_scenario, with_strategy
+
+from logcheck import check_log
+
+# The default scenario cut to 15 s (30 steps), so that a property example
+# makes a few dozen runs in well under a second.
+SHORT = replace(default_scenario(), sim_time=15.0)
+# parameter grid index -> value: hysteresis margins step by 0.05, waits by 0.5 s
+GRID_STEP = {"none": 0.0, "hysteresis": 0.05, "waiting_time": 0.5, "randomized_wait": 0.5}
 
 
 @pytest.fixture
@@ -130,3 +145,174 @@ def test_shared_worlds_match_fresh_runs(default_config, world_spy):
         assert len(world_spy) - len(plan) == 5
         assert all(not ref().xy.flags.writeable for ref in world_spy[len(plan):])
     assert shared == fresh
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    plan=st.lists(st.tuples(st.sampled_from(STRATEGY_KINDS), st.integers(0, 20)),
+                  min_size=2, max_size=6),
+    grid=st.lists(st.integers(0, 20), min_size=1, max_size=5),
+    swept=st.sampled_from(STRATEGY_KINDS[1:]),
+    seeds=st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True),
+    sigma=st.sampled_from([0.0, 0.5]),
+    cost=st.integers(0, 2),
+    period=st.integers(1, 3),
+)
+def test_shared_runs_equal_fresh_runs(plan, grid, swept, seeds, sigma, cost, period):
+    # unsorted plans and grids with duplicates, every strategy kind in one
+    # scope, jitter on and off, and the switching cost and diffusion period
+    # both varied
+    config = replace(SHORT, qos_jitter_sigma=sigma, handover_cost_steps=cost,
+                     diffusion_period=period * SHORT.decision_step)
+
+    def value(kind, index):
+        return round(index * GRID_STEP[kind], 10)
+
+    runs = [(kind, value(kind, index), seed) for kind, index in plan for seed in seeds]
+    values = [value(swept, index) for index in grid]
+    runs += [(swept, v, seed) for v in values for seed in seeds]
+    fresh = {}
+    for kind, v, seed in runs:
+        if (kind, v, seed) not in fresh:
+            log = run_simulation(with_strategy(config, kind, v), seed)
+            fresh[kind, v, seed] = (events_csv(log), run_metrics(log))
+
+    def checked(cfg, seed):
+        log = run_simulation(cfg, seed)
+        check_log(log)
+        key = (cfg.strategy.kind, cfg.strategy.parameter, seed)
+        assert events_csv(log) == fresh[key][0], key
+        return log
+
+    with shared_worlds():
+        for kind, v, seed in runs[:len(plan) * len(seeds)]:
+            checked(with_strategy(config, kind, v), seed)
+        # the sweep's own runs are checked the same way
+        hodsim.metrics.run_simulation = checked
+        try:
+            report = sweep(config, swept, values, seeds)
+        finally:
+            hodsim.metrics.run_simulation = run_simulation
+    assert hodsim.engine._worlds.get() is None
+    assert sorted(report.runs) == sorted(set(values))
+    for v in values:
+        assert report.runs[v] == tuple(fresh[swept, v, seed][1] for seed in seeds)
+
+
+def _hysteresis_grid():
+    return [round(i * 0.05, 10) for i in range(21)]
+
+
+def test_replayed_runs_make_the_same_decide_calls(default_config, monkeypatch):
+    # every run inside a scope calls decide with the arguments, strategy
+    # state and generator state that the same run makes on its own
+    calls = []
+    decide = hodsim.engine.decide
+
+    def recording(c_asso, best, state, now, rng=None):
+        drawn = None if rng is None else rng.bit_generator.state["state"]["state"]
+        calls.append((c_asso, best, state, now, drawn))
+        return decide(c_asso, best, state, now, rng)
+
+    monkeypatch.setattr(hodsim.engine, "decide", recording)
+    plan = [("hysteresis", 0.3, 1), ("hysteresis", 0.05, 1), ("waiting_time", 2.0, 1),
+            ("randomized_wait", 3.0, 1), ("hysteresis", 0.3, 2), ("none", 0.0, 1),
+            ("randomized_wait", 1.5, 1), ("hysteresis", 0.05, 1)]
+
+    def sequence(in_scope):
+        per_run = []
+        with shared_worlds() if in_scope else nullcontext():
+            for kind, parameter, seed in plan:
+                calls.clear()
+                run_simulation(with_strategy(default_config, kind, parameter), seed)
+                per_run.append(list(calls))
+        return per_run
+
+    alone, shared = sequence(False), sequence(True)
+    assert all(alone) and [len(c) for c in shared] == [len(c) for c in alone]
+    assert shared == alone
+
+
+def test_a_sweep_executes_fewer_steps_than_independent_runs(default_config, monkeypatch):
+    # a run whose decisions agree with its family's latest run for a prefix
+    # of the steps does not execute that prefix: it takes no views there
+    calls = []
+    known = hodsim.engine.known
+
+    def counting(*args):
+        calls.append(1)
+        return known(*args)
+
+    monkeypatch.setattr(hodsim.engine, "known", counting)
+    grid = _hysteresis_grid()
+    for value in grid:
+        run_simulation(with_strategy(default_config, "hysteresis", value), 1)
+    independent = len(calls)
+    calls.clear()
+    sweep(default_config, "hysteresis", grid, [1])
+    assert 0 < len(calls) < independent / 2
+
+
+def test_only_runs_of_one_family_share_a_prefix(default_config):
+    # every field but the strategy, the seed and the QoS model set a run's
+    # family; a run of another family that shared a prefix would show here
+    def crowded(ap, load):
+        return ap_qos(ap, ApLoadState(load.ap_id, load.associated_user_count + 2))
+
+    base = with_strategy(default_config, "hysteresis", 0.05)
+    step = default_config.decision_step
+    plan = [(base, 1, ap_qos), (replace(base, handover_cost_steps=2), 1, ap_qos),
+            (replace(base, diffusion_period=2 * step), 1, ap_qos),
+            (replace(base, criteria=(replace(base.criteria[0], alpha=1.0),) + base.criteria[1:]),
+             1, ap_qos),
+            (replace(base, qos_jitter_sigma=0.5), 1, ap_qos), (base, 2, ap_qos),
+            (base, 1, crowded), (with_strategy(base, "hysteresis", 0.1), 1, ap_qos)]
+    fresh = [events_csv(run_simulation(cfg, seed, qos_model)) for cfg, seed, qos_model in plan]
+    assert len(set(fresh)) == len(plan)
+    with shared_worlds():
+        shared = [events_csv(run_simulation(cfg, seed, qos_model))
+                  for cfg, seed, qos_model in plan]
+        assert len(hodsim.engine._families.get()) == len(plan) - 1
+    assert shared == fresh
+
+
+@pytest.fixture
+def family_spy(monkeypatch):
+    """Weak references to every family record made while the test runs."""
+    made = []
+
+    class Recorded(hodsim.engine._Family):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(hodsim.engine, "_Family", Recorded)
+    return made
+
+
+def test_no_family_record_outlives_its_scope(tiny_config, family_spy):
+    run_simulation(tiny_config, 1)
+    assert family_spy == []  # outside a scope nothing is recorded
+    sweep(tiny_config, "hysteresis", [0.0, 0.5, 0.05], [1, 2])
+    with shared_worlds():
+        sweep(tiny_config, "waiting_time", [0.0, 2.0], [1])
+        run_simulation(with_strategy(tiny_config, "randomized_wait", 3.0), 1)
+        # one record per family: the latest run of (tiny_config, seed 1)
+        assert len(hodsim.engine._families.get()) == 1
+    assert family_spy and hodsim.engine._families.get() is None
+    gc.collect()
+    assert all(ref() is None for ref in family_spy)
+
+
+def test_a_failing_sweep_drops_its_records(tiny_config, family_spy, monkeypatch):
+    validated = []
+    validate = hodsim.engine.validate
+    monkeypatch.setattr(hodsim.engine, "validate", lambda c: validated.append(c) or validate(c))
+    with pytest.raises(RuntimeError, match="value=-1.0 .*strategy.parameter: must be >= 0"):
+        sweep(tiny_config, "hysteresis", [0.0, 0.05, -1.0], [1, 2])
+    # each seed's family was validated once; later runs checked only their
+    # strategy, which is how the negative margin was caught
+    assert len(validated) == 2
+    assert family_spy and hodsim.engine._families.get() is None
+    gc.collect()
+    assert all(ref() is None for ref in family_spy)
