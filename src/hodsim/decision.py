@@ -10,7 +10,7 @@ only scale it: the combined score, which is what strategies compare, is
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -105,9 +105,10 @@ def score_network(ap_id: str, offered: QosVector, required: QosVector,
     """Combined score of one network: the sum of per-criterion utilities,
     forced to zero when the offered QoS misses the requirements (if gated),
     weighted by each objective in turn."""
-    missing = set(c.id for c in criteria) - set(offered)
-    if missing:
-        raise ValueError(f"offered QoS missing criteria {sorted(missing)}")
+    for c in criteria:
+        if c.id not in offered:
+            missing = set(c.id for c in criteria) - set(offered)
+            raise ValueError(f"offered QoS missing criteria {sorted(missing)}")
     value = 0.0
     if not gated or meets_requirements(offered, required, criteria):
         for c in criteria:
@@ -162,6 +163,7 @@ def decide(c_asso: float, best: Optional[CombinedScore], state: StrategyState,
             if rng is None:
                 raise ValueError("randomized_wait requires an rng")
             wait = float(rng.uniform(0.0, state.parameter))
-        return Decision(HANDOVER, best.ap_id, False, replace(state, wait_until=now + wait))
+        return Decision(HANDOVER, best.ap_id, False,
+                        StrategyState(state.kind, state.parameter, now + wait))
 
     return Decision(HANDOVER, best.ap_id, False, state)

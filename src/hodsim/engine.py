@@ -147,36 +147,28 @@ def _world(config: ScenarioConfig, seed: int) -> _World:
 
     Each terminal draws only from its own stream ``_stream(seed, "mobility",
     m)``, so its trajectory depends neither on the other terminals nor on the
-    strategy.  A paused terminal keeps its previous sensed tuple instead of
-    being sensed again.
+    strategy.  Every position of a step is sensed in one ``sensed_aps`` call.
     """
     dt = config.decision_step
     users = {u.id: u for u in config.users}
     mt_order = sorted(u.id for u in config.users if u.mobile)
     interned: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
-    def sense(position: Tuple[float, float]) -> Tuple[str, ...]:
-        hits = tuple(sensed_aps(position, config.aps))
-        return interned.setdefault(hits, hits)
+    def sense(positions) -> Tuple[Tuple[str, ...], ...]:
+        return tuple(interned.setdefault(hits, hits) for hits in sensed_aps(positions, config.aps))
 
     rngs = [_stream(seed, "mobility", m) for m in mt_order]
     states = [init_mobility(users[m], config.area, rng) for m, rng in zip(mt_order, rngs)]
-    initial = {uid: sense(users[uid].initial_position) for uid in sorted(users)}
-    last = [(users[m].initial_position, initial[m]) for m in mt_order]
+    initial = sense([users[uid].initial_position for uid in sorted(users)])
     xy = np.empty((config.nb_steps, len(mt_order), 2))
     sensed = []
     for k in range(config.nb_steps):
-        row = []
         for i, m in enumerate(mt_order):
             states[i] = step_mobility(states[i], dt, config.area, users[m], rngs[i])
-            position = states[i].position
-            if position != last[i][0]:
-                last[i] = (position, sense(position))
-            row.append(last[i][1])
-            xy[k, i] = position
-        sensed.append(tuple(row))
+            xy[k, i] = states[i].position
+        sensed.append(sense(xy[k]))
     xy.flags.writeable = False
-    return _World(tuple(initial.values()), tuple(sensed), xy)
+    return _World(initial, tuple(sensed), xy)
 
 
 class _Step(NamedTuple):
@@ -463,8 +455,8 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
             if ap_id is not None:
                 loads[ap_id] += 1
         if sigma > 0:
-            qos_now = {ap_id: apply_jitter(offered(ap_id, loads[ap_id]), sigma, jitter_rng)
-                       for ap_id in ap_order}
+            qos_now = dict(zip(ap_order, apply_jitter(
+                [offered(ap_id, loads[ap_id]) for ap_id in ap_order], sigma, jitter_rng)))
         elif loads != last_loads:
             qos_now = {ap_id: offered(ap_id, loads[ap_id]) for ap_id in ap_order}
             last_loads = loads

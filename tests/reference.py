@@ -117,3 +117,24 @@ def ref_diffuse(ap_records, neighbors, measured, associations, now):
         if ap is not None:
             terminals[mt] = dict(new_records[ap])
     return new_records, terminals
+
+
+def ref_sensed(position, aps):
+    """Ids of the APs whose coverage disk holds the position, boundary
+    included, sorted: one math.hypot per AP."""
+    px, py = position
+    hits = []
+    for ap in aps:
+        if math.hypot(ap.position[0] - px, ap.position[1] - py) <= ap.coverage_radius:
+            hits.append(ap.id)
+    hits.sort()
+    return tuple(hits)
+
+
+def ref_jitter(vector, sigma, rng):
+    """One vector jittered with one scalar draw per component, in key order,
+    each clipped at zero."""
+    out = {}
+    for key in vector:
+        out[key] = max(0.0, vector[key] + float(rng.normal(0.0, sigma)))
+    return out

@@ -119,6 +119,17 @@ def test_missing_criterion_rejected():
         score({"bandwidth": 5.0}, {}, [BW, DELAY])
 
 
+def test_missing_criterion_rejected_before_the_gate():
+    # the bandwidth floor gates the vector out before delay is read, and the
+    # missing delay still raises, naming every missing criterion in order
+    error = DecisionCriterion("error", "cost", 1.0)
+    required = {"bandwidth": 10.0, "delay": 0.0, "error": 0.0}
+    with pytest.raises(ValueError, match=r"missing criteria \['delay', 'error'\]"):
+        score({"bandwidth": 5.0}, required, [BW, error, DELAY])
+    with pytest.raises(ValueError, match=r"missing criteria \['delay'\]"):
+        score({"bandwidth": 5.0, "error": 0.1}, required, [BW, DELAY, error], gated=False)
+
+
 @given(st.lists(st.floats(0, 50), min_size=1, max_size=4))
 def test_zero_requirements_never_gate(values):
     # with all requirements at zero the gate is a no-op and the score is the

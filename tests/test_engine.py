@@ -162,10 +162,14 @@ def test_knowledge_chain_never_fabricates_qos(tiny_config, monkeypatch):
                 offered.setdefault(ap.id, []).append(dict(out))
             return out
 
-        def spying_jitter(qos, sigma, rng):
-            # the engine jitters the vector the model gave for the AP
-            out = apply_jitter(qos, sigma, rng)
-            offered.setdefault(modelled[id(qos)][0], []).append(dict(out))
+        def spying_jitter(vectors, sigma, rng):
+            # the engine jitters, once per step, the vector the model gave
+            # for each AP, in AP id order; the i-th output is the i-th AP's
+            out = apply_jitter(vectors, sigma, rng)
+            ap_ids = [modelled[id(qos)][0] for qos in vectors]
+            assert ap_ids == sorted(ap.id for ap in config.aps)
+            for ap_id, jittered in zip(ap_ids, out):
+                offered.setdefault(ap_id, []).append(dict(jittered))
             return out
 
         monkeypatch.setattr(hodsim.engine, "apply_jitter", spying_jitter)
@@ -208,6 +212,15 @@ def test_stationary_users_hold_their_association(tiny_config):
     log = run_simulation(tiny_config, 1)
     # stationary users are not logged as terminals
     assert set(log.mt_ids) == {"m0", "m1"}
+
+
+def test_world_without_mobile_terminals_runs():
+    doc = tiny_document(mobility_ratio=0.0, qos_jitter_sigma=1.0)
+    for user in doc["users"]:
+        user["mobile"] = False
+    log = run_simulation(load_scenario(doc), 2)
+    assert log.mt_ids == [] and log.outcomes == {}
+    assert events_csv(log).count("\n") == 2
 
 
 def test_terminal_outside_all_coverage_is_logged_not_fatal():

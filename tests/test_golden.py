@@ -7,14 +7,17 @@ entry that says why the outputs moved.
 """
 
 import hashlib
+import math
 from dataclasses import replace
 
 import pytest
 
+import hodsim.engine
 import hodsim.metrics
 from hodsim.cli import compare_csv, compare_sweeps, parse_values
 from hodsim.engine import events_csv, run_simulation
 from hodsim.metrics import sweep, sweep_csv
+from hodsim.radio import ap_qos
 from hodsim.scenario import STRATEGY_KINDS, load_scenario, with_strategy
 
 from conftest import tiny_document
@@ -55,9 +58,78 @@ DEFAULT_SWEEPS = {
     "randomized_wait": ("0:10:0.5", 0.5,
                         "8141822f8bf1804830f1b47e79fb7a4dfbbe8a1d850600f346ef2152b3365396"),
 }
+# boundary_document() run with boundary_qos, by seed
+BOUNDARY_EVENTS = {
+    1: "8569fc7e3283f4c1d0daaf14570b377e71fa6e8af37ad970a9ba1be619560465",
+    2: "b2d873e89f76151e8c68d8945849dccac47b27f2abb21cbd9f09ad18a3bf0681",
+}
 # compare_sweeps of the default scenario, hysteresis 0:1:0.05 against
 # waiting_time 0:10:0.5, on seeds 1 and 2
 DEFAULT_COMPARE = "2ffa1c4c4efbca785e2e4f5670ff7bf91d240e2e08b9e254937d63776f635d26"
+
+
+def boundary_document() -> dict:
+    """A 2x2 grid of 30 m coverage disks on 100 m x 100 m with jitter on.
+
+    Around each AP five users start on its coverage circle: two exactly on it
+    (offsets (30, 0) and (18, 24)), one a float step inside and one a float
+    step outside it, and one on the float point nearest a polar angle, whose
+    computed distance may round either way.  The first and the last of each
+    five roam.
+    """
+    criteria = ["bandwidth", "delay", "error"]
+    aps, users = [], []
+    for gy in range(2):
+        for gx in range(2):
+            ap_id = f"ap{gy}{gx}"
+            cx, cy = 25.0 + 50.0 * gx, 25.0 + 50.0 * gy
+            # offsets point towards the middle of the area, so users stay inside it
+            sx, sy = (1.0 if gx == 0 else -1.0), (1.0 if gy == 0 else -1.0)
+            edge = cx + sx * 30.0
+            aps.append({
+                "id": ap_id,
+                "position": [cx, cy],
+                "coverage_radius": 30.0,
+                "base_qos": {"bandwidth": 54.0, "delay": 2.0, "error": (0.005, 0.02)[gy]},
+                "wired_neighbors": [f"ap{gy}{1 - gx}", f"ap{1 - gy}{gx}"],
+            })
+            placed = {
+                "on": [edge, cy],
+                "on_diagonal": [cx + sx * 18.0, cy + sy * 24.0],
+                "inside": [math.nextafter(edge, cx), cy],
+                "outside": [math.nextafter(edge, edge + sx), cy],
+                "polar": [cx + sx * 30.0 * math.cos(0.7), cy + sy * 30.0 * math.sin(0.7)],
+            }
+            for name, position in placed.items():
+                users.append({
+                    "id": f"{ap_id}_{name}",
+                    "mobile": name in ("on", "polar"),
+                    "initial_position": position,
+                    "app_requirements": dict.fromkeys(criteria, 0.0),
+                })
+    return {
+        "sim_time": 20.0,
+        "decision_step": 0.5,
+        "area": [100.0, 100.0],
+        "rng_seed": 1,
+        "mobility_ratio": 0.4,
+        "qos_jitter_sigma": 0.5,
+        "strategy": {"kind": "randomized_wait", "parameter": 2.0},
+        "aps": aps,
+        "users": users,
+    }
+
+
+def boundary_qos(ap, load):
+    """``ap_qos`` with a non-criterion key in front on ``ap10`` and ``ap11``
+    and the criteria in reverse order on ``ap01``, so that the jitter draws
+    run over vectors of different lengths and key orders."""
+    qos = ap_qos(ap, load)
+    if ap.id.startswith("ap1"):
+        return {"pilot": 1.0 + load.associated_user_count, **qos}
+    if ap.id == "ap01":
+        return dict(reversed(list(qos.items())))
+    return qos
 
 
 @pytest.fixture
@@ -118,6 +190,23 @@ def test_tiny_events_with_jitter():
     log = run_simulation(config, 3)
     check_log(log)
     assert sha256(events_csv(log)) == TINY_JITTER_EVENTS
+
+
+def test_boundary_users_sense_the_circle_inclusively():
+    config = load_scenario(boundary_document())
+    ids = sorted(u.id for u in config.users)
+    initial = dict(zip(ids, hodsim.engine._world(config, 1).initial))
+    for ap in config.aps:
+        for name in ("on", "on_diagonal", "inside"):
+            assert ap.id in initial[f"{ap.id}_{name}"]
+        assert ap.id not in initial[f"{ap.id}_outside"]
+
+
+@pytest.mark.parametrize("seed", sorted(BOUNDARY_EVENTS))
+def test_boundary_events(seed):
+    log = run_simulation(load_scenario(boundary_document()), seed, qos_model=boundary_qos)
+    check_log(log)
+    assert sha256(events_csv(log)) == BOUNDARY_EVENTS[seed]
 
 
 def test_tiny_sweep_csv(tiny_config, checked_sweeps):

@@ -62,3 +62,20 @@ def test_traced_default_hysteresis_run_counts_its_handovers(default_config):
     assert layers["decision.decide.suppressed"] == suppressed
     for module, attr, fn in before:
         assert getattr(module, attr) is fn, attr
+
+
+def test_radio_counts_are_per_step():
+    # the engine senses every position of a step in one call and jitters
+    # every AP's vector of a step in one call, so the tracer's radio figures
+    # count steps: ap_checks is APs per call and hits is positions per call
+    config = load_scenario(tiny_document(qos_jitter_sigma=1.0))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        hodsim.engine.run_simulation(config, 1)
+    layers = tracer.layer_metrics()
+
+    steps, mobile = config.nb_steps, len(config.mobile_users())
+    assert layers["radio.sensed_aps.calls"] == 1 + steps
+    assert layers["radio.sensed_aps.ap_checks"] == (1 + steps) * len(config.aps)
+    assert layers["radio.sensed_aps.hits"] == len(config.users) + steps * mobile
+    assert layers["radio.apply_jitter.calls"] == steps

@@ -9,6 +9,7 @@ import weakref
 from contextlib import nullcontext
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,25 +61,29 @@ def test_sweep_moves_each_seeds_terminals_once(tiny_config, monkeypatch):
     assert len(calls) == len(seeds) * tiny_config.nb_steps * mobile
 
 
-def test_paused_terminals_are_not_sensed_again(default_config, monkeypatch):
+def test_world_pass_senses_once_per_step(default_config, monkeypatch):
     calls = []
     sensed_aps = hodsim.engine.sensed_aps
 
-    def counting(*args):
-        calls.append(1)
-        return sensed_aps(*args)
+    def recording(positions, aps):
+        result = sensed_aps(positions, aps)
+        calls.append((np.array(positions, dtype=float), result))
+        return result
 
-    monkeypatch.setattr(hodsim.engine, "sensed_aps", counting)
-    xy = hodsim.engine._world(default_config, 1).xy
-    mobile = sorted(default_config.mobile_users(), key=lambda u: u.id)
-    previous = [list(u.initial_position) for u in mobile]
-    moves = 0
-    for positions in xy.tolist():
-        moves += sum(p != q for p, q in zip(positions, previous))
-        previous = positions
-    # one sensing per user at t=0, then one per step on which a terminal moved
-    assert moves < xy.shape[0] * xy.shape[1]
-    assert len(calls) == len(default_config.users) + moves
+    monkeypatch.setattr(hodsim.engine, "sensed_aps", recording)
+    world = hodsim.engine._world(default_config, 1)
+    users = sorted(default_config.users, key=lambda u: u.id)
+    # one call for every user at t=0, then one per step for all mobile
+    # terminals at their positions after the step's move
+    assert len(calls) == 1 + default_config.nb_steps
+    assert calls[0][0].tolist() == [list(u.initial_position) for u in users]
+    assert list(world.initial) == calls[0][1]
+    for k, (positions, result) in enumerate(calls[1:]):
+        assert np.array_equal(positions, world.xy[k])
+        assert list(world.sensed[k]) == result
+    # equal sensed tuples are one object
+    sensed = list(world.initial) + [hits for row in world.sensed for hits in row]
+    assert len({id(hits) for hits in sensed}) == len(set(sensed)) < len(sensed)
 
 
 def test_no_world_outlives_a_call(tiny_config, world_spy):
