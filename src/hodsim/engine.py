@@ -16,8 +16,9 @@ after a diffusion round an AP knows its own QoS of that round and each wired
 neighbor's QoS of the round before, nothing else.  So a terminal's
 knowledge is just the view its AP held at the last round at which the
 terminal was associated, and no record is ever copied or merged.  Offered
-QoS comes from a per-run table by (AP, load), and each distinct scoring
-input is scored once per run.
+QoS comes from a table by (AP, load).  With jitter, the noise of the whole
+run is drawn at once and a jittered vector comes from a table by (step, AP,
+load).  Each vector is scored once per (requirements, gate).
 
 The run's log keeps, per terminal and step, exactly the five fields of its
 ``events_*.csv`` row (associated AP, action, ``c_asso``, ``c_best``,
@@ -35,14 +36,19 @@ after phase (3).  A later run of the family replays the tape through
 whose outcomes differ it takes that step's state, applies its own switches
 and executes normally from the next step.  If no step differs, it reuses the
 whole log.  Every row, ``decide`` call and generator draw is the one a
-fresh run makes.  ``metrics.sweep`` opens the scope, so each seed's world is
-computed once per sweep and each value executes only the steps after its
-first difference from the value before.  Outside a scope every run computes
-everything and nothing is recorded.
+fresh run makes.  The runs of a family also share its tables (the QoS
+tables, the jitter noise, the scores and the initial strategy-generator
+states), since none of them depends on the strategy: the step-k noise is
+the same in every run, so a jittered vector is fixed by (step, AP, load).
+``metrics.sweep`` opens the scope, so each seed's world is computed once per
+sweep and each value executes only the steps after its first difference
+from the value before.  Outside a scope every run computes everything and
+nothing is recorded.
 """
 
 import hashlib
 import math
+from itertools import accumulate
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
@@ -91,13 +97,29 @@ _UNASSOCIATED = DecisionOutcome(None, STAY, 0.0, 0.0, False)
 
 
 class _Profile(NamedTuple):
-    """One (requirements, gate) pair of a run and its score memo: the id of
-    each offered vector scored so far -> (that vector, its score)."""
+    """One (requirements, gate) pair and its score memo: the id of each
+    offered vector scored so far -> its score."""
 
     required: QosVector
-    items: tuple
     gated: bool
-    memo: Dict[int, Tuple[QosVector, float]]
+    memo: Dict[int, float]
+
+
+@dataclass(eq=False)
+class _Tables:
+    """One family's tables, shared by its runs inside a ``shared_worlds()``
+    scope (a run outside one makes its own): the model's vector by (AP,
+    load), equal vectors being one object; the jittered vector by (step, AP,
+    load); ``noise[k][j]``, the j-th AP's (in id order) at step k; the score
+    profiles; each terminal's initial strategy-generator state.  Every
+    vector a memo has scored stays here, so no id in a memo is reused."""
+
+    offered: Dict[Tuple[str, int], QosVector] = field(default_factory=dict)
+    interned: Dict[tuple, QosVector] = field(default_factory=dict)
+    jittered: Dict[Tuple[int, str, int], QosVector] = field(default_factory=dict)
+    noise: Optional[List[List[List[float]]]] = None
+    profiles: Dict[Tuple[tuple, bool], _Profile] = field(default_factory=dict)
+    strategy: Optional[List[dict]] = None
 
 
 @dataclass
@@ -125,6 +147,16 @@ def _stream(seed: int, *labels: str) -> np.random.Generator:
     digest = hashlib.sha256("/".join(labels).encode("utf-8")).digest()
     words = [int.from_bytes(digest[i:i + 4], "big") for i in range(0, 16, 4)]
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + words))
+
+
+_BLANK_SEED = np.random.SeedSequence(0)  # seeds a state _restored overwrites
+
+
+def _restored(state: dict) -> np.random.Generator:
+    """A generator in ``state``: cheaper than seeding its stream again."""
+    rng = np.random.default_rng(_BLANK_SEED)
+    rng.bit_generator.state = state
+    return rng
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,8 +210,7 @@ class _Step(NamedTuple):
     suppressed)`` for each such terminal in order, plain tuples so that the
     garbage collector stops tracking them; ``rejoins`` holds its blind
     re-joins ``(i, ap_id)``.  The other fields are the loop state after
-    phase (3); ``jitter`` is the jitter generator's state (None without
-    jitter).
+    phase (3).
     """
 
     k: int
@@ -193,14 +224,13 @@ class _Step(NamedTuple):
     previous: dict
     qos_now: dict
     last_loads: Optional[dict]
-    jitter: Optional[dict]
 
 
 @dataclass(eq=False)
 class _Family:
     """The latest run of one family inside a ``shared_worlds()`` scope:
-    its rows and handover counts, and every step at which it could differ
-    from another run of the family."""
+    its rows and handover counts, every step at which it could differ from
+    another run of the family, and the family's QoS tables."""
 
     seed: int
     config: ScenarioConfig
@@ -209,6 +239,7 @@ class _Family:
     rows: Tuple[Tuple[DecisionOutcome, ...], ...]
     nb_ho: Tuple[int, ...]
     steps: List[_Step]
+    tables: _Tables
 
 
 # A family is a seed, a QoS model and a config less its strategy.
@@ -231,8 +262,9 @@ def shared_worlds() -> Iterator[None]:
     strategy) share the steps up to the first decision the strategy changes:
     the block keeps the latest run of each family, and a later run replays
     its decisions through ``decide`` and executes only from the first step
-    whose outcomes differ.  Everything is dropped when the outermost block
-    exits; a block opened inside another joins it.
+    whose outcomes differ; it also takes over the family's tables.
+    Everything is dropped when the outermost block exits; a block opened
+    inside another joins it.
     """
     if _worlds.get() is not None:
         yield
@@ -299,7 +331,9 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
 
     ``seed`` defaults to config.rng_seed.  ``qos_model(ap, load)`` may replace
     the default load-sharing model; it is called once per distinct (AP,
-    load) the run computes, so it must depend on nothing else.
+    load) the run (inside a ``shared_worlds()`` scope, its family) computes,
+    so it must depend on nothing else.  With jitter on it must give each AP
+    vectors of one length at every load, or ValueError names the AP.
     """
     if seed is None:
         seed = config.rng_seed
@@ -314,9 +348,13 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     mt_order = sorted(u.id for u in config.users if u.mobile)
     n = len(mt_order)
     states = [StrategyState.from_strategy(config.strategy)] * n
+    tables = _Tables() if family is None else family.tables
     # only randomized_wait draws from its terminal's strategy stream
-    strat_rng = ([_stream(seed, "strategy", m) for m in mt_order]
-                 if config.strategy.kind == "randomized_wait" else [None] * n)
+    strat_rng = [None] * n
+    if config.strategy.kind == "randomized_wait":
+        if tables.strategy is None:
+            tables.strategy = [_stream(seed, "strategy", m).bit_generator.state for m in mt_order]
+        strat_rng = [_restored(state) for state in tables.strategy]
     resume = None
     if family is not None:
         resume = _replay(family, states, strat_rng, dt)
@@ -331,44 +369,34 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     ap_order = sorted(aps)
     users = {u.id: u for u in config.users}
     world = _world_for(config, seed)
-    jitter_rng = _stream(seed, "qos-jitter") if sigma > 0 else None
-
-    table: Dict[Tuple[str, int], QosVector] = {}
 
     def offered(ap_id: str, load: int) -> QosVector:
-        qos = table.get((ap_id, load))
+        qos = tables.offered.get((ap_id, load))
         if qos is None:
-            qos = table[ap_id, load] = qos_model(aps[ap_id], ApLoadState(ap_id, load))
+            qos = qos_model(aps[ap_id], ApLoadState(ap_id, load))
+            qos = tables.offered[ap_id, load] = tables.interned.setdefault(tuple(qos.items()), qos)
         return qos
 
-    # Within one run a score depends only on the offered QoS, the
-    # requirements and the gate: criteria, objectives and max_benefit are
-    # fixed, and the AP id does not enter the value.  So each distinct input
-    # is scored once, with every check score_network makes.  A vector seen
-    # before is found by its identity in its profile's memo; the memo entry
-    # holds the vector, so the id cannot be reused within the run.
-    scores: Dict[Tuple[tuple, tuple, bool], float] = {}
-    profiles: Dict[Tuple[tuple, bool], _Profile] = {}
-
+    # Within one family a score depends only on the offered QoS, the
+    # requirements and the gate (criteria, objectives and max_benefit are
+    # fixed; the AP id does not enter the value).  Equal offered vectors are
+    # one object and a jittered vector is built once per (step, AP, load), so
+    # each vector is scored once per profile and found again by its identity.
     def profile(required: QosVector, gated: bool) -> _Profile:
-        items = tuple(required.items())
-        found = profiles.get((items, gated))
+        key = (tuple(required.items()), gated)
+        found = tables.profiles.get(key)
         if found is None:
-            found = profiles[items, gated] = _Profile(required, items, gated, {})
+            found = tables.profiles[key] = _Profile(required, gated, {})
         return found
 
     def score(ap_id: str, qos: QosVector, prof: _Profile) -> float:
-        entry = prof.memo.get(id(qos))
-        if entry is None:
-            key = (tuple(qos.items()), prof.items, prof.gated)
-            value = scores.get(key)
-            if value is None:
-                value = scores[key] = score_network(
-                    ap_id, qos, prof.required, config.criteria, config.objectives,
-                    gated=prof.gated, max_benefit=config.max_benefit,
-                ).value
-            entry = prof.memo[id(qos)] = (qos, value)
-        return entry[1]
+        value = prof.memo.get(id(qos))
+        if value is None:
+            value = prof.memo[id(qos)] = score_network(
+                ap_id, qos, prof.required, config.criteria, config.objectives,
+                gated=prof.gated, max_benefit=config.max_benefit,
+            ).value
+        return value
 
     def switch(pending: List[Tuple[int, str, bool]]) -> None:
         # (4) apply switches atomically; they take effect next step
@@ -426,8 +454,6 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         assoc, disconnected = list(step.assoc), list(step.disconnected)
         views, nb_ho = list(step.views), list(step.nb_ho)
         current, previous, qos_now, last_loads = step.current, step.previous, step.qos_now, step.last_loads
-        if step.jitter is not None:
-            jitter_rng.bit_generator.state = step.jitter
         rows = [list(r[:step.k + 1]) for r in family.rows]
         fired = []
         pending = [(i, ap_id, False) for i, ap_id in step.rejoins]
@@ -455,8 +481,25 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
             if ap_id is not None:
                 loads[ap_id] += 1
         if sigma > 0:
-            qos_now = dict(zip(ap_order, apply_jitter(
-                [offered(ap_id, loads[ap_id]) for ap_id in ap_order], sigma, jitter_rng)))
+            if tables.noise is None:
+                # the whole run's noise in one draw, equal to one draw per
+                # step; each AP takes a fixed share of a step's row
+                sizes = [len(offered(a, loads[a])) for a in ap_order]
+                drawn = _stream(seed, "qos-jitter").normal(0.0, sigma, (config.nb_steps, sum(sizes)))
+                ends = list(accumulate(sizes))
+                tables.noise = [[row[e - size:e] for size, e in zip(sizes, ends)]
+                                for row in drawn.tolist()]
+            qos_now = {}
+            for ap_id, noise in zip(ap_order, tables.noise[k]):
+                key = (k, ap_id, loads[ap_id])
+                qos = tables.jittered.get(key)
+                if qos is None:
+                    qos = offered(ap_id, loads[ap_id])
+                    if len(qos) != len(noise):
+                        raise ValueError(f"with jitter on, qos_model must give ap {ap_id!r} "
+                                         "vectors of one length at every load")
+                    qos = tables.jittered[key] = apply_jitter(qos, noise)
+                qos_now[ap_id] = qos
         elif loads != last_loads:
             qos_now = {ap_id: offered(ap_id, loads[ap_id]) for ap_id in ap_order}
             last_loads = loads
@@ -503,8 +546,8 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
             c_asso = 0.0
             if qos is not None:
                 prof = asso_profiles[i]
-                entry = prof.memo.get(id(qos))
-                c_asso = entry[1] if entry is not None else score(ap_id, qos, prof)
+                c_asso = prof.memo.get(id(qos))
+                c_asso = score(ap_id, qos, prof) if c_asso is None else c_asso
 
             # one pass for the best candidate; ties go to the lowest AP id,
             # as in best_candidate
@@ -517,8 +560,8 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
                 qos = view.get(cand)
                 if qos is None:
                     continue
-                entry = prof.memo.get(id(qos))
-                value = entry[1] if entry is not None else score(cand, qos, prof)
+                value = prof.memo.get(id(qos))
+                value = score(cand, qos, prof) if value is None else value
                 if best_id is None or value > best_value or (value == best_value and cand < best_id):
                     best_id = cand
                     best_value = value
@@ -543,12 +586,12 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
             steps.append(_Step(
                 k, tuple(fired), tuple((i, t) for i, t, h in pending if not h),
                 tuple(assoc), tuple(disconnected), tuple(views), tuple(nb_ho), current, previous,
-                qos_now, last_loads, jitter_rng.bit_generator.state if sigma > 0 else None))
+                qos_now, last_loads))
         switch(pending)
 
     if steps is not None:
         families.append(_Family(seed, config, qos_model, static_loads,
-                                tuple(tuple(r) for r in rows), tuple(nb_ho), steps))
+                                tuple(tuple(r) for r in rows), tuple(nb_ho), steps, tables))
     return EventLog(seed=seed, config=config, mt_ids=mt_order,
                     outcomes=dict(zip(mt_order, rows)), nb_ho=dict(zip(mt_order, nb_ho)))
 

@@ -5,9 +5,8 @@ is signal-agnostic and works on QoS vectors.  An AP is sensed iff the
 terminal is inside its coverage disk, boundary included, and the QoS it
 offers degrades with the number of associated users.
 
-Sensing and jitter work on one whole step: ``sensed_aps`` takes every
-position of the step and ``apply_jitter`` every offered vector, so the
-engine calls each once per step.
+Sensing works on one whole step: ``sensed_aps`` takes every position of
+the step, so the engine calls it once per step.
 """
 
 import math
@@ -87,19 +86,7 @@ def ap_qos(ap: ApProfile, load: ApLoadState) -> QosVector:
     return out
 
 
-def apply_jitter(vectors: Sequence[QosVector], sigma: float,
-                 rng: np.random.Generator) -> List[QosVector]:
-    """Add zero-mean Gaussian noise to every component of every vector,
-    clipped at zero.
-
-    All noise comes from one ``rng.normal`` call, drawn for the vectors in
-    the order given and, within a vector, in its key order; the values and
-    the generator's final state equal those of one scalar draw per
-    component.  sigma=0 returns the vectors unchanged without consuming
-    randomness.
-    """
-    if sigma <= 0:
-        return list(vectors)
-    noise = iter(rng.normal(0.0, sigma, sum(map(len, vectors))).tolist())
-    return [{key: max(0.0, value + next(noise)) for key, value in qos.items()}
-            for qos in vectors]
+def apply_jitter(qos: QosVector, noise: Sequence[float]) -> QosVector:
+    """``qos`` with pre-drawn ``noise[p]`` added to its p-th component in key
+    order, clipped at zero."""
+    return {key: max(0.0, value + delta) for (key, value), delta in zip(qos.items(), noise)}

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from hodsim.engine import events_csv, run_simulation, _stream
+from hodsim.engine import events_csv, run_simulation, shared_worlds, _stream
 from hodsim.radio import ap_qos
 from hodsim.scenario import load_scenario, with_strategy
 
@@ -153,27 +153,31 @@ def test_knowledge_chain_never_fabricates_qos(tiny_config, monkeypatch):
         jittered = config.qos_jitter_sigma > 0
         offered = {}
         modelled = {}
+        built = []
         lookups.clear()
 
         def spying_model(ap, load):
             out = ap_qos(ap, load)
-            modelled[id(out)] = (ap.id, out)
+            modelled.setdefault(tuple(out.items()), set()).add(ap.id)
             if not jittered:
                 offered.setdefault(ap.id, []).append(dict(out))
             return out
 
-        def spying_jitter(vectors, sigma, rng):
-            # the engine jitters, once per step, the vector the model gave
-            # for each AP, in AP id order; the i-th output is the i-th AP's
-            out = apply_jitter(vectors, sigma, rng)
-            ap_ids = [modelled[id(qos)][0] for qos in vectors]
-            assert ap_ids == sorted(ap.id for ap in config.aps)
-            for ap_id, jittered in zip(ap_ids, out):
-                offered.setdefault(ap_id, []).append(dict(jittered))
+        def spying_jitter(qos, noise):
+            # the engine jitters a vector the model gave, with one noise
+            # value per component; the model gave it for exactly one AP
+            out = apply_jitter(qos, noise)
+            (ap_id,) = modelled[tuple(qos.items())]
+            assert len(noise) == len(qos) == len(out)
+            built.append(ap_id)
+            offered.setdefault(ap_id, []).append(dict(out))
             return out
 
         monkeypatch.setattr(hodsim.engine, "apply_jitter", spying_jitter)
         run_simulation(config, 4, qos_model=spying_model)
+        # a run on its own builds, at every step, one vector for each AP in
+        # AP id order
+        assert built == (sorted(ap.id for ap in config.aps) * config.nb_steps if jittered else [])
         checked = 0
         for ap_id, qos in lookups:
             if qos is not None:
@@ -312,3 +316,30 @@ def test_check_log_rejects_broken_logs(default_config):
     for bad in corrupt:
         with pytest.raises(AssertionError):
             check_log(bad)
+
+
+def odd_load_qos(ap, load):
+    """``ap_qos`` with one key more on ``apB`` while it serves an odd number
+    of users: a model whose vector length changes with load."""
+    qos = ap_qos(ap, load)
+    if ap.id == "apB" and load.associated_user_count % 2:
+        return {**qos, "pilot": 1.0}
+    return qos
+
+
+def test_jitter_needs_one_vector_length_per_ap(tiny_config):
+    # each AP takes a fixed share of every step's noise, so with jitter on a
+    # model whose vector length changes with load is refused, naming the
+    # AP, inside a scope as outside one; without jitter it runs
+    config = with_strategy(tiny_config, "randomized_wait", 3.0)
+    jittered = replace(config, qos_jitter_sigma=1.0)
+    log = run_simulation(config, 1, qos_model=odd_load_qos)
+    check_log(log)
+    with pytest.raises(ValueError, match="'apB'"):
+        run_simulation(jittered, 1, qos_model=odd_load_qos)
+    with shared_worlds():
+        assert events_csv(run_simulation(config, 1, qos_model=odd_load_qos)) == events_csv(log)
+        with pytest.raises(ValueError, match="'apB'"):
+            run_simulation(jittered, 1, qos_model=odd_load_qos)
+        with pytest.raises(ValueError, match="'apB'"):
+            run_simulation(with_strategy(jittered, "hysteresis", 0.05), 1, qos_model=odd_load_qos)

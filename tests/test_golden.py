@@ -15,7 +15,7 @@ import pytest
 import hodsim.engine
 import hodsim.metrics
 from hodsim.cli import compare_csv, compare_sweeps, parse_values
-from hodsim.engine import events_csv, run_simulation
+from hodsim.engine import events_csv, run_simulation, shared_worlds
 from hodsim.metrics import sweep, sweep_csv
 from hodsim.radio import ap_qos
 from hodsim.scenario import STRATEGY_KINDS, load_scenario, with_strategy
@@ -38,6 +38,9 @@ TINY_EVENTS = {
 }
 TINY_JITTER_EVENTS = "940035c7e7029a00fa831f9aa0b11e6b16440f8065562e9cea2e0193358e52d0"
 TINY_SWEEP = "dab3481df067016fe23c55bd486a4de3c3c8b28519d2e0a4860771d47387da76"
+# tiny_document with qos_jitter_sigma 2.0 swept over randomized_wait 0, 1, 3 on
+# seeds 1 and 2: the runs of each seed share one family's jitter
+TINY_JITTER_SWEEP = "c68b765a51ce90be876e7d254aeb097d3183a1ac5e9c55b4419d9b10e25f4177"
 
 # The default scenario under hysteresis 0.05 with one switching step, seed 1,
 # by diffusion period in decision steps.  tiny_document never clears a
@@ -62,6 +65,13 @@ DEFAULT_SWEEPS = {
 BOUNDARY_EVENTS = {
     1: "8569fc7e3283f4c1d0daaf14570b377e71fa6e8af37ad970a9ba1be619560465",
     2: "b2d873e89f76151e8c68d8945849dccac47b27f2abb21cbd9f09ad18a3bf0681",
+}
+# boundary_document() under randomized_wait, by parameter, at seed 1 with
+# boundary_qos, all run in one shared_worlds() scope
+BOUNDARY_FAMILY_EVENTS = {
+    0.0: "ad0fa021405a5b9c63a7246ff747a2e0b260ad813349c35e899aad7b1c2124ed",
+    2.0: "8569fc7e3283f4c1d0daaf14570b377e71fa6e8af37ad970a9ba1be619560465",
+    5.0: "097808fcc4a2b69551b825f0d658de2d530ecbca1228eb88a7a2d3f3a2ffc522",
 }
 # compare_sweeps of the default scenario, hysteresis 0:1:0.05 against
 # waiting_time 0:10:0.5, on seeds 1 and 2
@@ -209,9 +219,28 @@ def test_boundary_events(seed):
     assert sha256(events_csv(log)) == BOUNDARY_EVENTS[seed]
 
 
+def test_boundary_family_events():
+    # one family whose runs share jittered vectors of different lengths and
+    # key orders
+    config = load_scenario(boundary_document())
+    with shared_worlds():
+        for parameter, digest in BOUNDARY_FAMILY_EVENTS.items():
+            log = run_simulation(with_strategy(config, "randomized_wait", parameter), 1,
+                                 qos_model=boundary_qos)
+            check_log(log)
+            assert sha256(events_csv(log)) == digest, parameter
+
+
 def test_tiny_sweep_csv(tiny_config, checked_sweeps):
     report = sweep(tiny_config, "hysteresis", [0.0, 0.05, 0.2], [1, 2])
     assert sha256(sweep_csv(report)) == TINY_SWEEP
+    assert len(checked_sweeps) == 6
+
+
+def test_tiny_jitter_sweep_csv(tiny_config, checked_sweeps):
+    config = replace(tiny_config, qos_jitter_sigma=2.0)
+    report = sweep(config, "randomized_wait", [0.0, 1.0, 3.0], [1, 2])
+    assert sha256(sweep_csv(report)) == TINY_JITTER_SWEEP
     assert len(checked_sweeps) == 6
 
 

@@ -1,13 +1,16 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hodsim.engine
 from hodsim.radio import ApLoadState, ap_qos, apply_jitter, sensed_aps
-from hodsim.scenario import ApProfile
+from hodsim.scenario import ApProfile, load_scenario
 
+from conftest import tiny_document
 from reference import ref_jitter, ref_sensed
 
 
@@ -112,15 +115,27 @@ qos_vectors = st.lists(
 )
 
 
+def hexed(vectors):
+    return [[(k, v.hex()) for k, v in q.items()] for q in vectors]
+
+
 @settings(max_examples=200, deadline=None)
-@given(qos_vectors, st.floats(0.01, 10.0), st.integers(0, 2**32 - 1))
-def test_jitter_equals_one_scalar_draw_per_component(vectors, sigma, seed):
+@given(qos_vectors, st.integers(0, 6), st.floats(0.01, 10.0), st.integers(0, 2**32 - 1))
+def test_jitter_equals_one_scalar_draw_per_component(vectors, steps, sigma, seed):
+    # a whole run's noise in one draw, as the engine draws it, then each
+    # step's vectors built from their shares of it, against one scalar draw
+    # per component, step after step; the offered values change from step
+    # to step, the lengths do not
     batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-    out = apply_jitter(vectors, sigma, batched)
-    expected = [ref_jitter(vector, sigma, scalar) for vector in vectors]
-    # bit for bit, keys in the same order
-    assert [[(k, v.hex()) for k, v in q.items()] for q in out] == \
-        [[(k, v.hex()) for k, v in q.items()] for q in expected]
+    sizes = [len(q) for q in vectors]
+    rows = batched.normal(0.0, sigma, (steps, sum(sizes))).tolist()
+    for k, row in enumerate(rows):
+        offered = [{key: value + k for key, value in q.items()} for q in vectors]
+        shares = [row[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
+        out = [apply_jitter(q, share) for q, share in zip(offered, shares)]
+        expected = [ref_jitter(q, sigma, scalar) for q in offered]
+        # bit for bit, keys in the same order
+        assert hexed(out) == hexed(expected)
     assert batched.bit_generator.state == scalar.bit_generator.state
 
 
@@ -155,17 +170,40 @@ def test_qos_monotone_in_load():
         prev = cur
 
 
-def test_jitter_disabled_is_identity():
-    qos = {"bandwidth": 54.0, "delay": 2.0}
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    out = apply_jitter([qos], 0.0, rng)
-    assert len(out) == 1 and out[0] is qos
-    assert rng.bit_generator.state == state
+def test_jitter_disabled_is_identity(monkeypatch):
+    # zero noise leaves a vector's values as they are
+    qos = {"bandwidth": 54.0, "delay": 2.0, "error": 0.0}
+    assert apply_jitter(qos, [0.0, 0.0, 0.0]) == qos
+    # with sigma 0 a run makes no jitter stream and jitters nothing: every
+    # vector it measures is one the model returned, the very object
+    streams, returned, measured = [], {}, []
+    stream, known = hodsim.engine._stream, hodsim.engine.known
+
+    def model(ap, load):
+        out = ap_qos(ap, load)
+        returned[id(out)] = out
+        return out
+
+    def measuring(home, neighbors, current, previous):
+        measured.extend(current.values())
+        return known(home, neighbors, current, previous)
+
+    def unexpected(*args):
+        raise AssertionError("jittered with sigma 0")
+
+    monkeypatch.setattr(hodsim.engine, "_stream", lambda *a: streams.append(a[1:]) or stream(*a))
+    monkeypatch.setattr(hodsim.engine, "apply_jitter", unexpected)
+    monkeypatch.setattr(hodsim.engine, "known", measuring)
+    hodsim.engine.run_simulation(load_scenario(tiny_document()), 1, qos_model=model)
+    assert ("qos-jitter",) not in streams
+    assert measured and all(returned.get(id(q)) is q for q in measured)
 
 
 def test_jitter_clips_at_zero_and_is_seeded():
     qos = {"error": 0.001}
-    out = [apply_jitter([qos, qos], 5.0, np.random.default_rng(3)) for _ in range(2)]
+    out = [[apply_jitter(qos, [noise]) for noise in np.random.default_rng(3).normal(0.0, 5.0, 8)]
+           for _ in range(2)]
     assert out[0] == out[1]
-    assert all(v >= 0.0 for vector in out[0] for v in vector.values())
+    values = [v for vector in out[0] for v in vector.values()]
+    assert len(values) == 8
+    assert all(v >= 0.0 for v in values) and 0.0 in values

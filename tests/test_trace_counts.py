@@ -65,9 +65,10 @@ def test_traced_default_hysteresis_run_counts_its_handovers(default_config):
 
 
 def test_radio_counts_are_per_step():
-    # the engine senses every position of a step in one call and jitters
-    # every AP's vector of a step in one call, so the tracer's radio figures
-    # count steps: ap_checks is APs per call and hits is positions per call
+    # the engine senses every position of a step in one call, so the
+    # tracer's sensing figures count steps: ap_checks is APs per call and
+    # hits is positions per call.  apply_jitter builds one jittered vector
+    # per call, and a run on its own builds one per AP and step.
     config = load_scenario(tiny_document(qos_jitter_sigma=1.0))
     tracer = tracing.Tracer()
     with tracer.installed():
@@ -78,4 +79,4 @@ def test_radio_counts_are_per_step():
     assert layers["radio.sensed_aps.calls"] == 1 + steps
     assert layers["radio.sensed_aps.ap_checks"] == (1 + steps) * len(config.aps)
     assert layers["radio.sensed_aps.hits"] == len(config.users) + steps * mobile
-    assert layers["radio.apply_jitter.calls"] == steps
+    assert layers["radio.apply_jitter.calls"] == steps * len(config.aps)

@@ -303,10 +303,79 @@ def test_no_family_record_outlives_its_scope(tiny_config, family_spy):
         sweep(tiny_config, "waiting_time", [0.0, 2.0], [1])
         run_simulation(with_strategy(tiny_config, "randomized_wait", 3.0), 1)
         # one record per family: the latest run of (tiny_config, seed 1)
-        assert len(hodsim.engine._families.get()) == 1
+        (family,) = hodsim.engine._families.get()
+        tables = weakref.ref(family.tables)
+        assert tables().offered and tables().profiles
+        del family
     assert family_spy and hodsim.engine._families.get() is None
     gc.collect()
     assert all(ref() is None for ref in family_spy)
+    assert tables() is None
+
+
+def test_a_jitter_family_computes_each_vector_and_score_once(tiny_config, monkeypatch):
+    # inside one scope the runs of a family share its QoS tables: the model
+    # is called once per (AP, load), each jittered vector is built once per
+    # (step, AP, load) and scored once per profile, across all of its runs
+    config = replace(tiny_config, qos_jitter_sigma=2.0)
+    modelled, built, scored = [], [], []
+    score_network, apply_jitter = hodsim.engine.score_network, hodsim.engine.apply_jitter
+
+    def model(ap, load):
+        modelled.append((ap.id, load.associated_user_count))
+        return ap_qos(ap, load)
+
+    def jittering(qos, noise):
+        built.append(1)
+        return apply_jitter(qos, noise)
+
+    def scoring(ap_id, offered, required, *args, gated=True, **kwargs):
+        scored.append((tuple(offered.items()), tuple(required.items()), gated))
+        return score_network(ap_id, offered, required, *args, gated=gated, **kwargs)
+
+    monkeypatch.setattr(hodsim.engine, "apply_jitter", jittering)
+    monkeypatch.setattr(hodsim.engine, "score_network", scoring)
+    values = [0.0, 2.0, 3.0, 6.0]
+    fresh = [events_csv(run_simulation(with_strategy(config, "randomized_wait", v), 1, model))
+             for v in values]
+    alone = (len(modelled), len(built), len(scored))
+    for spy in (modelled, built, scored):
+        spy.clear()
+    with shared_worlds():
+        shared = [events_csv(run_simulation(with_strategy(config, "randomized_wait", v), 1, model))
+                  for v in values]
+        (family,) = hodsim.engine._families.get()
+        assert len(built) == len(family.tables.jittered)
+    assert shared == fresh and len(set(fresh)) == len(values)
+    assert modelled and len(modelled) == len(set(modelled))
+    assert scored and len(scored) == len(set(scored))
+    # the runs after the first executed steps, and found their vectors built
+    assert len(modelled) < alone[0] and len(built) < alone[1] and len(scored) < alone[2]
+
+
+def test_a_familys_strategy_generators_draw_as_fresh_streams(tiny_config, monkeypatch):
+    # the family keeps each terminal's initial strategy-generator state; a
+    # later run starts from it instead of seeding the stream again
+    config = with_strategy(tiny_config, "randomized_wait", 3.0)
+    mt_order = sorted(u.id for u in config.users if u.mobile)
+    streams = []
+    stream = hodsim.engine._stream
+    monkeypatch.setattr(hodsim.engine, "_stream", lambda *a: streams.append(a[1:]) or stream(*a))
+    with shared_worlds():
+        run_simulation(config, 2)
+        assert [labels for labels in streams if labels[0] == "strategy"] == \
+            [("strategy", m) for m in mt_order]
+        (family,) = hodsim.engine._families.get()
+        states = family.tables.strategy
+        assert len(states) == len(mt_order)
+        for m, state in zip(mt_order, states):
+            restored = hodsim.engine._restored(state)
+            assert restored.bit_generator.state == stream(2, "strategy", m).bit_generator.state
+            assert restored.random(64).tolist() == stream(2, "strategy", m).random(64).tolist()
+        streams.clear()
+        shared = events_csv(run_simulation(with_strategy(config, "randomized_wait", 1.0), 2))
+        assert not any(labels[0] == "strategy" for labels in streams)
+    assert shared == events_csv(run_simulation(with_strategy(config, "randomized_wait", 1.0), 2))
 
 
 def test_a_failing_sweep_drops_its_records(tiny_config, family_spy, monkeypatch):
