@@ -244,7 +244,7 @@ def compare_sweeps(config: ScenarioConfig,
                    seeds_a: Sequence[int], seeds_b: Sequence[int]) -> Tuple[SweepReport, SweepReport]:
     """Run both sweeps on identical seeds; refuses mismatched seed lists
     because the comparison is paired run-for-run.  The two sweeps share one
-    world scope, so each seed's world pass is computed once."""
+    scope, so each seed's world pass and tables are computed once."""
     if list(seeds_a) != list(seeds_b):
         raise ScenarioError("compare: seed lists must match for a paired comparison")
     with shared_worlds():

@@ -25,25 +25,23 @@ The run's log keeps, per terminal and step, exactly the five fields of its
 suppressed), plus each terminal's handover count; the time and the terminal
 id follow from the row's position.
 
-Inside ``shared_worlds()`` runs with the same world inputs reuse one world
-pass, and runs of one *family* (same seed, ``qos_model`` and config but for
-the strategy) share their decision prefix.  The strategy enters a run only
-through ``decide``, which is called only where the base rule fires.  So the
-scope keeps the latest run of each family with its *tape* (every such call's
-inputs and outcome) and, at each step with a non-empty tape, the loop state
-after phase (3).  A later run of the family replays the tape through
-``decide`` with its own strategy states and generators; at the first step
-whose outcomes differ it takes that step's state, applies its own switches
-and executes normally from the next step.  If no step differs, it reuses the
-whole log.  Every row, ``decide`` call and generator draw is the one a
-fresh run makes.  The runs of a family also share its tables (the QoS
-tables, the jitter noise, the scores and the initial strategy-generator
-states), since none of them depends on the strategy: the step-k noise is
-the same in every run, so a jittered vector is fixed by (step, AP, load).
-``metrics.sweep`` opens the scope, so each seed's world is computed once per
-sweep and each value executes only the steps after its first difference
-from the value before.  Outside a scope every run computes everything and
-nothing is recorded.
+Inside ``shared_worlds()`` the runs of one *family* (same seed,
+``qos_model`` and config but for the strategy) share one record, a
+``_Family``.  It holds what does not depend on the strategy: the world pass
+and the tables (the QoS tables, the jitter noise, the scores and the initial
+strategy-generator states; the step-k noise is the same in every run, so a
+jittered vector is fixed by (step, AP, load)).  It also holds the latest
+run's log and *tape*.  The strategy enters a run only through ``decide``,
+which is called only where the base rule fires, so the tape is every step at
+which it fired, with the loop state after phase (3).  A later run of the
+family replays the tape through ``decide`` with its own strategy states and
+generators; at the first step whose outcomes differ it takes that step's
+state, applies its own switches and executes normally from the next step.
+If no step differs, it reuses the whole log.  Every row, ``decide`` call and
+generator draw is the one a fresh run makes.  ``metrics.sweep`` opens the
+scope, so each seed's world is computed once per sweep and each value
+executes only the steps after its first difference from the value before.
+Outside a scope a run builds the same record without a tape and drops it.
 """
 
 import hashlib
@@ -103,23 +101,6 @@ class _Profile(NamedTuple):
     required: QosVector
     gated: bool
     memo: Dict[int, float]
-
-
-@dataclass(eq=False)
-class _Tables:
-    """One family's tables, shared by its runs inside a ``shared_worlds()``
-    scope (a run outside one makes its own): the model's vector by (AP,
-    load), equal vectors being one object; the jittered vector by (step, AP,
-    load); ``noise[k][j]``, the j-th AP's (in id order) at step k; the score
-    profiles; each terminal's initial strategy-generator state.  Every
-    vector a memo has scored stays here, so no id in a memo is reused."""
-
-    offered: Dict[Tuple[str, int], QosVector] = field(default_factory=dict)
-    interned: Dict[tuple, QosVector] = field(default_factory=dict)
-    jittered: Dict[Tuple[int, str, int], QosVector] = field(default_factory=dict)
-    noise: Optional[List[List[List[float]]]] = None
-    profiles: Dict[Tuple[tuple, bool], _Profile] = field(default_factory=dict)
-    strategy: Optional[List[dict]] = None
 
 
 @dataclass
@@ -206,17 +187,16 @@ def _world(config: ScenarioConfig, seed: int) -> _World:
 class _Step(NamedTuple):
     """One step of a run at which the base rule fired for some terminal.
 
-    ``fired`` is the step's tape: ``(i, c_asso, best_id, best_value, action,
-    suppressed)`` for each such terminal in order, plain tuples so that the
-    garbage collector stops tracking them; ``rejoins`` holds its blind
-    re-joins ``(i, ap_id)``.  The other fields are the loop state after
-    phase (3).
+    ``fired`` is the step's tape: ``(i, best_id)`` for each such terminal in
+    order, plain tuples so that the garbage collector stops tracking them
+    (the call's other inputs and outcome are in row ``i`` at step ``k``);
+    ``rejoins`` holds its blind re-joins ``(i, ap_id)``.  The other fields
+    and the rows' associated APs are the loop state after phase (3).
     """
 
     k: int
     fired: tuple
     rejoins: tuple
-    assoc: tuple
     disconnected: tuple
     views: tuple
     nb_ho: tuple
@@ -228,70 +208,61 @@ class _Step(NamedTuple):
 
 @dataclass(eq=False)
 class _Family:
-    """The latest run of one family inside a ``shared_worlds()`` scope:
-    its rows and handover counts, every step at which it could differ from
-    another run of the family, and the family's QoS tables."""
+    """What the runs of one family share inside a ``shared_worlds()`` scope
+    (a run outside one builds its own record and drops it).
+
+    The world pass; the model's vector by (AP, load), equal vectors being one
+    object; the jittered vector by (step, AP, load); ``noise[k][j]``, the
+    j-th AP's (in id order) at step k; the score profiles; each terminal's
+    initial strategy-generator state.  Every vector a memo has scored stays
+    here, so no id in a memo is reused.  Then the latest run's static loads,
+    rows, handover counts and tape (``steps``); ``rows`` is None while no
+    complete run's tape is attached.
+    """
 
     seed: int
     config: ScenarioConfig
     qos_model: object
-    static_loads: Dict[str, int]
-    rows: Tuple[Tuple[DecisionOutcome, ...], ...]
-    nb_ho: Tuple[int, ...]
-    steps: List[_Step]
-    tables: _Tables
+    world: _World
+    offered: Dict[Tuple[str, int], QosVector] = field(default_factory=dict)
+    interned: Dict[tuple, QosVector] = field(default_factory=dict)
+    jittered: Dict[Tuple[int, str, int], QosVector] = field(default_factory=dict)
+    noise: Optional[List[List[List[float]]]] = None
+    profiles: Dict[Tuple[tuple, bool], _Profile] = field(default_factory=dict)
+    strategy: Optional[List[dict]] = None
+    static_loads: Dict[str, int] = field(default_factory=dict)
+    rows: Optional[Tuple[Tuple[DecisionOutcome, ...], ...]] = None
+    nb_ho: Tuple[int, ...] = ()
+    steps: List[_Step] = field(default_factory=list)
 
 
 # A family is a seed, a QoS model and a config less its strategy.
 _FAMILY_FIELDS = tuple(f.name for f in fields(ScenarioConfig) if f.name != "strategy")
 
-# The worlds and the families of the innermost open shared_worlds() scope;
-# None outside one.  Context variables, so each thread sees only the scopes
-# it opened.
-_worlds: ContextVar[Optional[Dict[tuple, _World]]] = ContextVar("hodsim_worlds", default=None)
+# The families of the innermost open shared_worlds() scope; None outside
+# one.  A context variable, so each thread sees only the scopes it opened.
 _families: ContextVar[Optional[List[_Family]]] = ContextVar("hodsim_families", default=None)
 
 
 @contextmanager
 def shared_worlds() -> Iterator[None]:
-    """Let the runs made inside the block share world passes and decision
-    prefixes.
+    """Let the runs of one family made inside the block share one record.
 
-    Runs whose world inputs are equal get the same (immutable) world.  Runs
-    of one family (equal seed, ``qos_model`` and config but for the
-    strategy) share the steps up to the first decision the strategy changes:
-    the block keeps the latest run of each family, and a later run replays
-    its decisions through ``decide`` and executes only from the first step
-    whose outcomes differ; it also takes over the family's tables.
+    A family is a seed, a ``qos_model`` and a config but for the strategy.
+    Its record holds the family's world pass and tables, and its latest run
+    with that run's tape: a later run replays the tape's decisions through
+    ``decide`` and executes only from the first step whose outcomes differ.
     Everything is dropped when the outermost block exits; a block opened
     inside another joins it.
     """
-    if _worlds.get() is not None:
+    if _families.get() is not None:
         yield
         return
-    worlds, families = _worlds.set({}), _families.set([])
+    families = _families.set([])
     try:
         yield
     finally:
         _families.reset(families)
-        _worlds.reset(worlds)
-
-
-def _world_for(config: ScenarioConfig, seed: int) -> _World:
-    worlds = _worlds.get()
-    if worlds is None:
-        return _world(config, seed)
-    # every input _world reads
-    key = (
-        seed, config.area, config.decision_step, config.nb_steps,
-        tuple((u.id, u.mobile, u.initial_position, u.speed, u.pause_range)
-              for u in config.users),
-        tuple((ap.id, ap.position, ap.coverage_radius) for ap in config.aps),
-    )
-    world = worlds.get(key)
-    if world is None:
-        world = worlds[key] = _world(config, seed)
-    return world
 
 
 def _family_of(families: List[_Family], config: ScenarioConfig, seed: int,
@@ -311,11 +282,14 @@ def _replay(family: _Family, states: List[StrategyState], rngs: list,
     outcomes differ from the tape.  Return that step's index in
     ``family.steps`` and this run's decisions at it, or None if no step
     differs."""
+    rows = family.rows
     for index, step in enumerate(family.steps):
-        now = step.k * dt
+        k = step.k
+        now = k * dt
         decisions = []
         differs = False
-        for i, c_asso, best_id, best_value, action, suppressed in step.fired:
+        for i, best_id in step.fired:
+            _, action, c_asso, best_value, suppressed = rows[i][k]
             outcome = decide(c_asso, CombinedScore(best_id, best_value), states[i], now, rngs[i])
             states[i] = outcome.state
             decisions.append(outcome)
@@ -339,24 +313,27 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         seed = config.rng_seed
     families = _families.get()
     family = None if families is None else _family_of(families, config, seed, qos_model)
-    # a family's latest run passed validate, so only the strategy is new
+    # a family's record was made by a validated run, so only the strategy is new
     violations = validate(config) if family is None else strategy_violations(config.strategy)
     if violations:
         raise ValueError("invalid config: " + "; ".join(violations))
+    if family is None:
+        family = _Family(seed, config, qos_model, _world(config, seed))
+        if families is not None:
+            families.append(family)
 
     dt = config.decision_step
     mt_order = sorted(u.id for u in config.users if u.mobile)
     n = len(mt_order)
     states = [StrategyState.from_strategy(config.strategy)] * n
-    tables = _Tables() if family is None else family.tables
     # only randomized_wait draws from its terminal's strategy stream
     strat_rng = [None] * n
     if config.strategy.kind == "randomized_wait":
-        if tables.strategy is None:
-            tables.strategy = [_stream(seed, "strategy", m).bit_generator.state for m in mt_order]
-        strat_rng = [_restored(state) for state in tables.strategy]
+        if family.strategy is None:
+            family.strategy = [_stream(seed, "strategy", m).bit_generator.state for m in mt_order]
+        strat_rng = [_restored(state) for state in family.strategy]
     resume = None
-    if family is not None:
+    if family.rows is not None:
         resume = _replay(family, states, strat_rng, dt)
         if resume is None:
             return EventLog(seed=seed, config=config, mt_ids=mt_order,
@@ -368,13 +345,12 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     aps = config.ap_by_id()
     ap_order = sorted(aps)
     users = {u.id: u for u in config.users}
-    world = _world_for(config, seed)
 
     def offered(ap_id: str, load: int) -> QosVector:
-        qos = tables.offered.get((ap_id, load))
+        qos = family.offered.get((ap_id, load))
         if qos is None:
             qos = qos_model(aps[ap_id], ApLoadState(ap_id, load))
-            qos = tables.offered[ap_id, load] = tables.interned.setdefault(tuple(qos.items()), qos)
+            qos = family.offered[ap_id, load] = family.interned.setdefault(tuple(qos.items()), qos)
         return qos
 
     # Within one family a score depends only on the offered QoS, the
@@ -384,9 +360,9 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     # each vector is scored once per profile and found again by its identity.
     def profile(required: QosVector, gated: bool) -> _Profile:
         key = (tuple(required.items()), gated)
-        found = tables.profiles.get(key)
+        found = family.profiles.get(key)
         if found is None:
-            found = tables.profiles[key] = _Profile(required, gated, {})
+            found = family.profiles[key] = _Profile(required, gated, {})
         return found
 
     def score(ap_id: str, qos: QosVector, prof: _Profile) -> float:
@@ -417,7 +393,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         # for the next user's view.
         loads = dict.fromkeys(ap_order, 0)
         initial: Dict[str, Optional[str]] = {}
-        for uid, sensed in zip(sorted(users), world.initial):
+        for uid, sensed in zip(sorted(users), family.world.initial):
             prof = profile(users[uid].app_requirements, gate)
             best = best_candidate([
                 CombinedScore(ap_id, score(ap_id, offered(ap_id, loads[ap_id]), prof))
@@ -451,22 +427,20 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         index, decisions = resume
         step = family.steps[index]
         static_loads = family.static_loads
-        assoc, disconnected = list(step.assoc), list(step.disconnected)
-        views, nb_ho = list(step.views), list(step.nb_ho)
+        assoc = [r[step.k].associated for r in family.rows]
+        disconnected, views, nb_ho = list(step.disconnected), list(step.views), list(step.nb_ho)
         current, previous, qos_now, last_loads = step.current, step.previous, step.qos_now, step.last_loads
         rows = [list(r[:step.k + 1]) for r in family.rows]
-        fired = []
         pending = [(i, ap_id, False) for i, ap_id in step.rejoins]
-        for (i, c_asso, best_id, best_value, _, _), outcome in zip(step.fired, decisions):
+        for (i, _), outcome in zip(step.fired, decisions):
             rows[i][-1] = rows[i][-1]._replace(action=outcome.action, suppressed=outcome.suppressed)
-            fired.append((i, c_asso, best_id, best_value, outcome.action, outcome.suppressed))
             if outcome.action == HANDOVER:
                 pending.append((i, outcome.target, True))
-        steps = family.steps[:index] + [step._replace(fired=tuple(fired))]
-        # this run replaces the record; drop it now, so that its steps after
-        # this one are freed while the run goes on
-        families.remove(family)
-        family = None
+        steps = family.steps[:index + 1]
+        # this run replaces the tape; detach it now, so that its steps after
+        # this one are freed while the run goes on and a run that fails
+        # leaves the family without a tape rather than with half of one
+        family.rows, family.steps = None, []
         switch(pending)
         start = step.k + 1
     # the views of the last diffusion round, by AP
@@ -481,24 +455,24 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
             if ap_id is not None:
                 loads[ap_id] += 1
         if sigma > 0:
-            if tables.noise is None:
+            if family.noise is None:
                 # the whole run's noise in one draw, equal to one draw per
                 # step; each AP takes a fixed share of a step's row
                 sizes = [len(offered(a, loads[a])) for a in ap_order]
                 drawn = _stream(seed, "qos-jitter").normal(0.0, sigma, (config.nb_steps, sum(sizes)))
                 ends = list(accumulate(sizes))
-                tables.noise = [[row[e - size:e] for size, e in zip(sizes, ends)]
+                family.noise = [[row[e - size:e] for size, e in zip(sizes, ends)]
                                 for row in drawn.tolist()]
             qos_now = {}
-            for ap_id, noise in zip(ap_order, tables.noise[k]):
+            for ap_id, noise in zip(ap_order, family.noise[k]):
                 key = (k, ap_id, loads[ap_id])
-                qos = tables.jittered.get(key)
+                qos = family.jittered.get(key)
                 if qos is None:
                     qos = offered(ap_id, loads[ap_id])
                     if len(qos) != len(noise):
                         raise ValueError(f"with jitter on, qos_model must give ap {ap_id!r} "
                                          "vectors of one length at every load")
-                    qos = tables.jittered[key] = apply_jitter(qos, noise)
+                    qos = family.jittered[key] = apply_jitter(qos, noise)
                 qos_now[ap_id] = qos
         elif loads != last_loads:
             qos_now = {ap_id: offered(ap_id, loads[ap_id]) for ap_id in ap_order}
@@ -522,7 +496,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         # and sensing come from the world pass
         pending = []
         fired = []
-        for i, sensed in enumerate(world.sensed[k]):
+        for i, sensed in enumerate(family.world.sensed[k]):
             ap_id = assoc[i]
             if ap_id is not None and ap_id not in sensed:
                 # walked out of coverage: connectivity lost, not a handover
@@ -534,7 +508,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
                 continue
 
             if ap_id is None:
-                xy = world.xy[k, i]
+                xy = family.world.xy[k, i]
                 target = _nearest_usable((float(xy[0]), float(xy[1])), sensed, aps, qos_now)
                 if target is not None:
                     pending.append((i, target, False))
@@ -578,20 +552,20 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
                 pending.append((i, outcome.target, True))
             rows[i].append(DecisionOutcome(
                 ap_id, outcome.action, c_asso, best_value, outcome.suppressed))
-            fired.append((i, c_asso, best_id, best_value, outcome.action, outcome.suppressed))
+            fired.append((i, best_id))
 
         # only a step at which the base rule fired can differ between the
         # runs of a family, so only such a step is recorded
         if steps is not None and fired:
             steps.append(_Step(
                 k, tuple(fired), tuple((i, t) for i, t, h in pending if not h),
-                tuple(assoc), tuple(disconnected), tuple(views), tuple(nb_ho), current, previous,
-                qos_now, last_loads))
+                tuple(disconnected), tuple(views), tuple(nb_ho), current, previous, qos_now,
+                last_loads))
         switch(pending)
 
     if steps is not None:
-        families.append(_Family(seed, config, qos_model, static_loads,
-                                tuple(tuple(r) for r in rows), tuple(nb_ho), steps, tables))
+        family.static_loads, family.nb_ho, family.steps = static_loads, tuple(nb_ho), steps
+        family.rows = tuple(tuple(r) for r in rows)
     return EventLog(seed=seed, config=config, mt_ids=mt_order,
                     outcomes=dict(zip(mt_order, rows)), nb_ho=dict(zip(mt_order, nb_ho)))
 

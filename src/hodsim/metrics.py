@@ -107,7 +107,8 @@ def sweep(config: ScenarioConfig, strategy_kind: str, values: Sequence[float],
     Worst case is the maximum per-terminal handover count over all runs of a
     value; the confidence interval is over per-terminal counts pooled across
     the value's runs, matching how per-terminal variability is reported.
-    Every run of one seed shares one world pass (see engine.shared_worlds).
+    The runs of one seed share one record (see engine.shared_worlds): its
+    world pass, its QoS and score tables, and the latest run's decision tape.
     """
     if not values:
         raise ValueError("values must be non-empty")

@@ -92,7 +92,7 @@ def test_no_world_outlives_a_call(tiny_config, world_spy):
     assert len(world_spy) == 2
     sweep(tiny_config, "hysteresis", [0.0, 0.5], [1, 2])
     assert len(world_spy) == 4
-    assert hodsim.engine._worlds.get() is None
+    assert hodsim.engine._families.get() is None
     gc.collect()
     assert all(ref() is None for ref in world_spy)
 
@@ -106,27 +106,27 @@ def test_compare_computes_each_seeds_world_once(tiny_config, world_spy):
     shared = compare_csv(*compare_sweeps(tiny_config, plan_a, plan_b, seeds, seeds))
     assert len(world_spy) - 2 * len(seeds) == len(seeds)
     assert shared == separate
-    assert hodsim.engine._worlds.get() is None
+    assert hodsim.engine._families.get() is None
 
 
 def test_nested_scopes_share_one_dict(tiny_config, world_spy):
     with shared_worlds():
-        outer = hodsim.engine._worlds.get()
+        outer = hodsim.engine._families.get()
         sweep(tiny_config, "hysteresis", [0.0, 0.5], [1, 2])
         with shared_worlds():
-            assert hodsim.engine._worlds.get() is outer
+            assert hodsim.engine._families.get() is outer
             run_simulation(tiny_config, 1)
-        # the inner block kept the outer scope's worlds alive
-        assert hodsim.engine._worlds.get() is outer and len(outer) == 2
+        # the inner block kept the outer scope's families alive
+        assert hodsim.engine._families.get() is outer and len(outer) == 2
         sweep(tiny_config, "waiting_time", [0.0, 2.0], [2, 1])
     assert len(world_spy) == 2
-    assert hodsim.engine._worlds.get() is None
+    assert hodsim.engine._families.get() is None
 
 
 def test_scope_is_dropped_when_a_run_fails(tiny_config):
     with pytest.raises(RuntimeError, match="run failed"):
         sweep(replace(tiny_config, decision_step=0.3), "hysteresis", [0.0], [1])
-    assert hodsim.engine._worlds.get() is None
+    assert hodsim.engine._families.get() is None
 
 
 def test_shared_worlds_match_fresh_runs(default_config, world_spy):
@@ -198,7 +198,7 @@ def test_shared_runs_equal_fresh_runs(plan, grid, swept, seeds, sigma, cost, per
             report = sweep(config, swept, values, seeds)
         finally:
             hodsim.metrics.run_simulation = run_simulation
-    assert hodsim.engine._worlds.get() is None
+    assert hodsim.engine._families.get() is None
     assert sorted(report.runs) == sorted(set(values))
     for v in values:
         assert report.runs[v] == tuple(fresh[swept, v, seed][1] for seed in seeds)
@@ -258,7 +258,7 @@ def test_a_sweep_executes_fewer_steps_than_independent_runs(default_config, monk
     assert 0 < len(calls) < independent / 2
 
 
-def test_only_runs_of_one_family_share_a_prefix(default_config):
+def test_only_runs_of_one_family_share_a_prefix(default_config, world_spy):
     # every field but the strategy, the seed and the QoS model set a run's
     # family; a run of another family that shared a prefix would show here
     def crowded(ap, load):
@@ -273,11 +273,13 @@ def test_only_runs_of_one_family_share_a_prefix(default_config):
             (replace(base, qos_jitter_sigma=0.5), 1, ap_qos), (base, 2, ap_qos),
             (base, 1, crowded), (with_strategy(base, "hysteresis", 0.1), 1, ap_qos)]
     fresh = [events_csv(run_simulation(cfg, seed, qos_model)) for cfg, seed, qos_model in plan]
-    assert len(set(fresh)) == len(plan)
+    assert len(set(fresh)) == len(plan) == len(world_spy)
     with shared_worlds():
         shared = [events_csv(run_simulation(cfg, seed, qos_model))
                   for cfg, seed, qos_model in plan]
         assert len(hodsim.engine._families.get()) == len(plan) - 1
+        # one world pass per family
+        assert len(world_spy) - len(plan) == len(plan) - 1
     assert shared == fresh
 
 
@@ -297,20 +299,22 @@ def family_spy(monkeypatch):
 
 def test_no_family_record_outlives_its_scope(tiny_config, family_spy):
     run_simulation(tiny_config, 1)
-    assert family_spy == []  # outside a scope nothing is recorded
+    # outside a scope a run's record records no tape and dies with the run
+    (lone,) = family_spy
+    gc.collect()
+    assert lone() is None
     sweep(tiny_config, "hysteresis", [0.0, 0.5, 0.05], [1, 2])
+    assert len(family_spy) == 3
     with shared_worlds():
         sweep(tiny_config, "waiting_time", [0.0, 2.0], [1])
         run_simulation(with_strategy(tiny_config, "randomized_wait", 3.0), 1)
         # one record per family: the latest run of (tiny_config, seed 1)
         (family,) = hodsim.engine._families.get()
-        tables = weakref.ref(family.tables)
-        assert tables().offered and tables().profiles
+        assert family.offered and family.profiles and family.rows and family.steps
         del family
-    assert family_spy and hodsim.engine._families.get() is None
+    assert len(family_spy) == 4 and hodsim.engine._families.get() is None
     gc.collect()
     assert all(ref() is None for ref in family_spy)
-    assert tables() is None
 
 
 def test_a_jitter_family_computes_each_vector_and_score_once(tiny_config, monkeypatch):
@@ -345,7 +349,7 @@ def test_a_jitter_family_computes_each_vector_and_score_once(tiny_config, monkey
         shared = [events_csv(run_simulation(with_strategy(config, "randomized_wait", v), 1, model))
                   for v in values]
         (family,) = hodsim.engine._families.get()
-        assert len(built) == len(family.tables.jittered)
+        assert len(built) == len(family.jittered)
     assert shared == fresh and len(set(fresh)) == len(values)
     assert modelled and len(modelled) == len(set(modelled))
     assert scored and len(scored) == len(set(scored))
@@ -366,7 +370,7 @@ def test_a_familys_strategy_generators_draw_as_fresh_streams(tiny_config, monkey
         assert [labels for labels in streams if labels[0] == "strategy"] == \
             [("strategy", m) for m in mt_order]
         (family,) = hodsim.engine._families.get()
-        states = family.tables.strategy
+        states = family.strategy
         assert len(states) == len(mt_order)
         for m, state in zip(mt_order, states):
             restored = hodsim.engine._restored(state)
@@ -390,3 +394,32 @@ def test_a_failing_sweep_drops_its_records(tiny_config, family_spy, monkeypatch)
     assert family_spy and hodsim.engine._families.get() is None
     gc.collect()
     assert all(ref() is None for ref in family_spy)
+
+
+def test_a_run_that_fails_leaves_its_family_usable(monkeypatch):
+    # a resumed run detaches its family's tape before it executes, so a
+    # failure after that leaves the family's world and tables without a tape
+    config = replace(default_scenario(), sim_time=30.0)
+    values = [0.3, 0.05, 0.0]
+    fresh = [events_csv(run_simulation(with_strategy(config, "hysteresis", v), 1)) for v in values]
+    decide = hodsim.engine.decide
+
+    def failing(c_asso, best, state, now, rng=None):
+        if now >= 20.0:
+            raise RuntimeError("decide failed")
+        return decide(c_asso, best, state, now, rng)
+
+    with shared_worlds():
+        run_simulation(with_strategy(config, "hysteresis", 0.0), 1)
+        (family,) = hodsim.engine._families.get()
+        assert family.rows is not None
+        monkeypatch.setattr(hodsim.engine, "decide", failing)
+        with pytest.raises(RuntimeError, match="decide failed"):
+            run_simulation(with_strategy(config, "hysteresis", 0.3), 1)
+        # the run had resumed: the tape was detached, the record kept
+        assert hodsim.engine._families.get() == [family] and family.rows is None
+        monkeypatch.setattr(hodsim.engine, "decide", decide)
+        shared = [events_csv(run_simulation(with_strategy(config, "hysteresis", v), 1))
+                  for v in values]
+        assert family.rows is not None
+    assert shared == fresh and len(set(fresh)) > 1
