@@ -30,6 +30,7 @@ from .scenario import (
     default_document,
     load_scenario,
     parse_scenario,
+    serialize,
     validate,
 )
 
@@ -153,6 +154,8 @@ def _seeds(args: argparse.Namespace, config: ScenarioConfig) -> List[int]:
             raise ScenarioError(f"--seeds: expected comma-separated integers, got {args.seeds!r}") from exc
         if any(s < 0 for s in seeds):
             raise ScenarioError(f"--seeds: seeds must be non-negative, got {args.seeds!r}")
+        if len(set(seeds)) != len(seeds):
+            raise ScenarioError(f"--seeds: each seed may appear once, got {args.seeds!r}")
         return seeds
     return [config.rng_seed]
 
@@ -188,11 +191,10 @@ def best_at_retention(report: SweepReport, retention: float,
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    document = _load_document(args)
-    config = load_scenario(document)
+    config = load_scenario(_load_document(args))
     out_dir = Path(args.out)
     seeds = _seeds(args, config)
-    _write(out_dir, "scenario.json", json.dumps(document, indent=2) + "\n")
+    _write(out_dir, "scenario.json", json.dumps(serialize(config), indent=2) + "\n")
     for seed in seeds:
         log = run_simulation(config, seed)
         rm = run_metrics(log)
@@ -299,9 +301,26 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed argument as a ScenarioError, so it exits 1 like
+    any other bad input instead of argparse's exit code 2."""
+
+    def error(self, message: str):
+        raise ScenarioError(message)
+
+
+def _retention(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:  # NaN fails the test too
+        raise argparse.ArgumentTypeError(f"expected a fraction in [0, 1], got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hodsim",
-                                     description="WLAN handover decision simulator")
+    parser = _ArgumentParser(prog="hodsim", description="WLAN handover decision simulator")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
@@ -324,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     outputs(p_sweep)
     p_sweep.add_argument("--strategy", choices=sorted(STRATEGY_NAMES), default=None)
     p_sweep.add_argument("--values", default=None, metavar="START:STOP:STEP")
-    p_sweep.add_argument("--retention", type=float, default=0.95,
+    p_sweep.add_argument("--retention", type=_retention, default=0.95,
                          help="score-rate retention floor for the recommendation (default 0.95)")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -335,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--strategy-b", choices=sorted(STRATEGY_NAMES), required=True)
     p_cmp.add_argument("--values-a", default=None, metavar="START:STOP:STEP")
     p_cmp.add_argument("--values-b", default=None, metavar="START:STOP:STEP")
-    p_cmp.add_argument("--retention", type=float, default=0.95)
+    p_cmp.add_argument("--retention", type=_retention, default=0.95)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_val = sub.add_parser("validate", help="check a scenario document")
@@ -346,9 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)

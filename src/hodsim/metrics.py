@@ -114,6 +114,8 @@ def sweep(config: ScenarioConfig, strategy_kind: str, values: Sequence[float],
         raise ValueError("values must be non-empty")
     if not seeds:
         raise ValueError("seeds must be non-empty")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("seeds must be distinct")
     rows: List[SweepRow] = []
     raw: Dict[float, Tuple[RunMetrics, ...]] = {}
     with shared_worlds():

@@ -3,14 +3,15 @@
 A scenario is immutable after loading and holds every constant a run needs:
 world geometry, access points, users, decision criteria and weights, the
 stability strategy, and the RNG seed.  The JSON document schema is described
-in docs/config.md; unknown keys are rejected to catch typos early.
+in docs/config.md: each object's keys are the fields of its dataclass, and
+unknown keys are rejected to catch typos early.
 """
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Callable, Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -109,13 +110,6 @@ class ScenarioConfig:
     @property
     def nb_steps(self) -> int:
         return int(round(self.sim_time / self.decision_step))
-
-    @property
-    def actual_mobility_ratio(self) -> float:
-        return sum(1 for u in self.users if u.mobile) / len(self.users)
-
-    def mobile_users(self) -> List[UserProfile]:
-        return [u for u in self.users if u.mobile]
 
     def ap_by_id(self) -> Dict[str, ApProfile]:
         return {ap.id: ap for ap in self.aps}
@@ -303,29 +297,6 @@ def validate(config: ScenarioConfig) -> List[str]:
 
 # --- JSON document handling -------------------------------------------------
 
-_TOP_KEYS = {
-    "sim_time", "decision_step", "diffusion_period", "area", "aps", "users",
-    "objectives", "criteria", "strategy", "rng_seed", "mobility_ratio",
-    "gate_candidates", "max_benefit", "qos_jitter_sigma", "handover_cost_steps",
-}
-_AP_KEYS = {"id", "position", "coverage_radius", "base_qos", "wired_neighbors"}
-_USER_KEYS = {"id", "mobile", "initial_position", "speed", "pause_range", "app_requirements"}
-_CRIT_KEYS = {"id", "direction", "alpha"}
-_OBJ_KEYS = {"id", "weight"}
-_STRAT_KEYS = {"kind", "parameter"}
-
-
-def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ScenarioError(f"{where}: unknown key(s) {sorted(unknown)}")
-
-
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ScenarioError(f"{where}{key}: required field missing")
-    return obj[key]
-
 
 def _objects(value, where: str) -> List[dict]:
     if not isinstance(value, list) or not all(isinstance(x, dict) for x in value):
@@ -373,6 +344,67 @@ def _qos_map(value, where: str) -> Dict[str, float]:
     return {str(k): _number(val, f"{where}.{k}") for k, val in value.items()}
 
 
+def _ap_ids(value, where: str) -> Tuple[str, ...]:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where}: expected a list of ap ids")
+    return tuple(_text(n, where) for n in value)
+
+
+def _build(cls, table: Dict[str, Callable], obj: dict, where: str, **defaults):
+    """Parse one document object into ``cls``.
+
+    ``table`` maps each field of ``cls`` to its parser and so lists the keys
+    the object may hold; ``where`` prefixes every field name in messages.  An
+    absent field takes its entry in ``defaults``, else the dataclass default.
+    """
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where[:-1]}: expected an object")
+    unknown = obj.keys() - table.keys()
+    if unknown:
+        raise ScenarioError(f"{where[:-1] or 'config'}: unknown key(s) {sorted(unknown)}")
+    values = {}
+    for f in fields(cls):
+        if f.name in obj:
+            values[f.name] = table[f.name](obj[f.name], where + f.name)
+        elif f.name in defaults:
+            values[f.name] = defaults[f.name]
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ScenarioError(f"{where}{f.name}: required field missing")
+    return cls(**values)
+
+
+def _list_of(cls, table: Dict[str, Callable], **defaults) -> Callable:
+    """Parser of a list of ``cls`` objects, the i-th named ``<where>.<i>.``."""
+    def parse(value, where: str) -> tuple:
+        return tuple(_build(cls, table, obj, f"{where}.{i}.", **defaults)
+                     for i, obj in enumerate(_objects(value, where)))
+    return parse
+
+
+_CRITERION_FIELDS = {"id": _text, "direction": _text, "alpha": _number}
+_OBJECTIVE_FIELDS = {"id": _text, "weight": _number}
+_STRATEGY_FIELDS = {"kind": _text, "parameter": _number}
+_AP_FIELDS = {
+    "id": _text, "position": _pair, "coverage_radius": _number,
+    "base_qos": _qos_map, "wired_neighbors": _ap_ids,
+}
+_USER_FIELDS = {
+    "id": _text, "mobile": _flag, "initial_position": _pair,
+    "speed": _number, "pause_range": _pair, "app_requirements": _qos_map,
+}
+_CONFIG_FIELDS = {
+    "aps": _list_of(ApProfile, _AP_FIELDS),
+    "users": None,  # parsed against the criteria, see parse_scenario
+    "rng_seed": _integer, "sim_time": _number, "decision_step": _number,
+    "diffusion_period": _number, "area": _pair,
+    "objectives": _list_of(ObjectiveWeight, _OBJECTIVE_FIELDS),
+    "criteria": _list_of(DecisionCriterion, _CRITERION_FIELDS),
+    "strategy": lambda value, where: _build(StabilityStrategy, _STRATEGY_FIELDS, value, where + "."),
+    "mobility_ratio": _number, "gate_candidates": _flag, "max_benefit": _number,
+    "qos_jitter_sigma": _number, "handover_cost_steps": _integer,
+}
+
+
 def load_scenario(document: Union[str, dict, Path]) -> ScenarioConfig:
     """Parse and validate a config document (JSON text, file path, or dict).
 
@@ -403,129 +435,27 @@ def parse_scenario(document: Union[str, dict, Path]) -> ScenarioConfig:
     if not isinstance(document, dict):
         raise ScenarioError("parse error: top-level value must be an object")
 
-    doc = document
-    _reject_unknown(doc, _TOP_KEYS, "config")
-
-    if "rng_seed" not in doc:
-        raise ScenarioError("rng_seed: required field missing")
-
-    criteria = []
-    for i, c in enumerate(_objects(doc.get("criteria", _default_criteria_doc()), "criteria")):
-        where = f"criteria.{i}."
-        _reject_unknown(c, _CRIT_KEYS, where[:-1])
-        criteria.append(DecisionCriterion(
-            id=_text(_require(c, "id", where), where + "id"),
-            direction=_text(_require(c, "direction", where), where + "direction"),
-            alpha=_number(_require(c, "alpha", where), where + "alpha"),
-        ))
-    crit_ids = [c.id for c in criteria]
-
-    objectives = []
-    for i, o in enumerate(_objects(doc.get("objectives", [{"id": "application", "weight": 1.0}]),
-                                   "objectives")):
-        where = f"objectives.{i}."
-        _reject_unknown(o, _OBJ_KEYS, where[:-1])
-        objectives.append(ObjectiveWeight(
-            id=_text(_require(o, "id", where), where + "id"),
-            weight=_number(_require(o, "weight", where), where + "weight"),
-        ))
-
-    aps = []
-    for i, a in enumerate(_objects(_require(doc, "aps", ""), "aps")):
-        where = f"aps.{i}."
-        _reject_unknown(a, _AP_KEYS, where[:-1])
-        neighbors = a.get("wired_neighbors", [])
-        if not isinstance(neighbors, list):
-            raise ScenarioError(f"{where}wired_neighbors: expected a list of ap ids")
-        aps.append(ApProfile(
-            id=_text(_require(a, "id", where), where + "id"),
-            position=_pair(_require(a, "position", where), where + "position"),
-            coverage_radius=_number(_require(a, "coverage_radius", where), where + "coverage_radius"),
-            base_qos=_qos_map(_require(a, "base_qos", where), where + "base_qos"),
-            wired_neighbors=tuple(_text(n, where + "wired_neighbors") for n in neighbors),
-        ))
-
-    users = []
-    for i, u in enumerate(_objects(_require(doc, "users", ""), "users")):
-        where = f"users.{i}."
-        _reject_unknown(u, _USER_KEYS, where[:-1])
-        users.append(UserProfile(
-            id=_text(_require(u, "id", where), where + "id"),
-            mobile=_flag(u.get("mobile", False), where + "mobile"),
-            initial_position=_pair(_require(u, "initial_position", where), where + "initial_position"),
-            speed=_number(u.get("speed", DEFAULT_SPEED), where + "speed"),
-            pause_range=_pair(u.get("pause_range", DEFAULT_PAUSE_RANGE), where + "pause_range"),
-            app_requirements=_qos_map(u.get("app_requirements", {c: 0.0 for c in crit_ids}),
-                                      where + "app_requirements"),
-        ))
-
-    strat_doc = doc.get("strategy", {"kind": "none", "parameter": 0.0})
-    if not isinstance(strat_doc, dict):
-        raise ScenarioError("strategy: expected an object")
-    _reject_unknown(strat_doc, _STRAT_KEYS, "strategy")
-    strategy = StabilityStrategy(
-        kind=_text(strat_doc.get("kind", "none"), "strategy.kind"),
-        parameter=_number(strat_doc.get("parameter", 0.0), "strategy.parameter"),
-    )
-
-    decision_step = _number(doc.get("decision_step", DEFAULT_DECISION_STEP), "decision_step")
-    return ScenarioConfig(
-        aps=tuple(aps),
-        users=tuple(users),
-        rng_seed=_integer(doc["rng_seed"], "rng_seed"),
-        sim_time=_number(doc.get("sim_time", DEFAULT_SIM_TIME), "sim_time"),
-        decision_step=decision_step,
-        diffusion_period=_number(doc.get("diffusion_period", decision_step), "diffusion_period"),
-        area=_pair(doc.get("area", DEFAULT_AREA), "area"),
-        objectives=tuple(objectives),
-        criteria=tuple(criteria),
-        strategy=strategy,
-        mobility_ratio=_number(doc.get("mobility_ratio", DEFAULT_MOBILITY_RATIO), "mobility_ratio"),
-        gate_candidates=_flag(doc.get("gate_candidates", True), "gate_candidates"),
-        max_benefit=_number(doc.get("max_benefit", DEFAULT_MAX_BENEFIT), "max_benefit"),
-        qos_jitter_sigma=_number(doc.get("qos_jitter_sigma", 0.0), "qos_jitter_sigma"),
-        handover_cost_steps=_integer(doc.get("handover_cost_steps", 1), "handover_cost_steps"),
-    )
+    # A user without requirements gets 0 for every criterion, so the criteria
+    # are parsed first; the diffusion period defaults to the decision step.
+    criteria = _CONFIG_FIELDS["criteria"](document.get("criteria", _default_criteria_doc()), "criteria")
+    step = _number(document.get("decision_step", DEFAULT_DECISION_STEP), "decision_step")
+    table = dict(_CONFIG_FIELDS, criteria=lambda value, where: criteria,
+                 users=_list_of(UserProfile, _USER_FIELDS, mobile=False,
+                                app_requirements={c.id: 0.0 for c in criteria}))
+    return _build(ScenarioConfig, table, document, "", criteria=criteria, diffusion_period=step)
 
 
 def serialize(config: ScenarioConfig) -> dict:
     """Inverse of load_scenario: a JSON-ready dict with every field explicit."""
-    return {
-        "sim_time": config.sim_time,
-        "decision_step": config.decision_step,
-        "diffusion_period": config.diffusion_period,
-        "area": list(config.area),
-        "rng_seed": config.rng_seed,
-        "mobility_ratio": config.mobility_ratio,
-        "gate_candidates": config.gate_candidates,
-        "max_benefit": config.max_benefit,
-        "qos_jitter_sigma": config.qos_jitter_sigma,
-        "handover_cost_steps": config.handover_cost_steps,
-        "objectives": [{"id": o.id, "weight": o.weight} for o in config.objectives],
-        "criteria": [{"id": c.id, "direction": c.direction, "alpha": c.alpha} for c in config.criteria],
-        "strategy": {"kind": config.strategy.kind, "parameter": config.strategy.parameter},
-        "aps": [
-            {
-                "id": ap.id,
-                "position": list(ap.position),
-                "coverage_radius": ap.coverage_radius,
-                "base_qos": dict(ap.base_qos),
-                "wired_neighbors": list(ap.wired_neighbors),
-            }
-            for ap in config.aps
-        ],
-        "users": [
-            {
-                "id": u.id,
-                "mobile": u.mobile,
-                "initial_position": list(u.initial_position),
-                "speed": u.speed,
-                "pause_range": list(u.pause_range),
-                "app_requirements": dict(u.app_requirements),
-            }
-            for u in config.users
-        ],
-    }
+    def plain(value):
+        if is_dataclass(value):
+            return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+        if isinstance(value, tuple):
+            return [plain(x) for x in value]
+        if isinstance(value, dict):
+            return dict(value)
+        return value
+    return plain(config)
 
 
 def with_strategy(config: ScenarioConfig, kind: str, parameter: float) -> ScenarioConfig:

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 
@@ -232,3 +233,53 @@ def test_compare_refuses_mismatched_seeds(config_file):
     with pytest.raises(ScenarioError, match="seed lists must match"):
         compare_sweeps(config, ("hysteresis", [0.0]), ("waiting_time", [0.0]),
                        seeds_a=[1, 2], seeds_b=[1, 3])
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--seed", "abc"], "--seed"),
+    (["sweep", "--retention", "abc"], "--retention"),
+    (["sweep", "--strategy", "bogus"], "--strategy"),
+    ([], "verb"),
+])
+def test_bad_arguments_exit_one_naming_the_flag(argv, flag, capsys):
+    assert main(argv) == 1
+    assert flag in capsys.readouterr().err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--help"])
+    assert excinfo.value.code == 0
+    assert "--retention" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("retention", ["nan", "-1", "1.5"])
+def test_retention_outside_the_unit_interval_exits_one(retention, tmp_path, config_file, capsys):
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", config_file, "--out", str(out), "--seed", "1",
+                 "--retention", retention]) == 1
+    assert "--retention" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_seeds_exit_one(tmp_path, config_file, capsys):
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", config_file, "--out", str(out), "--seeds", "1,1"]) == 1
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_writes_the_resolved_scenario(tmp_path):
+    doc = tiny_document()
+    for key in ("sim_time", "decision_step", "area", "mobility_ratio", "objectives", "strategy"):
+        del doc[key]
+    for ap in doc["aps"]:
+        del ap["wired_neighbors"]
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    saved = json.loads((tmp_path / "o" / "scenario.json").read_text())
+    config = load_scenario(doc)
+    assert set(saved) == {f.name for f in fields(config)}
+    assert all(set(u) == {f.name for f in fields(config.users[0])} for u in saved["users"])
+    assert load_scenario(saved) == config

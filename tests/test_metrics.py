@@ -198,6 +198,12 @@ def test_sweep_rejects_empty_inputs(cfg20):
         sweep(cfg20, "hysteresis", [0.0], [])
 
 
+def test_sweep_rejects_repeated_seeds(cfg20):
+    # a repeated seed would pool its terminals twice and narrow the interval
+    with pytest.raises(ValueError, match="distinct"):
+        sweep(cfg20, "hysteresis", [0.0], [1, 2, 1])
+
+
 def test_zero_parameter_rows_equal_no_strategy_baseline(cfg20):
     baseline = events_csv(run_simulation(with_strategy(cfg20, "none", 0.0), 5))
     h0 = events_csv(run_simulation(with_strategy(cfg20, "hysteresis", 0.0), 5))

@@ -1,12 +1,25 @@
+import copy
+import hashlib
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from hodsim import scenario
 from hodsim.scenario import (
+    ApProfile,
+    DecisionCriterion,
+    ObjectiveWeight,
+    ScenarioConfig,
     ScenarioError,
+    StabilityStrategy,
+    UserProfile,
     default_document,
     default_scenario,
     load_scenario,
+    parse_scenario,
     serialize,
     validate,
 )
@@ -31,7 +44,7 @@ def test_mobility_ratio_reported():
     config = default_scenario()
     assert sum(1 for u in config.users if u.mobile) == 14
     assert len(config.users) == 52
-    assert round(config.actual_mobility_ratio, 3) == 0.269
+    assert round(sum(u.mobile for u in config.users) / len(config.users), 3) == 0.269
 
 
 def test_missing_rng_seed_names_field():
@@ -134,7 +147,7 @@ def test_defaults_applied_for_absent_fields():
         user.pop("pause_range", None)
         user.pop("app_requirements", None)
     config = load_scenario(doc)
-    mobile = config.mobile_users()[0]
+    mobile = next(u for u in config.users if u.mobile)
     assert mobile.speed == 0.8
     assert mobile.pause_range == (1.0, 5.0)
     assert mobile.app_requirements == {"bandwidth": 0.0, "delay": 0.0}
@@ -162,7 +175,6 @@ def test_validate_collects_violations_without_raising():
     messages = validate(broken)
     assert any("multiple" in m for m in messages)
 
-    from hodsim.scenario import ObjectiveWeight
     lopsided = replace(config, objectives=(
         ObjectiveWeight("application", 0.7), ObjectiveWeight("operator", 0.4)))
     assert any("weights sum" in m for m in validate(lopsided))
@@ -228,3 +240,87 @@ def test_integral_numbers_accepted_where_floats_expected():
     config = load_scenario(doc)
     assert config.sim_time == 10.0 and isinstance(config.sim_time, float)
     assert config.nb_steps == 10
+
+
+# --- Golden of parse outcomes -------------------------------------------------
+#
+# Every key path of tiny_document(), containers included, set in turn to each
+# value below, and every object key removed in turn: the outcome of
+# parse_scenario (the error text, or "ok" and the parsed config) for each of
+# these single-fault documents, hashed in order.  A document with several
+# faults may report another of them first; only single faults are pinned.
+
+BAD_VALUES = [None, "x", [], {}, True, 1.5, 10 ** 400]
+PARSE_OUTCOMES = "ed6bc4b55a62fc71"
+
+
+def _key_paths(node, prefix=()):
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _key_paths(child, prefix + (key,))
+
+
+def _parse_outcome(doc) -> str:
+    try:
+        return f"ok {parse_scenario(doc)!r}"
+    except ScenarioError as exc:
+        return str(exc)
+
+
+def _with_fault(base, path, *value):
+    """A copy of ``base`` with ``path`` set to the one ``value``, or removed."""
+    doc = copy.deepcopy(base)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value:
+        node[path[-1]] = value[0]
+    else:
+        del node[path[-1]]
+    return doc
+
+
+def _parse_outcome_lines():
+    base = tiny_document()
+    for path in _key_paths(base):
+        where = ".".join(str(k) for k in path)
+        for value in BAD_VALUES:
+            yield f"{where}={value!r:.20}: {_parse_outcome(_with_fault(base, path, value))}"
+        if isinstance(path[-1], str):
+            yield f"{where} removed: {_parse_outcome(_with_fault(base, path))}"
+
+
+def test_single_fault_parse_outcomes_are_pinned():
+    text = "\n".join(_parse_outcome_lines())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == PARSE_OUTCOMES
+
+
+def _documented_fields(heading: str) -> set:
+    """First-column field names of the table under ``heading`` in docs/config.md."""
+    text = (Path(__file__).parent.parent / "docs" / "config.md").read_text()
+    section = text.split(f"\n{heading}\n", 1)[1].split("\n#", 1)[0]
+    return {m.group(1) for m in re.finditer(r"^\| `(\w+)` \|", section, re.MULTILINE)}
+
+
+@pytest.mark.parametrize("cls, table", [
+    (ScenarioConfig, scenario._CONFIG_FIELDS),
+    (DecisionCriterion, scenario._CRITERION_FIELDS),
+    (ObjectiveWeight, scenario._OBJECTIVE_FIELDS),
+    (StabilityStrategy, scenario._STRATEGY_FIELDS),
+    (ApProfile, scenario._AP_FIELDS),
+    (UserProfile, scenario._USER_FIELDS),
+])
+def test_each_field_table_lists_its_dataclass_fields(cls, table):
+    assert list(table) == [f.name for f in fields(cls)]
+
+
+@pytest.mark.parametrize("heading, table", [
+    ("## Top-level fields", scenario._CONFIG_FIELDS),
+    ("## `criteria[]`", scenario._CRITERION_FIELDS),
+    ("## `aps[]`", scenario._AP_FIELDS),
+    ("## `users[]`", scenario._USER_FIELDS),
+])
+def test_documented_fields_are_the_parsed_keys(heading, table):
+    assert _documented_fields(heading) == set(table)

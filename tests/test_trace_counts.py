@@ -75,7 +75,7 @@ def test_radio_counts_are_per_step():
         hodsim.engine.run_simulation(config, 1)
     layers = tracer.layer_metrics()
 
-    steps, mobile = config.nb_steps, len(config.mobile_users())
+    steps, mobile = config.nb_steps, sum(u.mobile for u in config.users)
     assert layers["radio.sensed_aps.calls"] == 1 + steps
     assert layers["radio.sensed_aps.ap_checks"] == (1 + steps) * len(config.aps)
     assert layers["radio.sensed_aps.hits"] == len(config.users) + steps * mobile

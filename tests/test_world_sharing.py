@@ -57,7 +57,7 @@ def test_sweep_moves_each_seeds_terminals_once(tiny_config, monkeypatch):
     monkeypatch.setattr(hodsim.engine, "step_mobility", counting)
     values, seeds = [0.0, 0.1, 0.2], [1, 2]
     sweep(tiny_config, "hysteresis", values, seeds)
-    mobile = len(tiny_config.mobile_users())
+    mobile = sum(u.mobile for u in tiny_config.users)
     assert len(calls) == len(seeds) * tiny_config.nb_steps * mobile
 
 
