@@ -25,6 +25,7 @@ from .metrics import (
     sweep_row_csv,
 )
 from .scenario import (
+    DOCUMENT_KEYS,
     ScenarioConfig,
     ScenarioError,
     default_document,
@@ -86,9 +87,10 @@ def parse_values(grid: str) -> List[float]:
 def apply_override(document: dict, assignment: str) -> None:
     """Apply one key=value override onto the raw config document.
 
-    The dot path must reference an existing key (list indices allowed), so a
-    typo cannot silently create a new field.  The value is parsed as JSON
-    when possible, else kept as a string.
+    Each key of the dot path must be a field of its object, even one the
+    document leaves out, or a key already in a map such as ``base_qos``
+    (list indices allowed), so a typo cannot create a field.  The value is
+    parsed as JSON when possible, else kept as a string.
     """
     if "=" not in assignment:
         raise ScenarioError(f"--set: expected key=value, got {assignment!r}")
@@ -98,6 +100,7 @@ def apply_override(document: dict, assignment: str) -> None:
     except json.JSONDecodeError:
         value = raw_value
     node = document
+    keys = DOCUMENT_KEYS  # the keys node may hold; None for a map
     parts = path.split(".")
     for i, part in enumerate(parts):
         last = i == len(parts) - 1
@@ -112,14 +115,14 @@ def apply_override(document: dict, assignment: str) -> None:
             else:
                 node = node[idx]
         elif isinstance(node, dict):
-            if part not in node:
+            if part not in (node if keys is None else keys):
                 raise ScenarioError(f"--set {path}: unknown config key {part!r}")
             if last:
                 node[part] = value
             else:
-                node = node[part]
+                node, keys = node.get(part), None if keys is None else keys[part]
         else:
-            raise ScenarioError(f"--set {path}: {part!r} is not a container")
+            raise ScenarioError(f"--set {path}: no object or list at {parts[i - 1]!r}")
 
 
 def _load_document(args: argparse.Namespace) -> dict:
@@ -194,7 +197,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = load_scenario(_load_document(args))
     out_dir = Path(args.out)
     seeds = _seeds(args, config)
-    _write(out_dir, "scenario.json", json.dumps(serialize(config), indent=2) + "\n")
+    _write(out_dir, "scenario.json", json.dumps(serialize(config), separators=(",", ":")) + "\n")
     for seed in seeds:
         log = run_simulation(config, seed)
         rm = run_metrics(log)

@@ -47,6 +47,7 @@ Outside a scope a run builds the same record without a tape and drops it.
 import hashlib
 import math
 from itertools import accumulate
+from operator import attrgetter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
@@ -155,32 +156,41 @@ class _World:
     xy: np.ndarray
 
 
+# Most position x AP checks per sensing call, in whole steps (at least one).
+_SENSE_BLOCK = 2 ** 14
+
+
 def _world(config: ScenarioConfig, seed: int) -> _World:
-    """Move every mobile terminal through the run and record what it senses.
+    """Move every mobile terminal through the run, then record what it senses.
 
     Each terminal draws only from its own stream ``_stream(seed, "mobility",
     m)``, so its trajectory depends neither on the other terminals nor on the
-    strategy.  Every position of a step is sensed in one ``sensed_aps`` call.
+    strategy, nor on what it senses.  So every step is moved first; then one
+    ``sensed_aps`` call senses every user at t=0 and one call each block of
+    whole steps, up to ``_SENSE_BLOCK`` position x AP checks per block.
     """
-    dt = config.decision_step
-    users = {u.id: u for u in config.users}
-    mt_order = sorted(u.id for u in config.users if u.mobile)
+    dt, area, nb_steps = config.decision_step, config.area, config.nb_steps
+    mobile = sorted((u for u in config.users if u.mobile), key=attrgetter("id"))
+    n = len(mobile)
     interned: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
     def sense(positions) -> Tuple[Tuple[str, ...], ...]:
         return tuple(interned.setdefault(hits, hits) for hits in sensed_aps(positions, config.aps))
 
-    rngs = [_stream(seed, "mobility", m) for m in mt_order]
-    states = [init_mobility(users[m], config.area, rng) for m, rng in zip(mt_order, rngs)]
-    initial = sense([users[uid].initial_position for uid in sorted(users)])
-    xy = np.empty((config.nb_steps, len(mt_order), 2))
-    sensed = []
-    for k in range(config.nb_steps):
-        for i, m in enumerate(mt_order):
-            states[i] = step_mobility(states[i], dt, config.area, users[m], rngs[i])
-            xy[k, i] = states[i].position
-        sensed.append(sense(xy[k]))
+    rngs = [_stream(seed, "mobility", u.id) for u in mobile]
+    states = [init_mobility(u, area, rng) for u, rng in zip(mobile, rngs)]
+    initial = sense([u.initial_position for u in sorted(config.users, key=attrgetter("id"))])
+    xy = np.empty((nb_steps, n, 2))
+    for k in range(nb_steps if n else 0):  # an empty list would not fit xy[k]
+        states = [step_mobility(s, dt, area, u, rng) for s, u, rng in zip(states, mobile, rngs)]
+        xy[k] = [s.position for s in states]
     xy.flags.writeable = False
+    block = max(1, _SENSE_BLOCK // max(1, n * len(config.aps)))
+    sensed = []
+    for start in range(0, nb_steps, block):
+        stop = min(start + block, nb_steps)
+        hits = sense(xy[start:stop])
+        sensed += [hits[i * n:(i + 1) * n] for i in range(stop - start)]
     return _World(initial, tuple(sensed), xy)
 
 

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from scipy.special import stdtrit
-
 from .engine import EventLog, run_simulation, shared_worlds
 from .scenario import ScenarioConfig, with_strategy
 
@@ -87,8 +85,9 @@ def confidence_interval(samples: Sequence[float], level: float = 0.95) -> Tuple[
     """Student-t interval for the mean: mean +- t_{(1+level)/2, n-1} * s/sqrt(n).
 
     The t quantile is ``scipy.special.stdtrit``, which is what
-    ``scipy.stats.t.ppf`` evaluates, without importing ``scipy.stats``.
+    ``scipy.stats.t.ppf`` evaluates; imported here, so only a call loads scipy.
     """
+    from scipy.special import stdtrit
     n = len(samples)
     if n < 2:
         raise ValueError("confidence interval needs at least 2 samples")

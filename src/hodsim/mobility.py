@@ -6,8 +6,7 @@ the generator passed in, so trajectories are reproducible per terminal.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -21,8 +20,7 @@ PAUSED = "paused"
 MOVING = "moving"
 
 
-@dataclass(frozen=True)
-class MobilityState:
+class MobilityState(NamedTuple):
     """Kinematic state of one terminal between decision steps."""
 
     position: Tuple[float, float]

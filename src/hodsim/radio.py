@@ -5,8 +5,8 @@ is signal-agnostic and works on QoS vectors.  An AP is sensed iff the
 terminal is inside its coverage disk, boundary included, and the QoS it
 offers degrades with the number of associated users.
 
-Sensing works on one whole step: ``sensed_aps`` takes every position of
-the step, so the engine calls it once per step.
+Sensing works on many positions at once: ``sensed_aps`` takes every
+position of a block of whole steps, so the engine calls it once per block.
 """
 
 import math
@@ -31,9 +31,10 @@ class ApLoadState:
     associated_user_count: int
 
 
-# A computed distance within this relative band of the radius is computed
-# again with math.hypot: numpy's hypot may differ from it in the last bit.
+# Squares within this relative band of each other, or beyond the float range
+# or below _TINY (underflow rounds them coarsely), are decided by math.hypot.
 _BOUNDARY_BAND = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 def sensed_aps(positions: Union[np.ndarray, Sequence[Tuple[float, float]]],
@@ -42,20 +43,23 @@ def sensed_aps(positions: Union[np.ndarray, Sequence[Tuple[float, float]]],
     all APs whose coverage disk contains it, sorted by id.
 
     A position is inside a disk iff ``math.hypot(dx, dy) <= coverage_radius``.
-    The distances are computed with numpy; only those too close to the
-    radius for numpy's rounding to decide are computed with ``math.hypot``.
+    numpy compares ``dx*dx + dy*dy`` with the squared radius; entries close
+    to it or out of the normal float range are decided with ``math.hypot``.
     """
     aps = sorted(aps, key=attrgetter("id"))
     ax, ay, radii = np.array([(ap.position[0], ap.position[1], ap.coverage_radius)
                               for ap in aps], dtype=float).reshape(-1, 3).T
     xy = np.asarray(positions, dtype=float).reshape(-1, 2)
-    # a difference beyond the float range is inf, as in plain float arithmetic
-    with np.errstate(over="ignore"):
+    # beyond the float range a value is inf, as in plain float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
         dx = ax - xy[:, :1]
         dy = ay - xy[:, 1:]
-        distance = np.hypot(dx, dy)
-    inside = distance <= radii
-    rows, cols = np.nonzero(np.abs(distance - radii) <= radii * _BOUNDARY_BAND)
+        d2 = dx * dx + dy * dy
+        r2 = radii * radii
+        inside = d2 <= r2
+        recheck = (np.abs(d2 - r2) <= r2 * _BOUNDARY_BAND) | (d2 < _TINY) | (d2 == np.inf)
+    recheck[:, (r2 < _TINY) | (r2 == np.inf)] = True
+    rows, cols = np.nonzero(recheck)
     for i, j in zip(rows.tolist(), cols.tolist()):
         inside[i, j] = math.hypot(dx[i, j], dy[i, j]) <= radii[j]
     # the hits row by row, each row's in id order

@@ -404,6 +404,11 @@ _CONFIG_FIELDS = {
     "qos_jitter_sigma": _number, "handover_cost_steps": _integer,
 }
 
+# The keys a document may hold, with those of the objects its fields hold.
+DOCUMENT_KEYS = dict(dict.fromkeys(_CONFIG_FIELDS), **{name: dict.fromkeys(table) for name, table in (
+    ("aps", _AP_FIELDS), ("users", _USER_FIELDS), ("objectives", _OBJECTIVE_FIELDS),
+    ("criteria", _CRITERION_FIELDS), ("strategy", _STRATEGY_FIELDS))})
+
 
 def load_scenario(document: Union[str, dict, Path]) -> ScenarioConfig:
     """Parse and validate a config document (JSON text, file path, or dict).

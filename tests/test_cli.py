@@ -178,6 +178,45 @@ def test_set_with_unknown_key_exits_one(tmp_path, config_file, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("field, raw, value", [
+    ("gate_candidates", "false", False),
+    ("max_benefit", "1000", 1000.0),
+    ("qos_jitter_sigma", "0.5", 0.5),
+])
+def test_set_reaches_fields_the_document_leaves_out(field, raw, value, tmp_path, capsys):
+    # the built-in scenario's document omits these optional fields
+    assert main(["validate", "--set", f"{field}={raw}"]) == 0
+    out = tmp_path / "o"
+    assert main(["run", "--set", "sim_time=5", "--set", f"{field}={raw}", "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "scenario.json").read_text())[field] == value
+
+
+@pytest.mark.parametrize("assignment, named", [
+    ("qos_jitter=0.5", "'qos_jitter'"),
+    ("aps.0.coverage=60", "'coverage'"),
+    ("aps.0.base_qos.bw=1", "'bw'"),
+    ("aps.99.coverage_radius=60", "'99'"),
+    ("users.-53.speed=1", "'-53'"),
+])
+def test_set_still_rejects_unknown_keys_and_bad_indices(assignment, named, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "--set", assignment, "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_set_below_a_field_the_document_leaves_out():
+    doc = tiny_document()
+    del doc["strategy"]
+    with pytest.raises(ScenarioError, match="no object or list at 'strategy'"):
+        apply_override(doc, "strategy.parameter=0.5")
+    with pytest.raises(ScenarioError, match="no object or list at 'sim_time'"):
+        apply_override(doc, "sim_time.x=1")
+    apply_override(doc, 'strategy={"kind": "hysteresis", "parameter": 0.5}')
+    assert load_scenario(doc).strategy.parameter == 0.5
+
+
 def test_sweep_writes_report_and_recommendation(tmp_path, config_file, capsys):
     rc = main(["sweep", "--config", config_file, "--out", str(tmp_path / "o"),
                "--strategy", "hysteresis", "--values", "0:0.4:0.1",

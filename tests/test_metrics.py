@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -151,13 +152,38 @@ def test_ci_rejects_levels_outside_the_open_unit_interval(level):
         confidence_interval([1.0, 2.0, 3.0], level)
 
 
-def test_importing_hodsim_leaves_scipy_stats_unloaded():
-    code = "import sys, hodsim; print('scipy.stats' in sys.modules)"
+# Prints the scipy modules loaded after each step, in one fresh process.
+SCIPY_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+seen = {}
+import hodsim
+seen["import"] = scipy_modules()
+from hodsim.cli import main
+short = ["--set", "sim_time=5", "--seeds", "1,2", "--out", sys.argv[1]]
+with redirect_stdout(io.StringIO()):
+    assert main(["validate"]) == 0
+    seen["validate"] = scipy_modules()
+    assert main(["run"] + short) == 0
+    seen["run"] = scipy_modules()
+    assert main(["sweep", "--values", "0:0.1:0.1"] + short) == 0
+    seen["sweep"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_importing_hodsim_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy is loaded on the first confidence interval, which only a sweep
+    # computes: importing, validating and running load no scipy module
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    seen = json.loads(out.stdout)
+    assert seen["import"] == seen["validate"] == seen["run"] == []
+    assert "scipy.special" in seen["sweep"] and "scipy.stats" not in seen["sweep"]
 
 
 def test_ci_coverage_monte_carlo():

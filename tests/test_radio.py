@@ -86,6 +86,43 @@ def test_sensed_equals_reference_on_coverage_circles(aps, placements):
     assert sensed_aps(positions, aps) == [ref_sensed(p, aps) for p in positions]
 
 
+# Scales at which squared offsets and radii overflow to inf (from ~1.34e154
+# on) or fall below the normal range (below ~1.5e-154), down to subnormals.
+EXTREME_SCALES = [1e154, 2.0 ** 512, 1e200, 1e300, 1e-154, 1e-160, 1e-200, 1e-310, 5e-324]
+
+
+@st.composite
+def extreme_worlds(draw):
+    """APs and positions at one extreme scale: points on each coverage
+    circle, one float step either side of it, and points anywhere near."""
+    scale = draw(st.sampled_from(EXTREME_SCALES))
+    unit = st.floats(-4.0, 4.0, allow_nan=False)
+    ids = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4, unique=True))
+    aps = [make_ap(ap_id, (draw(unit) * scale, draw(unit) * scale),
+                   draw(st.floats(1.0, 4.0)) * scale) for ap_id in ids]
+    positions = []
+    for ap in aps:
+        (cx, cy), r = ap.position, ap.coverage_radius
+        angle = draw(st.floats(0.0, 2 * math.pi))
+        positions.append((cx + r * math.cos(angle), cy + r * math.sin(angle)))
+        for x, y in ((cx + r, cy), (cx - r * 0.6, cy + r * 0.8)):
+            positions += [(x, y), (math.nextafter(x, -math.inf), y),
+                          (math.nextafter(x, math.inf), y)]
+    positions += [(draw(unit) * scale, draw(unit) * scale)
+                  for _ in range(draw(st.integers(0, 8)))]
+    return aps, positions
+
+
+@settings(max_examples=300, deadline=None)
+@given(extreme_worlds())
+def test_sensed_equals_reference_at_float_extremes(world):
+    # where the squares overflow or underflow, or round across the radius,
+    # only math.hypot may decide; the positions form one block of steps
+    aps, positions = world
+    block = np.array(positions).reshape(1, -1, 2)
+    assert sensed_aps(block, aps) == [ref_sensed(p, aps) for p in positions]
+
+
 def test_sensed_decides_the_last_bit_as_math_hypot():
     # offsets whose distance numpy's hypot rounds differently from
     # math.hypot (about 0.6 % of them with the libm numpy uses here), with

@@ -64,11 +64,13 @@ def test_traced_default_hysteresis_run_counts_its_handovers(default_config):
         assert getattr(module, attr) is fn, attr
 
 
-def test_radio_counts_are_per_step():
-    # the engine senses every position of a step in one call, so the
-    # tracer's sensing figures count steps: ap_checks is APs per call and
-    # hits is positions per call.  apply_jitter builds one jittered vector
-    # per call, and a run on its own builds one per AP and step.
+def test_radio_counts_are_per_block():
+    # the engine senses every user at t=0 in one call, then the mobile
+    # terminals' positions in blocks of whole steps, one call per block of
+    # at most _SENSE_BLOCK position x AP checks, so the tracer's sensing
+    # figures count calls: ap_checks is APs per call and hits is positions
+    # per call.  apply_jitter builds one jittered vector per call, and a run
+    # on its own builds one per AP and step.
     config = load_scenario(tiny_document(qos_jitter_sigma=1.0))
     tracer = tracing.Tracer()
     with tracer.installed():
@@ -76,7 +78,10 @@ def test_radio_counts_are_per_step():
     layers = tracer.layer_metrics()
 
     steps, mobile = config.nb_steps, sum(u.mobile for u in config.users)
-    assert layers["radio.sensed_aps.calls"] == 1 + steps
-    assert layers["radio.sensed_aps.ap_checks"] == (1 + steps) * len(config.aps)
+    per_block = hodsim.engine._SENSE_BLOCK // (mobile * len(config.aps))
+    blocks = -(-steps // per_block)
+    assert blocks == 1
+    assert layers["radio.sensed_aps.calls"] == 1 + blocks
+    assert layers["radio.sensed_aps.ap_checks"] == (1 + blocks) * len(config.aps)
     assert layers["radio.sensed_aps.hits"] == len(config.users) + steps * mobile
     assert layers["radio.apply_jitter.calls"] == steps * len(config.aps)

@@ -61,26 +61,36 @@ def test_sweep_moves_each_seeds_terminals_once(tiny_config, monkeypatch):
     assert len(calls) == len(seeds) * tiny_config.nb_steps * mobile
 
 
-def test_world_pass_senses_once_per_step(default_config, monkeypatch):
+def test_world_pass_senses_in_blocks_of_whole_steps(default_config, monkeypatch):
     calls = []
     sensed_aps = hodsim.engine.sensed_aps
 
     def recording(positions, aps):
         result = sensed_aps(positions, aps)
-        calls.append((np.array(positions, dtype=float), result))
+        calls.append((np.array(positions, dtype=float).reshape(-1, 2), result))
         return result
 
     monkeypatch.setattr(hodsim.engine, "sensed_aps", recording)
     world = hodsim.engine._world(default_config, 1)
     users = sorted(default_config.users, key=lambda u: u.id)
-    # one call for every user at t=0, then one per step for all mobile
-    # terminals at their positions after the step's move
-    assert len(calls) == 1 + default_config.nb_steps
+    n = sum(u.mobile for u in users)
+    steps, checks = default_config.nb_steps, n * len(default_config.aps)
+    # one call for every user at t=0, then one per block: as many whole
+    # steps as fit in _SENSE_BLOCK position x AP checks, in step order, at
+    # the mobile terminals' positions after each step's move
+    per_block = hodsim.engine._SENSE_BLOCK // checks
+    assert 1 < per_block < steps
+    assert len(calls) == 1 + -(-steps // per_block)
     assert calls[0][0].tolist() == [list(u.initial_position) for u in users]
     assert list(world.initial) == calls[0][1]
-    for k, (positions, result) in enumerate(calls[1:]):
-        assert np.array_equal(positions, world.xy[k])
-        assert list(world.sensed[k]) == result
+    k = 0
+    for positions, result in calls[1:]:
+        assert len(positions) == n * min(per_block, steps - k)
+        for i in range(0, len(positions), n):
+            assert np.array_equal(positions[i:i + n], world.xy[k])
+            assert list(world.sensed[k]) == result[i:i + n]
+            k += 1
+    assert k == steps == len(world.sensed)
     # equal sensed tuples are one object
     sensed = list(world.initial) + [hits for row in world.sensed for hits in row]
     assert len({id(hits) for hits in sensed}) == len(set(sensed)) < len(sensed)
