@@ -34,7 +34,6 @@ from .radio import ApLoadState, QosVector, ap_qos, apply_jitter, sensed_aps
 from .scenario import (
     ApProfile,
     DecisionCriterion,
-    ObjectiveWeight,
     ScenarioConfig,
     ScenarioError,
     StabilityStrategy,

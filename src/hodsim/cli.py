@@ -129,11 +129,10 @@ def _load_document(args: argparse.Namespace) -> dict:
     if args.config is None:
         doc = default_document()
     else:
-        path = Path(args.config)
-        if not path.exists():
-            raise ScenarioError(f"--config: no such file {args.config!r}")
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(Path(args.config).read_text())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ScenarioError(f"--config: cannot read {args.config!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"parse error in {args.config}: {exc}") from exc
         if not isinstance(doc, dict):
@@ -144,17 +143,19 @@ def _load_document(args: argparse.Namespace) -> dict:
 
 
 def _seeds(args: argparse.Namespace, config: ScenarioConfig) -> List[int]:
-    if getattr(args, "seed", None) is not None and getattr(args, "seeds", None):
+    if args.seed is not None and args.seeds is not None:
         raise ScenarioError("use either --seed or --seeds, not both")
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         if args.seed < 0:
             raise ScenarioError(f"--seed: must be a non-negative integer, got {args.seed}")
         return [args.seed]
-    if getattr(args, "seeds", None):
+    if args.seeds is not None:
         try:
             seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
         except ValueError as exc:
             raise ScenarioError(f"--seeds: expected comma-separated integers, got {args.seeds!r}") from exc
+        if not seeds:
+            raise ScenarioError(f"--seeds: expected at least one seed, got {args.seeds!r}")
         if any(s < 0 for s in seeds):
             raise ScenarioError(f"--seeds: seeds must be non-negative, got {args.seeds!r}")
         if len(set(seeds)) != len(seeds):
@@ -246,15 +247,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def compare_sweeps(config: ScenarioConfig,
                    plan_a: Tuple[str, Sequence[float]],
                    plan_b: Tuple[str, Sequence[float]],
-                   seeds_a: Sequence[int], seeds_b: Sequence[int]) -> Tuple[SweepReport, SweepReport]:
-    """Run both sweeps on identical seeds; refuses mismatched seed lists
-    because the comparison is paired run-for-run.  The two sweeps share one
-    scope, so each seed's world pass and tables are computed once."""
-    if list(seeds_a) != list(seeds_b):
-        raise ScenarioError("compare: seed lists must match for a paired comparison")
+                   seeds: Sequence[int]) -> Tuple[SweepReport, SweepReport]:
+    """Run both sweeps on the same seeds, so the comparison is paired run for
+    run.  The two sweeps share one scope, so each seed's world pass and tables
+    are computed once."""
     with shared_worlds():
-        report_a = sweep(config, plan_a[0], plan_a[1], seeds_a)
-        report_b = sweep(config, plan_b[0], plan_b[1], seeds_b)
+        report_a = sweep(config, plan_a[0], plan_a[1], seeds)
+        report_b = sweep(config, plan_b[0], plan_b[1], seeds)
     return report_a, report_b
 
 
@@ -272,7 +271,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if kind_a == kind_b:
         print("note: comparing a strategy against itself", file=sys.stderr)
     seeds = _seeds(args, config)
-    report_a, report_b = compare_sweeps(config, (kind_a, values_a), (kind_b, values_b), seeds, seeds)
+    report_a, report_b = compare_sweeps(config, (kind_a, values_a), (kind_b, values_b), seeds)
     out_dir = Path(args.out)
     path = _write(out_dir, f"compare_{kind_a}_vs_{kind_b}.csv", compare_csv(report_a, report_b))
     print(f"compare {kind_a} vs {kind_b} on seeds {','.join(str(s) for s in seeds)} -> {path}")

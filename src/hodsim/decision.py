@@ -3,10 +3,8 @@ stability strategies that suppress unnecessary switches.
 
 Each QoS criterion is first normalized to a benefit value (cost criteria are
 inverted), then mapped through the saturating utility ``1 - exp(-alpha * x)``,
-and the utilities are summed, in criteria order, into a value in [0, k) for k
-criteria.  Every objective scores that same value, so the objective weights
-only scale it: the combined score, which is what strategies compare, is
-``sum(weight * value)`` over the objectives in order.
+and the utilities are summed, in criteria order, into a network's score, a
+value in [0, k) for k criteria.  Strategies compare these scores.
 """
 
 import math
@@ -16,7 +14,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .radio import QosVector
-from .scenario import DecisionCriterion, ObjectiveWeight, StabilityStrategy
+from .scenario import DecisionCriterion, StabilityStrategy
 
 STAY = "stay"
 HANDOVER = "handover"
@@ -100,11 +98,10 @@ def meets_requirements(offered: QosVector, required: QosVector,
 
 def score_network(ap_id: str, offered: QosVector, required: QosVector,
                   criteria: Sequence[DecisionCriterion],
-                  objectives: Sequence[ObjectiveWeight],
                   gated: bool = True, max_benefit: float = 1e6) -> CombinedScore:
-    """Combined score of one network: the sum of per-criterion utilities,
-    forced to zero when the offered QoS misses the requirements (if gated),
-    weighted by each objective in turn."""
+    """Score of one network: the sum of per-criterion utilities in criteria
+    order, forced to zero when the offered QoS misses the requirements (if
+    gated)."""
     for c in criteria:
         if c.id not in offered:
             missing = set(c.id for c in criteria) - set(offered)
@@ -113,10 +110,7 @@ def score_network(ap_id: str, offered: QosVector, required: QosVector,
     if not gated or meets_requirements(offered, required, criteria):
         for c in criteria:
             value += utility(normalize_criterion(offered[c.id], c, max_benefit), c.alpha)
-    total = 0.0
-    for o in objectives:
-        total += o.weight * value
-    return CombinedScore(ap_id, total)
+    return CombinedScore(ap_id, value)
 
 
 def best_candidate(candidates: Sequence[CombinedScore]) -> Optional[CombinedScore]:

@@ -364,10 +364,10 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         return qos
 
     # Within one family a score depends only on the offered QoS, the
-    # requirements and the gate (criteria, objectives and max_benefit are
-    # fixed; the AP id does not enter the value).  Equal offered vectors are
-    # one object and a jittered vector is built once per (step, AP, load), so
-    # each vector is scored once per profile and found again by its identity.
+    # requirements and the gate (criteria and max_benefit are fixed; the AP
+    # id does not enter the value).  Equal offered vectors are one object and
+    # a jittered vector is built once per (step, AP, load), so each vector is
+    # scored once per profile and found again by its identity.
     def profile(required: QosVector, gated: bool) -> _Profile:
         key = (tuple(required.items()), gated)
         found = family.profiles.get(key)
@@ -379,7 +379,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         value = prof.memo.get(id(qos))
         if value is None:
             value = prof.memo[id(qos)] = score_network(
-                ap_id, qos, prof.required, config.criteria, config.objectives,
+                ap_id, qos, prof.required, config.criteria,
                 gated=prof.gated, max_benefit=config.max_benefit,
             ).value
         return value

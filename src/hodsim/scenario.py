@@ -1,9 +1,9 @@
 """Simulation scenario: domain types, JSON loading, validation, defaults.
 
 A scenario is immutable after loading and holds every constant a run needs:
-world geometry, access points, users, decision criteria and weights, the
-stability strategy, and the RNG seed.  The JSON document schema is described
-in docs/config.md: each object's keys are the fields of its dataclass, and
+world geometry, access points, users, decision criteria, the stability
+strategy, and the RNG seed.  The JSON document schema is described in
+docs/config.md: each object's keys are the fields of its dataclass, and
 unknown keys are rejected to catch typos early.
 """
 
@@ -44,14 +44,6 @@ class DecisionCriterion:
     id: str
     direction: str
     alpha: float
-
-
-@dataclass(frozen=True)
-class ObjectiveWeight:
-    """Weight of one protagonist objective in the combined score."""
-
-    id: str
-    weight: float
 
 
 @dataclass(frozen=True)
@@ -98,7 +90,6 @@ class ScenarioConfig:
     decision_step: float = DEFAULT_DECISION_STEP
     diffusion_period: float = DEFAULT_DECISION_STEP
     area: Tuple[float, float] = DEFAULT_AREA
-    objectives: Tuple[ObjectiveWeight, ...] = (ObjectiveWeight("application", 1.0),)
     criteria: Tuple[DecisionCriterion, ...] = ()
     strategy: StabilityStrategy = StabilityStrategy()
     mobility_ratio: float = DEFAULT_MOBILITY_RATIO
@@ -136,7 +127,6 @@ def _nonfinite(config: ScenarioConfig) -> List[str]:
         ("qos_jitter_sigma", (config.qos_jitter_sigma,)),
     ]
     fields += [(f"criteria[{c.id}].alpha", (c.alpha,)) for c in config.criteria]
-    fields += [(f"objectives[{o.id}].weight", (o.weight,)) for o in config.objectives]
     for ap in config.aps:
         fields += [
             (f"aps[{ap.id}].position", ap.position),
@@ -211,18 +201,6 @@ def validate(config: ScenarioConfig) -> List[str]:
             v.append(f"criteria[{c.id}].direction: must be one of {DIRECTIONS}")
         if c.alpha <= 0:
             v.append(f"criteria[{c.id}].alpha: must be > 0")
-
-    if not config.objectives:
-        v.append("objectives: at least one objective required")
-    obj_ids = [o.id for o in config.objectives]
-    if len(set(obj_ids)) != len(obj_ids):
-        v.append("objectives: duplicate objective id")
-    for o in config.objectives:
-        if o.weight < 0:
-            v.append(f"objectives[{o.id}].weight: must be >= 0")
-    total = sum(o.weight for o in config.objectives)
-    if abs(total - 1.0) > 1e-9:
-        v.append(f"objectives: weights sum to {total!r}, expected 1 within 1e-9")
 
     if not config.aps:
         v.append("aps: at least one access point required")
@@ -382,7 +360,6 @@ def _list_of(cls, table: Dict[str, Callable], **defaults) -> Callable:
 
 
 _CRITERION_FIELDS = {"id": _text, "direction": _text, "alpha": _number}
-_OBJECTIVE_FIELDS = {"id": _text, "weight": _number}
 _STRATEGY_FIELDS = {"kind": _text, "parameter": _number}
 _AP_FIELDS = {
     "id": _text, "position": _pair, "coverage_radius": _number,
@@ -397,7 +374,6 @@ _CONFIG_FIELDS = {
     "users": None,  # parsed against the criteria, see parse_scenario
     "rng_seed": _integer, "sim_time": _number, "decision_step": _number,
     "diffusion_period": _number, "area": _pair,
-    "objectives": _list_of(ObjectiveWeight, _OBJECTIVE_FIELDS),
     "criteria": _list_of(DecisionCriterion, _CRITERION_FIELDS),
     "strategy": lambda value, where: _build(StabilityStrategy, _STRATEGY_FIELDS, value, where + "."),
     "mobility_ratio": _number, "gate_candidates": _flag, "max_benefit": _number,
@@ -406,7 +382,7 @@ _CONFIG_FIELDS = {
 
 # The keys a document may hold, with those of the objects its fields hold.
 DOCUMENT_KEYS = dict(dict.fromkeys(_CONFIG_FIELDS), **{name: dict.fromkeys(table) for name, table in (
-    ("aps", _AP_FIELDS), ("users", _USER_FIELDS), ("objectives", _OBJECTIVE_FIELDS),
+    ("aps", _AP_FIELDS), ("users", _USER_FIELDS),
     ("criteria", _CRITERION_FIELDS), ("strategy", _STRATEGY_FIELDS))})
 
 
@@ -534,7 +510,6 @@ def default_document(rng_seed: int = 1) -> dict:
         "area": list(DEFAULT_AREA),
         "rng_seed": rng_seed,
         "mobility_ratio": DEFAULT_MOBILITY_RATIO,
-        "objectives": [{"id": "application", "weight": 1.0}],
         "criteria": _default_criteria_doc(),
         "strategy": {"kind": "none", "parameter": 0.0},
         # The score rate tracks only what the associated network offers, so

@@ -24,7 +24,6 @@ def tiny_document(**overrides):
             {"id": "bandwidth", "direction": "benefit", "alpha": 0.5},
             {"id": "delay", "direction": "cost", "alpha": 1.0},
         ],
-        "objectives": [{"id": "application", "weight": 1.0}],
         "strategy": {"kind": "none", "parameter": 0.0},
         "aps": [
             {

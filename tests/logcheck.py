@@ -17,8 +17,8 @@ def check_log(log: EventLog) -> None:
     that breaks an invariant."""
     cost = log.config.handover_cost_steps
     steps = log.nb_steps
-    # each criterion's utility lies in [0, 1); the tests' objective weights
-    # sum to 1, so a combined score lies in [0, number of criteria)
+    # each criterion's utility lies in [0, 1), so a score, their sum, lies
+    # in [0, number of criteria)
     top = len(log.config.criteria)
     assert sorted(log.outcomes) == sorted(log.mt_ids) == sorted(log.nb_ho)
     for m in log.mt_ids:

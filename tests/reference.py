@@ -36,21 +36,13 @@ def ref_meets(offered, required, criteria):
     return True
 
 
-def ref_objective(offered, required, criteria, gated, cap):
+def ref_score(offered, required, criteria, gated, cap):
     if gated and not ref_meets(offered, required, criteria):
         return 0.0
     total = 0.0
     for crit in criteria:
         x = ref_benefit(offered[crit["id"]], crit["direction"], cap)
         total = total + ref_utility(x, crit["alpha"])
-    return total
-
-
-def ref_combined(offered, required, criteria, objectives, gated, cap):
-    """objectives: list of (objective id, weight) pairs."""
-    total = 0.0
-    for _oid, weight in objectives:
-        total = total + weight * ref_objective(offered, required, criteria, gated, cap)
     return total
 
 

@@ -77,9 +77,9 @@ def test_criterion_2_pipeline_fidelity():
              "alpha": float(rng.choice([0.5, 1.0, 2.0]))}
             for i in range(k)
         ]
-        q = int(rng.integers(1, 4))
-        weights = rng.choice([0.2, 0.3, 0.5], size=q)
-        objectives_doc = [(f"o{j}", float(w / weights.sum())) for j, w in enumerate(weights)]
+        # these draws once gave objective weights; they are kept so the
+        # stream, and with it every instance checked, stays the same
+        rng.choice([0.2, 0.3, 0.5], size=int(rng.integers(1, 4)))
         offered = {
             f"ap{j}": {c["id"]: float(rng.choice(value_grid)) for c in criteria_doc}
             for j in range(int(rng.integers(0, 5)))
@@ -91,8 +91,7 @@ def test_criterion_2_pipeline_fidelity():
             "parameter": float(rng.choice([0.0, 0.25, 0.5, 1.0])),
             "wait_until": float(rng.choice([0.0, 5.0, 50.0])),
         }
-        prod, ref = run_both_pipelines(criteria_doc, objectives_doc, offered,
-                                       required, assoc, strategy,
+        prod, ref = run_both_pipelines(criteria_doc, offered, required, assoc, strategy,
                                        now=float(rng.uniform(0, 20)),
                                        gated=bool(rng.random() < 0.5))
         assert_pipelines_agree(prod, ref)
@@ -172,7 +171,7 @@ def test_criterion_7_invariant_suites():
 
     # requirement gating zeroes the score
     from hodsim.decision import score_network
-    from hodsim.scenario import DecisionCriterion, ObjectiveWeight
+    from hodsim.scenario import DecisionCriterion
     for _ in range(1000):
         k = int(rng.integers(1, 4))
         crits = [DecisionCriterion(f"c{i}", "benefit" if rng.random() < 0.5 else "cost",
@@ -185,8 +184,7 @@ def test_criterion_7_invariant_suites():
         else:
             offered[victim.id] = float(rng.uniform(1, 10))
             required[victim.id] = offered[victim.id] / 2.0
-        objectives = [ObjectiveWeight("application", 1.0)]
-        assert score_network("ap", offered, required, crits, objectives).value == 0.0
+        assert score_network("ap", offered, required, crits).value == 0.0
 
     # hysteresis monotonicity
     for _ in range(1000):

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from hodsim.cli import MAX_GRID_VALUES, apply_override, compare_sweeps, main, parse_values
+from hodsim.cli import MAX_GRID_VALUES, apply_override, main, parse_values
 from hodsim.scenario import ScenarioError, load_scenario
 
 from conftest import tiny_document
@@ -117,6 +117,28 @@ def test_missing_file_exits_one(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"\xff{}"),
+], ids=["directory", "not-utf8"])
+def test_unreadable_config_exits_one_naming_the_flag(make, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    make(path)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "--config" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert "--config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_rejects_the_objectives_key(tmp_path, capsys):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(tiny_document(objectives=[{"id": "application", "weight": 1.0}])))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "unknown key(s) ['objectives']" in capsys.readouterr().err
+
+
 def test_validate_ok(config_file, capsys):
     assert main(["validate", "--config", config_file]) == 0
     assert "valid" in capsys.readouterr().out
@@ -160,6 +182,20 @@ def test_negative_seeds_exit_one_before_writing(argv, flag, tmp_path, config_fil
     out = tmp_path / "o"
     assert main(argv + ["--config", config_file, "--out", str(out)]) == 1
     assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", [
+    ["run"],
+    ["sweep", "--values", "0:0.1:0.1"],
+    ["compare", "--strategy-a", "hysteresis", "--strategy-b", "waiting"],
+])
+@pytest.mark.parametrize("seeds", [",", ""])
+def test_seed_lists_naming_no_seed_exit_one_before_writing(verb, seeds, tmp_path, config_file,
+                                                           capsys):
+    out = tmp_path / "o"
+    assert main(verb + ["--seeds", seeds, "--config", config_file, "--out", str(out)]) == 1
+    assert "--seeds" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -267,13 +303,6 @@ def test_sweep_refuses_parameterless_strategy(tmp_path, config_file, capsys):
     assert "cannot sweep" in capsys.readouterr().err
 
 
-def test_compare_refuses_mismatched_seeds(config_file):
-    config = load_scenario(json.loads(open(config_file).read()))
-    with pytest.raises(ScenarioError, match="seed lists must match"):
-        compare_sweeps(config, ("hysteresis", [0.0]), ("waiting_time", [0.0]),
-                       seeds_a=[1, 2], seeds_b=[1, 3])
-
-
 @pytest.mark.parametrize("argv, flag", [
     (["run", "--seed", "abc"], "--seed"),
     (["sweep", "--retention", "abc"], "--retention"),
@@ -310,7 +339,7 @@ def test_repeated_seeds_exit_one(tmp_path, config_file, capsys):
 
 def test_run_writes_the_resolved_scenario(tmp_path):
     doc = tiny_document()
-    for key in ("sim_time", "decision_step", "area", "mobility_ratio", "objectives", "strategy"):
+    for key in ("sim_time", "decision_step", "area", "mobility_ratio", "strategy"):
         del doc[key]
     for ap in doc["aps"]:
         del ap["wired_neighbors"]

@@ -10,21 +10,21 @@ from hodsim.decision import (
     StrategyState,
     best_candidate,
     decide,
+    meets_requirements,
     normalize_criterion,
     score_network,
     utility,
 )
-from hodsim.scenario import DecisionCriterion, ObjectiveWeight
+from hodsim.scenario import DecisionCriterion
 
 import reference
 
 BW = DecisionCriterion("bandwidth", "benefit", 1.0)
 DELAY = DecisionCriterion("delay", "cost", 1.0)
-APPLICATION = [ObjectiveWeight("application", 1.0)]
 
 
-def score(offered, required, criteria, objectives=APPLICATION, gated=True):
-    return score_network("ap", offered, required, criteria, objectives, gated=gated).value
+def score(offered, required, criteria, gated=True):
+    return score_network("ap", offered, required, criteria, gated=gated).value
 
 
 # --- utility -----------------------------------------------------------------
@@ -142,43 +142,36 @@ def test_zero_requirements_never_gate(values):
     assert abs(score(offered, required, crits) - expected) < 1e-12
 
 
-# --- objective weights and selection -------------------------------------------
-
-HALVES = [ObjectiveWeight("a", 0.5), ObjectiveWeight("b", 0.5)]
+# --- score sum and selection -------------------------------------------------
 
 
 def test_combine_identity():
-    # one objective of weight 1 leaves the utility sum unchanged
+    # the score is the utility sum itself
     offered, required = {"bandwidth": 2.0, "delay": 4.0}, {"bandwidth": 0.0, "delay": 0.0}
     expected = utility(2.0, 1.0) + utility(0.25, 1.0)
     assert score(offered, required, [BW, DELAY]) == expected
 
 
-def test_combine_weighted_sum():
-    # every objective scores the same value, so the weights only scale it
-    offered, required = {"bandwidth": 0.8}, {"bandwidth": 0.0}
-    single = score(offered, required, [BW])
-    assert score(offered, required, [BW], HALVES) == single
-    thirds = [ObjectiveWeight("a", 0.3), ObjectiveWeight("b", 0.7)]
-    assert abs(score(offered, required, [BW], thirds) - single) < 1e-15
-
-
 def test_combine_zeros():
-    assert score({"bandwidth": 5.0}, {"bandwidth": 10.0}, [BW], HALVES) == 0.0
-    assert score({"bandwidth": 0.0}, {"bandwidth": 0.0}, [BW], HALVES) == 0.0
+    assert score({"bandwidth": 5.0}, {"bandwidth": 10.0}, [BW]) == 0.0
+    assert score({"bandwidth": 0.0}, {"bandwidth": 0.0}, [BW]) == 0.0
 
 
-@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5), st.floats(0, 20))
-def test_weights_accumulate_in_objective_order(weights, bandwidth):
-    # the combined score is sum(weight * value) accumulated in objective
-    # order, bit for bit, whatever the number of objectives
-    objectives = [ObjectiveWeight(f"o{i}", w) for i, w in enumerate(weights)]
-    offered, required = {"bandwidth": bandwidth, "delay": 3.0}, {"bandwidth": 0.0, "delay": 0.0}
-    value = utility(bandwidth, 1.0) + utility(1.0 / 3.0, 1.0)
+@given(st.lists(st.tuples(st.booleans(), st.floats(0.01, 3), st.floats(0, 50),
+                          st.just(0.0) | st.floats(0, 50)), min_size=1, max_size=5),
+       st.booleans())
+def test_score_is_the_utility_sum_in_criteria_order(specs, gated):
+    # bit for bit: the utilities added up in criteria order, or 0 when the
+    # gate is on and the offered QoS misses a requirement
+    crits = [DecisionCriterion(f"c{i}", "cost" if cost else "benefit", alpha)
+             for i, (cost, alpha, _, _) in enumerate(specs)]
+    offered = {c.id: value for c, (_, _, value, _) in zip(crits, specs)}
+    required = {c.id: need for c, (_, _, _, need) in zip(crits, specs)}
     expected = 0.0
-    for w in weights:
-        expected += w * value
-    assert score(offered, required, [BW, DELAY], objectives) == expected
+    if not gated or meets_requirements(offered, required, crits):
+        for c in crits:
+            expected += utility(normalize_criterion(offered[c.id], c), c.alpha)
+    assert score(offered, required, crits, gated=gated) == expected
 
 
 def test_best_candidate_picks_max():
@@ -326,26 +319,24 @@ def test_decide_leaves_a_terminal_alone_unless_the_base_rule_fires(
 
 # --- oracle equivalence -------------------------------------------------------
 
-def run_both_pipelines(criteria_doc, objectives_doc, offered_by_ap, required,
+def run_both_pipelines(criteria_doc, offered_by_ap, required,
                        assoc_offered, strategy, now, gated=True, cap=1e6):
     """Run the production pipeline and the brute-force reference on the same
     instance; return both (action, target, scores) results."""
     criteria = [DecisionCriterion(c["id"], c["direction"], c["alpha"]) for c in criteria_doc]
-    objectives = [ObjectiveWeight(o, w) for o, w in objectives_doc]
 
-    c_asso = score_network("asso", assoc_offered, required, criteria, objectives,
+    c_asso = score_network("asso", assoc_offered, required, criteria,
                            gated=True, max_benefit=cap).value
     scored = [
-        score_network(ap, qos, required, criteria, objectives, gated=gated, max_benefit=cap)
+        score_network(ap, qos, required, criteria, gated=gated, max_benefit=cap)
         for ap, qos in sorted(offered_by_ap.items())
     ]
     state = StrategyState(strategy["kind"], strategy["parameter"], strategy["wait_until"])
     got = decide(c_asso, best_candidate(scored), state, now, np.random.default_rng(0))
 
-    ref_casso = reference.ref_combined(assoc_offered, required, criteria_doc,
-                                       objectives_doc, True, cap)
+    ref_casso = reference.ref_score(assoc_offered, required, criteria_doc, True, cap)
     ref_scored = [
-        (ap, reference.ref_combined(qos, required, criteria_doc, objectives_doc, gated, cap))
+        (ap, reference.ref_score(qos, required, criteria_doc, gated, cap))
         for ap, qos in sorted(offered_by_ap.items())
     ]
     ref_action, ref_target, ref_suppressed = reference.ref_decide(
@@ -373,7 +364,6 @@ def test_oracle_exhaustive_small_grid():
         {"id": "bw", "direction": "benefit", "alpha": 1.0},
         {"id": "dl", "direction": "cost", "alpha": 2.0},
     ]
-    objectives_doc = [("application", 1.0)]
     grid = [0.0, 0.5, 2.0]
     checked = 0
     for a_bw, a_dl, b_bw, b_dl, r_bw, kind, param in itertools.product(
@@ -383,8 +373,8 @@ def test_oracle_exhaustive_small_grid():
         required = {"bw": r_bw, "dl": 0.0}
         assoc = {"bw": a_bw, "dl": a_dl}
         strategy = {"kind": kind, "parameter": param, "wait_until": 0.0}
-        prod, ref = run_both_pipelines(criteria_doc, objectives_doc, offered,
-                                       required, assoc, strategy, now=1.0)
+        prod, ref = run_both_pipelines(criteria_doc, offered, required, assoc,
+                                       strategy, now=1.0)
         assert_pipelines_agree(prod, ref)
         checked += 1
     assert checked == 3 * 3 * 3 * 3 * 2 * 3 * 2
@@ -401,9 +391,9 @@ def test_oracle_randomized_instances():
              "alpha": float(rng.choice([0.5, 1.0, 2.0]))}
             for i in range(k)
         ]
-        q = int(rng.integers(1, 4))
-        weights = rng.choice([0.2, 0.3, 0.5], size=q)
-        objectives_doc = [(f"o{j}", float(w / weights.sum())) for j, w in enumerate(weights)]
+        # these draws once gave objective weights; they are kept so the
+        # stream, and with it every instance checked, stays the same
+        rng.choice([0.2, 0.3, 0.5], size=int(rng.integers(1, 4)))
         n_cand = int(rng.integers(0, 5))
         offered = {
             f"ap{j}": {c["id"]: float(rng.choice(value_grid)) for c in criteria_doc}
@@ -417,7 +407,6 @@ def test_oracle_randomized_instances():
             "wait_until": float(rng.choice([0.0, 5.0, 50.0])),
         }
         gated = bool(rng.random() < 0.5)
-        prod, ref = run_both_pipelines(criteria_doc, objectives_doc, offered,
-                                       required, assoc, strategy,
-                                       now=float(rng.uniform(0, 20)), gated=gated)
+        prod, ref = run_both_pipelines(criteria_doc, offered, required, assoc,
+                                       strategy, now=float(rng.uniform(0, 20)), gated=gated)
         assert_pipelines_agree(prod, ref)

@@ -256,6 +256,6 @@ def test_default_scenario_sweeps(default_config, checked_sweeps, kind):
 def test_default_scenario_compare(default_config, checked_sweeps):
     # one scope for both sweeps, so runs of different strategy kinds meet
     reports = compare_sweeps(default_config, ("hysteresis", parse_values("0:1:0.05")),
-                             ("waiting_time", parse_values("0:10:0.5")), [1, 2], [1, 2])
+                             ("waiting_time", parse_values("0:10:0.5")), [1, 2])
     assert sha256(compare_csv(*reports)) == DEFAULT_COMPARE
     assert len(checked_sweeps) == 84

@@ -11,7 +11,6 @@ from hodsim import scenario
 from hodsim.scenario import (
     ApProfile,
     DecisionCriterion,
-    ObjectiveWeight,
     ScenarioConfig,
     ScenarioError,
     StabilityStrategy,
@@ -80,12 +79,11 @@ def test_malformed_json_is_parse_error():
         load_scenario("{not json")
 
 
-def test_weights_must_sum_to_one():
-    doc = tiny_document(objectives=[
-        {"id": "application", "weight": 0.7},
-        {"id": "operator", "weight": 0.4},
-    ])
-    with pytest.raises(ScenarioError, match="weights sum"):
+def test_objectives_key_is_rejected():
+    # a network is scored by its utility sum alone; a document written for
+    # the weighted objectives must drop the key rather than run unchanged
+    doc = tiny_document(objectives=[{"id": "application", "weight": 1.0}])
+    with pytest.raises(ScenarioError, match=r"config: unknown key\(s\) \['objectives'\]"):
         load_scenario(doc)
 
 
@@ -175,10 +173,6 @@ def test_validate_collects_violations_without_raising():
     messages = validate(broken)
     assert any("multiple" in m for m in messages)
 
-    lopsided = replace(config, objectives=(
-        ObjectiveWeight("application", 0.7), ObjectiveWeight("operator", 0.4)))
-    assert any("weights sum" in m for m in validate(lopsided))
-
 
 def set_path(doc, path, value):
     """Set a dot path such as "aps.0.position" in a raw document."""
@@ -251,7 +245,7 @@ def test_integral_numbers_accepted_where_floats_expected():
 # faults may report another of them first; only single faults are pinned.
 
 BAD_VALUES = [None, "x", [], {}, True, 1.5, 10 ** 400]
-PARSE_OUTCOMES = "ed6bc4b55a62fc71"
+PARSE_OUTCOMES = "6a6f0e3780d4aa05"
 
 
 def _key_paths(node, prefix=()):
@@ -307,7 +301,6 @@ def _documented_fields(heading: str) -> set:
 @pytest.mark.parametrize("cls, table", [
     (ScenarioConfig, scenario._CONFIG_FIELDS),
     (DecisionCriterion, scenario._CRITERION_FIELDS),
-    (ObjectiveWeight, scenario._OBJECTIVE_FIELDS),
     (StabilityStrategy, scenario._STRATEGY_FIELDS),
     (ApProfile, scenario._AP_FIELDS),
     (UserProfile, scenario._USER_FIELDS),

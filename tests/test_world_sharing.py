@@ -113,7 +113,7 @@ def test_compare_computes_each_seeds_world_once(tiny_config, world_spy):
     separate = compare_csv(sweep(tiny_config, *plan_a, seeds), sweep(tiny_config, *plan_b, seeds))
     assert len(world_spy) == 2 * len(seeds)
 
-    shared = compare_csv(*compare_sweeps(tiny_config, plan_a, plan_b, seeds, seeds))
+    shared = compare_csv(*compare_sweeps(tiny_config, plan_a, plan_b, seeds))
     assert len(world_spy) - 2 * len(seeds) == len(seeds)
     assert shared == separate
     assert hodsim.engine._families.get() is None
