@@ -16,7 +16,7 @@ from .decision import (
     score_network,
     utility,
 )
-from .engine import DecisionOutcome, EventLog, events_csv, run_simulation
+from .engine import EventLog, events_csv, run_simulation
 from .knowledge import KnowledgeBase, KnowledgeRecord, candidate_view, diffuse, known
 from .metrics import (
     RunMetrics,
@@ -30,7 +30,7 @@ from .metrics import (
     sweep_csv,
 )
 from .mobility import MobilityState, init_mobility, step_mobility
-from .radio import ApLoadState, QosVector, ap_qos, apply_jitter, sensed_aps
+from .radio import QosVector, ap_qos, apply_jitter, sensed_aps
 from .scenario import (
     ApProfile,
     DecisionCriterion,

@@ -57,22 +57,26 @@ DEFAULT_VALUE_GRIDS = {
 MAX_GRID_VALUES = 10_000
 
 
-def parse_values(grid: str) -> List[float]:
-    """Inclusive start:stop:step grid, e.g. 0:1:0.05 gives 21 values."""
+def parse_values(grid: str, flag: str = "--values") -> List[float]:
+    """Inclusive start:stop:step grid, e.g. 0:1:0.05 gives 21 values; errors
+    name ``flag``."""
     try:
         start, stop, step = (float(p) for p in grid.split(":"))
     except ValueError as exc:
-        raise ScenarioError(f"--values: expected start:stop:step, got {grid!r}") from exc
+        raise ScenarioError(f"{flag}: expected start:stop:step, got {grid!r}") from exc
     if not all(math.isfinite(p) for p in (start, stop, step)):
-        raise ScenarioError(f"--values: start, stop and step must be finite in {grid!r}")
+        raise ScenarioError(f"{flag}: start, stop and step must be finite in {grid!r}")
     if step <= 0 or stop < start:
-        raise ScenarioError(f"--values: need step > 0 and stop >= start in {grid!r}")
+        raise ScenarioError(f"{flag}: need step > 0 and stop >= start in {grid!r}")
+    # every strategy parameter is a margin or a wait, so none is negative
+    if start < 0:
+        raise ScenarioError(f"{flag}: strategy parameters must be >= 0, got {grid!r}")
     # The count is bounded before anything is built.  The loop keeps the
     # stop test it always had; its two extra steps leave room for the 1e-9
     # tolerance and the rounding.
     span = (stop - start + 1e-9) / step
     if span >= MAX_GRID_VALUES:
-        raise ScenarioError(f"--values: {grid!r} gives more than {MAX_GRID_VALUES} values")
+        raise ScenarioError(f"{flag}: {grid!r} gives more than {MAX_GRID_VALUES} values")
     values = []
     for i in range(int(span) + 2):
         v = round(start + i * step, 10)
@@ -80,7 +84,7 @@ def parse_values(grid: str) -> List[float]:
             break
         values.append(v)
     if len(set(values)) != len(values):
-        raise ScenarioError(f"--values: step too small, {grid!r} repeats values")
+        raise ScenarioError(f"{flag}: step too small, {grid!r} repeats values")
     return values
 
 
@@ -208,8 +212,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_choice(args: argparse.Namespace, config: ScenarioConfig,
-                strategy_arg: Optional[str], values_arg: Optional[str]) -> Tuple[str, List[float]]:
+def _sweep_choice(config: ScenarioConfig, strategy_arg: Optional[str], values_arg: Optional[str],
+                  suffix: str = "") -> Tuple[str, List[float]]:
+    """The strategy kind and value grid of one sweep; errors name the flags
+    ``--strategy`` and ``--values`` with ``suffix`` (``-a``, ``-b``)."""
     if strategy_arg is not None:
         kind = STRATEGY_NAMES[strategy_arg]
     elif config.strategy.kind != "none":
@@ -217,8 +223,8 @@ def _sweep_choice(args: argparse.Namespace, config: ScenarioConfig,
     else:
         kind = "hysteresis"
     if kind == "none":
-        raise ScenarioError("--strategy: cannot sweep the parameterless 'none' strategy")
-    values = parse_values(values_arg or DEFAULT_VALUE_GRIDS[kind])
+        raise ScenarioError(f"--strategy{suffix}: cannot sweep the parameterless 'none' strategy")
+    values = parse_values(values_arg or DEFAULT_VALUE_GRIDS[kind], f"--values{suffix}")
     if 0.0 not in values:
         # the zero row doubles as the no-strategy baseline for retention
         values = [0.0] + values
@@ -227,7 +233,7 @@ def _sweep_choice(args: argparse.Namespace, config: ScenarioConfig,
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_scenario(_load_document(args))
-    kind, values = _sweep_choice(args, config, args.strategy, args.values)
+    kind, values = _sweep_choice(config, args.strategy, args.values)
     seeds = _seeds(args, config)
     report = sweep(config, kind, values, seeds)
     out_dir = Path(args.out)
@@ -266,8 +272,8 @@ def compare_csv(report_a: SweepReport, report_b: SweepReport) -> str:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = load_scenario(_load_document(args))
-    kind_a, values_a = _sweep_choice(args, config, args.strategy_a, args.values_a)
-    kind_b, values_b = _sweep_choice(args, config, args.strategy_b, args.values_b)
+    kind_a, values_a = _sweep_choice(config, args.strategy_a, args.values_a, "-a")
+    kind_b, values_b = _sweep_choice(config, args.strategy_b, args.values_b, "-b")
     if kind_a == kind_b:
         print("note: comparing a strategy against itself", file=sys.stderr)
     seeds = _seeds(args, config)

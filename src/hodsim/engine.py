@@ -20,10 +20,10 @@ QoS comes from a table by (AP, load).  With jitter, the noise of the whole
 run is drawn at once and a jittered vector comes from a table by (step, AP,
 load).  Each vector is scored once per (requirements, gate).
 
-The run's log keeps, per terminal and step, exactly the five fields of its
-``events_*.csv`` row (associated AP, action, ``c_asso``, ``c_best``,
-suppressed), plus each terminal's handover count; the time and the terminal
-id follow from the row's position.
+The run's log keeps, per terminal and step, a plain tuple of exactly the
+last five fields of its ``events_*.csv`` row (associated AP, action,
+``c_asso``, ``c_best``, suppressed), plus each terminal's handover count;
+the time and the terminal id follow from the row's position.
 
 Inside ``shared_worlds()`` the runs of one *family* (same seed,
 ``qos_model`` and config but for the strategy) share one record, a
@@ -69,30 +69,15 @@ from .decision import (
 # perfbench/tracing.py wraps every collaborator by its name in this module.
 from .knowledge import candidate_view, diffuse, known  # noqa: F401
 from .mobility import init_mobility, step_mobility
-from .radio import ApLoadState, QosVector, ap_qos, apply_jitter, sensed_aps
+from .radio import QosVector, ap_qos, apply_jitter, sensed_aps
 from .scenario import ApProfile, ScenarioConfig, strategy_violations, validate
 
 EVENTS_SCHEMA = "# hodsim events schema v1"
 EVENTS_HEADER = "time,mt,associated_ap,action,c_asso,c_best,suppressed"
 
 
-class DecisionOutcome(NamedTuple):
-    """One terminal's logged step: the fields of its ``events_*.csv`` row.
-
-    ``c_asso`` is the effective score of the associated network for this step
-    (0 while unassociated or disconnected mid-switch); ``c_best`` is the best
-    candidate's score (0 without candidates).
-    """
-
-    associated: Optional[str]
-    action: str
-    c_asso: float
-    c_best: float
-    suppressed: bool
-
-
 # Logged for a terminal that holds no association at a step.
-_UNASSOCIATED = DecisionOutcome(None, STAY, 0.0, 0.0, False)
+_UNASSOCIATED = (None, STAY, 0.0, 0.0, False)
 
 
 class _Profile(NamedTuple):
@@ -109,13 +94,19 @@ class EventLog:
     """Everything one run produced, sufficient to recompute all metrics.
 
     ``outcomes[m][k]`` is terminal ``m`` at step ``k``, time ``k *
-    decision_step``.
+    decision_step``: the plain tuple ``(associated, action, c_asso, c_best,
+    suppressed)``, the last five columns of its ``events_*.csv`` row.
+    ``associated`` is the AP id or None; ``c_asso`` is the effective score of
+    the associated network for this step (0 while unassociated or
+    disconnected mid-switch); ``c_best`` is the best candidate's score (0
+    without candidates).  Plain tuples, so the garbage collector stops
+    tracking them.
     """
 
     seed: int
     config: ScenarioConfig
     mt_ids: List[str]
-    outcomes: Dict[str, List[DecisionOutcome]] = field(default_factory=dict)
+    outcomes: Dict[str, Tuple[tuple, ...]] = field(default_factory=dict)
     nb_ho: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -237,11 +228,11 @@ class _Family:
     offered: Dict[Tuple[str, int], QosVector] = field(default_factory=dict)
     interned: Dict[tuple, QosVector] = field(default_factory=dict)
     jittered: Dict[Tuple[int, str, int], QosVector] = field(default_factory=dict)
-    noise: Optional[List[List[List[float]]]] = None
+    noise: Optional[List[Tuple[Tuple[float, ...], ...]]] = None
     profiles: Dict[Tuple[tuple, bool], _Profile] = field(default_factory=dict)
     strategy: Optional[List[dict]] = None
     static_loads: Dict[str, int] = field(default_factory=dict)
-    rows: Optional[Tuple[Tuple[DecisionOutcome, ...], ...]] = None
+    rows: Optional[Tuple[Tuple[tuple, ...], ...]] = None
     nb_ho: Tuple[int, ...] = ()
     steps: List[_Step] = field(default_factory=list)
 
@@ -347,7 +338,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         resume = _replay(family, states, strat_rng, dt)
         if resume is None:
             return EventLog(seed=seed, config=config, mt_ids=mt_order,
-                            outcomes={m: list(r) for m, r in zip(mt_order, family.rows)},
+                            outcomes=dict(zip(mt_order, family.rows)),
                             nb_ho=dict(zip(mt_order, family.nb_ho)))
 
     diffuse_every = int(round(config.diffusion_period / dt))
@@ -359,7 +350,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     def offered(ap_id: str, load: int) -> QosVector:
         qos = family.offered.get((ap_id, load))
         if qos is None:
-            qos = qos_model(aps[ap_id], ApLoadState(ap_id, load))
+            qos = qos_model(aps[ap_id], load)
             qos = family.offered[ap_id, load] = family.interned.setdefault(tuple(qos.items()), qos)
         return qos
 
@@ -420,7 +411,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
 
         assoc = [initial[m] for m in mt_order]
         disconnected = [0] * n
-        rows: List[List[DecisionOutcome]] = [[] for _ in mt_order]
+        rows: List[List[tuple]] = [[] for _ in mt_order]
         nb_ho = [0] * n
         # Each terminal's knowledge in closed form: the view its AP held at
         # the last round at which it was associated (see knowledge.known).
@@ -437,13 +428,14 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         index, decisions = resume
         step = family.steps[index]
         static_loads = family.static_loads
-        assoc = [r[step.k].associated for r in family.rows]
+        assoc = [r[step.k][0] for r in family.rows]
         disconnected, views, nb_ho = list(step.disconnected), list(step.views), list(step.nb_ho)
         current, previous, qos_now, last_loads = step.current, step.previous, step.qos_now, step.last_loads
         rows = [list(r[:step.k + 1]) for r in family.rows]
         pending = [(i, ap_id, False) for i, ap_id in step.rejoins]
         for (i, _), outcome in zip(step.fired, decisions):
-            rows[i][-1] = rows[i][-1]._replace(action=outcome.action, suppressed=outcome.suppressed)
+            ap_id, _, c_asso, c_best, _ = rows[i][-1]
+            rows[i][-1] = (ap_id, outcome.action, c_asso, c_best, outcome.suppressed)
             if outcome.action == HANDOVER:
                 pending.append((i, outcome.target, True))
         steps = family.steps[:index + 1]
@@ -471,8 +463,8 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
                 sizes = [len(offered(a, loads[a])) for a in ap_order]
                 drawn = _stream(seed, "qos-jitter").normal(0.0, sigma, (config.nb_steps, sum(sizes)))
                 ends = list(accumulate(sizes))
-                family.noise = [[row[e - size:e] for size, e in zip(sizes, ends)]
-                                for row in drawn.tolist()]
+                family.noise = [tuple(row[e - size:e] for size, e in zip(sizes, ends))
+                                for row in map(tuple, drawn.tolist())]
             qos_now = {}
             for ap_id, noise in zip(ap_order, family.noise[k]):
                 key = (k, ap_id, loads[ap_id])
@@ -514,7 +506,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
 
             if disconnected[i]:
                 disconnected[i] -= 1
-                rows[i].append(DecisionOutcome(ap_id, STAY, 0.0, 0.0, False))
+                rows[i].append((ap_id, STAY, 0.0, 0.0, False))
                 continue
 
             if ap_id is None:
@@ -554,14 +546,13 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
             # rule does not fire and decide would keep the terminal in place,
             # unsuppressed, with its state and rng untouched.
             if best_id is None or best_value <= c_asso:
-                rows[i].append(DecisionOutcome(ap_id, STAY, c_asso, best_value, False))
+                rows[i].append((ap_id, STAY, c_asso, best_value, False))
                 continue
             outcome = decide(c_asso, CombinedScore(best_id, best_value), states[i], now, strat_rng[i])
             states[i] = outcome.state
             if outcome.action == HANDOVER:
                 pending.append((i, outcome.target, True))
-            rows[i].append(DecisionOutcome(
-                ap_id, outcome.action, c_asso, best_value, outcome.suppressed))
+            rows[i].append((ap_id, outcome.action, c_asso, best_value, outcome.suppressed))
             fired.append((i, best_id))
 
         # only a step at which the base rule fired can differ between the
@@ -573,11 +564,13 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
                 last_loads))
         switch(pending)
 
+    # the log is frozen once, and a family keeps the same tuples
+    log = tuple(tuple(r) for r in rows)
     if steps is not None:
         family.static_loads, family.nb_ho, family.steps = static_loads, tuple(nb_ho), steps
-        family.rows = tuple(tuple(r) for r in rows)
+        family.rows = log
     return EventLog(seed=seed, config=config, mt_ids=mt_order,
-                    outcomes=dict(zip(mt_order, rows)), nb_ho=dict(zip(mt_order, nb_ho)))
+                    outcomes=dict(zip(mt_order, log)), nb_ho=dict(zip(mt_order, nb_ho)))
 
 
 def _nearest_usable(position: Tuple[float, float], sensed: Tuple[str, ...],

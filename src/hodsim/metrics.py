@@ -71,7 +71,8 @@ def run_metrics(log: EventLog) -> RunMetrics:
         outcomes = log.outcomes[m]
         if len(outcomes) != steps:
             raise ValueError(f"terminal {m}: {len(outcomes)} outcomes, expected {steps}")
-        mt_score[m] = sum(o.c_asso for o in outcomes) / steps
+        # a row's third field is its c_asso
+        mt_score[m] = sum(o[2] for o in outcomes) / steps
         total += mt_score[m]
     return RunMetrics(
         ho_rate=ho_rate(log),

@@ -10,7 +10,6 @@ position of a block of whole steps, so the engine calls it once per block.
 """
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -21,14 +20,6 @@ from .scenario import ApProfile
 # A QoS vector maps criterion id -> offered value (same keys as the
 # configured criteria; all values >= 0).
 QosVector = Dict[str, float]
-
-
-@dataclass(frozen=True)
-class ApLoadState:
-    """Number of users currently associated to one AP."""
-
-    ap_id: str
-    associated_user_count: int
 
 
 # Squares within this relative band of each other, or beyond the float range
@@ -70,21 +61,19 @@ def sensed_aps(positions: Union[np.ndarray, Sequence[Tuple[float, float]]],
     return [tuple(hits[start:end]) for start, end in zip([0] + ends, ends)]
 
 
-def ap_qos(ap: ApProfile, load: ApLoadState) -> QosVector:
-    """Default load model: bandwidth is shared equally, delay grows linearly
-    with the user count, everything else keeps its nominal value.
+def ap_qos(ap: ApProfile, load: int) -> QosVector:
+    """Default load model for ``ap`` serving ``load`` associated users:
+    bandwidth is shared equally, delay grows linearly with the user count,
+    everything else keeps its nominal value.
 
     Any callable with this signature can replace it (see engine.run_simulation).
     """
-    if load.ap_id != ap.id:
-        raise ValueError(f"load state for {load.ap_id!r} applied to ap {ap.id!r}")
-    n = load.associated_user_count
     out: QosVector = {}
     for key, base in ap.base_qos.items():
         if key == "bandwidth":
-            out[key] = base / max(1, n)
+            out[key] = base / max(1, load)
         elif key == "delay":
-            out[key] = base * (1 + n)
+            out[key] = base * (1 + load)
         else:
             out[key] = base
     return out

@@ -5,11 +5,22 @@ however the run was computed.  The tests run it over every golden and every
 log the sharing property makes.
 """
 
+from collections import namedtuple
+
 from hodsim.decision import HANDOVER, STAY
-from hodsim.engine import DecisionOutcome, EventLog
+from hodsim.engine import EventLog
+
+# A row's fields by name, for the tests that read them; the engine logs
+# plain tuples in this order, the last five columns of events_*.csv.
+Row = namedtuple("Row", "associated action c_asso c_best suppressed")
 
 # a terminal disconnected mid-switch makes no decision and scores zero
 _IDLE = (STAY, 0.0, 0.0, False)
+
+
+def named(log: EventLog, m: str) -> list:
+    """Terminal ``m``'s rows as ``Row``s."""
+    return [Row._make(o) for o in log.outcomes[m]]
 
 
 def check_log(log: EventLog) -> None:
@@ -22,13 +33,20 @@ def check_log(log: EventLog) -> None:
     top = len(log.config.criteria)
     assert sorted(log.outcomes) == sorted(log.mt_ids) == sorted(log.nb_ho)
     for m in log.mt_ids:
-        rows = log.outcomes[m]
+        assert type(log.outcomes[m]) is tuple, m
+        for k, o in enumerate(log.outcomes[m]):
+            # a plain tuple, so the garbage collector stops tracking it
+            assert type(o) is tuple and len(o) == 5, (m, k, o)
+            associated, action, c_asso, c_best, suppressed = o
+            assert associated is None or type(associated) is str, (m, k, o)
+            assert action in (STAY, HANDOVER), (m, k, o)
+            assert type(c_asso) is float and type(c_best) is float, (m, k, o)
+            assert type(suppressed) is bool, (m, k, o)
+        rows = named(log, m)
         assert len(rows) == steps, (m, len(rows))
-        assert all(isinstance(o, DecisionOutcome) for o in rows), m
         handovers = [k for k, o in enumerate(rows) if o.action == HANDOVER]
         assert log.nb_ho[m] == len(handovers), (m, log.nb_ho[m], len(handovers))
         for k, o in enumerate(rows):
-            assert o.action in (STAY, HANDOVER), (m, k, o)
             assert 0.0 <= o.c_asso < top and 0.0 <= o.c_best < top, (m, k, o)
             # a handover or a suppression means the base rule fired
             if o.suppressed or o.action == HANDOVER:

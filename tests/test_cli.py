@@ -199,6 +199,30 @@ def test_seed_lists_naming_no_seed_exit_one_before_writing(verb, seeds, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--values=-1:1:0.5"], "--values"),
+    (["compare", "--strategy-a", "hysteresis", "--strategy-b", "waiting", "--values-b=-2:2:1"],
+     "--values-b"),
+    (["compare", "--strategy-a", "hysteresis", "--strategy-b", "waiting", "--values-b", "2:1:1"],
+     "--values-b"),
+    (["compare", "--strategy-a", "none", "--strategy-b", "waiting"], "--strategy-a"),
+])
+def test_bad_grids_exit_one_naming_their_flag_before_writing(argv, flag, tmp_path, config_file,
+                                                             capsys):
+    # a strategy parameter is never negative, so a grid starting below 0
+    # is a malformed argument, not a failed run
+    out = tmp_path / "o"
+    assert main(argv + ["--seed", "1", "--config", config_file, "--out", str(out)]) == 1
+    assert f"config error: {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parse_values_names_the_flag_it_is_given():
+    assert parse_values("0:1:0.5", "--values-a") == [0.0, 0.5, 1.0]
+    with pytest.raises(ScenarioError, match="^--values-a: strategy parameters must be >= 0"):
+        parse_values("-0.5:1:0.5", "--values-a")
+
+
 def test_set_override_via_cli(tmp_path, config_file):
     rc = main(["run", "--config", config_file, "--out", str(tmp_path / "o"),
                "--seed", "1", "--set", "strategy.kind=hysteresis",

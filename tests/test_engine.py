@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hodsim.engine import events_csv, run_simulation, shared_worlds, _stream
@@ -7,7 +8,7 @@ from hodsim.radio import ap_qos
 from hodsim.scenario import load_scenario, with_strategy
 
 from conftest import tiny_document
-from logcheck import check_log
+from logcheck import Row, check_log, named
 
 
 def test_same_config_and_seed_bitwise_identical(tiny_config):
@@ -54,7 +55,7 @@ def test_handover_applies_next_step(tiny_config):
     log = run_simulation(tiny_config, 2)
     switched = 0
     for mt in log.mt_ids:
-        outs = log.outcomes[mt]
+        outs = named(log, mt)
         for k, o in enumerate(outs):
             if o.action == "handover" and k + 1 < len(outs):
                 assert outs[k + 1].associated is not None
@@ -66,7 +67,7 @@ def test_handover_applies_next_step(tiny_config):
 def test_nb_ho_matches_handover_actions(tiny_config):
     log = run_simulation(tiny_config, 5)
     for mt in log.mt_ids:
-        assert log.nb_ho[mt] == sum(1 for o in log.outcomes[mt] if o.action == "handover")
+        assert log.nb_ho[mt] == sum(1 for o in named(log, mt) if o.action == "handover")
 
 
 def test_margin_wider_than_score_range_freezes_associations(tiny_config):
@@ -77,7 +78,7 @@ def test_margin_wider_than_score_range_freezes_associations(tiny_config):
     log = run_simulation(frozen, 1)
     assert all(count == 0 for count in log.nb_ho.values())
     for mt in log.mt_ids:
-        column = {o.associated for o in log.outcomes[mt]}
+        column = {o.associated for o in named(log, mt)}
         assert len(column) == 1 and None not in column
 
 
@@ -87,7 +88,7 @@ def test_association_intervals_contiguous(tiny_config):
     log = run_simulation(tiny_config, 8)
     assert sum(log.nb_ho.values()) > 0
     for mt in log.mt_ids:
-        assert all(o.associated is not None for o in log.outcomes[mt])
+        assert all(o.associated is not None for o in named(log, mt))
 
 
 def test_switching_step_scores_zero_with_cost():
@@ -95,7 +96,7 @@ def test_switching_step_scores_zero_with_cost():
     log = run_simulation(load_scenario(doc), 2)
     costed = 0
     for mt in log.mt_ids:
-        outs = log.outcomes[mt]
+        outs = named(log, mt)
         for k, o in enumerate(outs):
             if o.action == "handover" and k + 1 < len(outs):
                 nxt = outs[k + 1]
@@ -111,11 +112,11 @@ def test_zero_cost_keeps_scoring_through_switch():
     switch_steps = [
         (mt, k + 1)
         for mt in log.mt_ids
-        for k, o in enumerate(log.outcomes[mt])
+        for k, o in enumerate(named(log, mt))
         if o.action == "handover" and k + 1 < len(log.outcomes[mt])
     ]
     assert switch_steps
-    assert any(log.outcomes[mt][k].c_asso > 0 for mt, k in switch_steps)
+    assert any(named(log, mt)[k].c_asso > 0 for mt, k in switch_steps)
 
 
 def knowledge_spy(monkeypatch):
@@ -208,7 +209,7 @@ def test_each_distinct_score_input_is_scored_once(default_config, monkeypatch):
     # AP's, and only a step with an association can be a decision; so the
     # scored candidates number at least the records read minus those steps.
     read = sum(qos is not None for _, qos in lookups)
-    associated = sum(o.associated is not None for m in log.mt_ids for o in log.outcomes[m])
+    associated = sum(o.associated is not None for m in log.mt_ids for o in named(log, m))
     assert len(keys) < read - associated
 
 
@@ -234,17 +235,17 @@ def test_terminal_outside_all_coverage_is_logged_not_fatal():
     # m0 starts far from both small disks
     doc["users"][0]["initial_position"] = [99.0, 1.0]
     log = run_simulation(load_scenario(doc), 6)
-    first = log.outcomes["m0"][0]
+    first = named(log, "m0")[0]
     assert first.associated is None
     assert first.c_asso == 0.0 and first.action == "stay"
     assert len(log.outcomes["m0"]) == log.nb_steps
     # an unassociated step never contributes score
-    for o in log.outcomes["m0"]:
+    for o in named(log, "m0"):
         if o.associated is None:
             assert o.c_asso == 0.0
     # coverage loss ends an association without counting a handover
     for mt in log.mt_ids:
-        assert log.nb_ho[mt] == sum(1 for o in log.outcomes[mt] if o.action == "handover")
+        assert log.nb_ho[mt] == sum(1 for o in named(log, mt) if o.action == "handover")
 
 
 def test_streams_are_independent_and_stable():
@@ -258,19 +259,18 @@ def test_streams_are_independent_and_stable():
 
 
 def test_event_log_holds_exactly_the_csv_fields(tiny_config):
-    # time and terminal id come from the row's position; the outcome holds
-    # the other five columns
-    from hodsim.engine import DecisionOutcome
-
-    assert DecisionOutcome._fields == ("associated", "action", "c_asso", "c_best", "suppressed")
+    # time and terminal id come from the row's position; the row is a plain
+    # tuple of the other five columns, in the header's order
     log = run_simulation(tiny_config, 2)
     rows = iter(events_csv(log).splitlines()[2:])
     for k in range(log.nb_steps):
         for mt in log.mt_ids:
             o = log.outcomes[mt][k]
+            assert type(o) is tuple and len(o) == 5
+            associated, action, c_asso, c_best, suppressed = o
             assert next(rows).split(",") == [
-                repr(k * tiny_config.decision_step), mt, o.associated or "", o.action,
-                repr(o.c_asso), repr(o.c_best), str(int(o.suppressed))]
+                repr(k * tiny_config.decision_step), mt, associated or "", action,
+                repr(c_asso), repr(c_best), str(int(suppressed))]
     assert next(rows, None) is None
 
 
@@ -291,28 +291,39 @@ def test_check_log_rejects_broken_logs(default_config):
     config = replace(with_strategy(default_config, "hysteresis", 0.05), handover_cost_steps=1)
     log = run_simulation(config, 1)
     check_log(log)
-    m, k = next((m, k) for m in log.mt_ids for k, o in enumerate(log.outcomes[m][:-2])
+    m, k = next((m, k) for m in log.mt_ids for k, o in enumerate(named(log, m)[:-2])
                 if o.action == "handover")
-    suppressed = next((m, k) for m in log.mt_ids for k, o in enumerate(log.outcomes[m])
+    suppressed = next((m, k) for m in log.mt_ids for k, o in enumerate(named(log, m))
                       if o.suppressed)
-    after = log.outcomes[m][k + 1]
+    after = named(log, m)[k + 1]
+
+    def swapped(target, k, row):
+        column = list(log.outcomes[target])
+        column[k] = row
+        return replace(log, outcomes={**log.outcomes, target: tuple(column)}, nb_ho=dict(log.nb_ho))
 
     def broken(target, k, **fields):
-        rows = {mt: list(r) for mt, r in log.outcomes.items()}
-        rows[target][k] = rows[target][k]._replace(**fields)
-        return replace(log, outcomes=rows, nb_ho=dict(log.nb_ho))
+        return swapped(target, k, tuple(Row._make(log.outcomes[target][k])._replace(**fields)))
 
+    handover = log.outcomes[m][k]
     corrupt = [
         replace(log, nb_ho={**log.nb_ho, m: log.nb_ho[m] + 1}),
         broken(m, k, action="stay"),  # the handover count no longer matches
         broken(m, k + 1, c_asso=0.5, c_best=0.4),  # a scored row in the switching step
-        broken(m, k + 1, associated=log.outcomes[m][k].associated),  # handover kept the AP
+        broken(m, k + 1, associated=handover[0]),  # handover kept the AP
         broken(*suppressed, c_best=0.0),  # suppressed without the base rule firing
         broken(*suppressed, c_asso=float(len(config.criteria))),
+        # equal values in other types: a row is a plain tuple of five
+        # fields, a log's column a tuple of rows
+        replace(log, outcomes={**log.outcomes, m: list(log.outcomes[m])}),
+        swapped(m, k, Row._make(handover)),
+        swapped(m, k, handover + (None,)),
+        broken(m, k, c_best=np.float64(handover[3])),
+        broken(m, k, suppressed=0),
     ]
     if after.associated is not None:
         # an AP change at a step that follows no handover or re-join
-        corrupt.append(broken(m, k + 2, associated=log.outcomes[m][k].associated))
+        corrupt.append(broken(m, k + 2, associated=handover[0]))
     for bad in corrupt:
         with pytest.raises(AssertionError):
             check_log(bad)
@@ -322,7 +333,7 @@ def odd_load_qos(ap, load):
     """``ap_qos`` with one key more on ``apB`` while it serves an odd number
     of users: a model whose vector length changes with load."""
     qos = ap_qos(ap, load)
-    if ap.id == "apB" and load.associated_user_count % 2:
+    if ap.id == "apB" and load % 2:
         return {**qos, "pilot": 1.0}
     return qos
 

@@ -21,7 +21,7 @@ from hodsim.radio import ap_qos
 from hodsim.scenario import STRATEGY_KINDS, load_scenario, with_strategy
 
 from conftest import tiny_document
-from logcheck import check_log
+from logcheck import check_log, named
 
 DEFAULT_EVENTS = {
     1: "64d882d6ec8ecca971817ffd8f1c3260f3d746fec4f30f13b61e037d092a9786",
@@ -136,7 +136,7 @@ def boundary_qos(ap, load):
     run over vectors of different lengths and key orders."""
     qos = ap_qos(ap, load)
     if ap.id.startswith("ap1"):
-        return {"pilot": 1.0 + load.associated_user_count, **qos}
+        return {"pilot": 1.0 + load, **qos}
     if ap.id == "ap01":
         return dict(reversed(list(qos.items())))
     return qos
@@ -176,7 +176,7 @@ def test_default_scenario_hysteresis_handovers(default_config, period_steps):
     log = run_simulation(config, 1)
     check_log(log)
     assert sum(log.nb_ho.values()) >= 1
-    assert any(o.suppressed for m in log.mt_ids for o in log.outcomes[m])
+    assert any(o.suppressed for m in log.mt_ids for o in named(log, m))
     assert sha256(events_csv(log)) == HYSTERESIS_EVENTS[period_steps]
 
 

@@ -20,17 +20,14 @@ from hodsim.metrics import (
 from hodsim.scenario import ScenarioError, load_scenario, with_strategy
 
 from conftest import tiny_document
+from logcheck import named
 
 
 def synthetic_log(per_mt_scores, per_mt_ho, config):
     """EventLog stub with only the fields the metrics need."""
-    from hodsim.engine import DecisionOutcome
-
     log = EventLog(seed=0, config=config, mt_ids=sorted(per_mt_scores))
     for mt, scores in per_mt_scores.items():
-        log.outcomes[mt] = [
-            DecisionOutcome("ap", "stay", s, 0.0, False) for s in scores
-        ]
+        log.outcomes[mt] = tuple(("ap", "stay", s, 0.0, False) for s in scores)
         log.nb_ho[mt] = per_mt_ho[mt]
     return log
 
@@ -109,8 +106,8 @@ def test_score_rate_is_the_mean_of_terminal_means(default_config):
     rm = run_metrics(log)
     total = 0.0
     for mt in log.mt_ids:
-        total += sum(o.c_asso for o in log.outcomes[mt]) / log.nb_steps
-        assert rm.mt_score[mt] == sum(o.c_asso for o in log.outcomes[mt]) / log.nb_steps
+        total += sum(o.c_asso for o in named(log, mt)) / log.nb_steps
+        assert rm.mt_score[mt] == sum(o.c_asso for o in named(log, mt)) / log.nb_steps
     assert rm.score_rate == score_rate(log) == total / len(log.mt_ids)
 
 

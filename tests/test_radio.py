@@ -2,12 +2,11 @@ import math
 from itertools import accumulate
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hodsim.engine
-from hodsim.radio import ApLoadState, ap_qos, apply_jitter, sensed_aps
+from hodsim.radio import ap_qos, apply_jitter, sensed_aps
 from hodsim.scenario import ApProfile, load_scenario
 
 from conftest import tiny_document
@@ -177,31 +176,26 @@ def test_jitter_equals_one_scalar_draw_per_component(vectors, steps, sigma, seed
 
 
 def test_unloaded_ap_offers_nominal_qos():
-    assert ap_qos(make_ap(), ApLoadState("ap1", 0)) == {"bandwidth": 54.0, "delay": 2.0, "error": 0.01}
+    assert ap_qos(make_ap(), 0) == {"bandwidth": 54.0, "delay": 2.0, "error": 0.01}
 
 
 def test_bandwidth_shared_across_users():
-    assert ap_qos(make_ap(), ApLoadState("ap1", 3))["bandwidth"] == 18.0
+    assert ap_qos(make_ap(), 3)["bandwidth"] == 18.0
 
 
 def test_delay_grows_with_load():
-    assert ap_qos(make_ap(), ApLoadState("ap1", 4))["delay"] == 10.0
+    assert ap_qos(make_ap(), 4)["delay"] == 10.0
 
 
 def test_other_criteria_unchanged_by_load():
-    assert ap_qos(make_ap(), ApLoadState("ap1", 9))["error"] == 0.01
-
-
-def test_load_state_must_match_ap():
-    with pytest.raises(ValueError):
-        ap_qos(make_ap("ap1"), ApLoadState("ap2", 1))
+    assert ap_qos(make_ap(), 9)["error"] == 0.01
 
 
 def test_qos_monotone_in_load():
     ap = make_ap()
-    prev = ap_qos(ap, ApLoadState("ap1", 0))
+    prev = ap_qos(ap, 0)
     for n in range(1, 30):
-        cur = ap_qos(ap, ApLoadState("ap1", n))
+        cur = ap_qos(ap, n)
         assert cur["bandwidth"] <= prev["bandwidth"]
         assert cur["delay"] >= prev["delay"]
         prev = cur

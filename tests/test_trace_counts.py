@@ -14,6 +14,7 @@ from hodsim.decision import decide
 from hodsim.scenario import load_scenario, with_strategy
 
 from conftest import tiny_document
+from logcheck import named
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -34,7 +35,7 @@ def test_decide_counts_match_the_event_log():
         counts = {
             "handovers": sum(sum(log.nb_ho.values()) for log in logs),
             "suppressed": sum(o.suppressed for log in logs
-                              for m in log.mt_ids for o in log.outcomes[m]),
+                              for m in log.mt_ids for o in named(log, m)),
         }
         for key, count in counts.items():
             assert layers[f"decision.decide.{key}"] == count, (kind, key)
@@ -56,7 +57,7 @@ def test_traced_default_hysteresis_run_counts_its_handovers(default_config):
     layers = tracer.layer_metrics()
 
     handovers = sum(log.nb_ho.values())
-    suppressed = sum(o.suppressed for m in log.mt_ids for o in log.outcomes[m])
+    suppressed = sum(o.suppressed for m in log.mt_ids for o in named(log, m))
     assert handovers > 0 and suppressed > 0
     assert layers["decision.decide.handovers"] == handovers
     assert layers["decision.decide.suppressed"] == suppressed

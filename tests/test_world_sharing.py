@@ -19,7 +19,7 @@ import hodsim.metrics
 from hodsim.cli import compare_csv, compare_sweeps
 from hodsim.engine import events_csv, run_simulation, shared_worlds
 from hodsim.metrics import run_metrics, sweep
-from hodsim.radio import ApLoadState, ap_qos
+from hodsim.radio import ap_qos
 from hodsim.scenario import STRATEGY_KINDS, default_scenario, with_strategy
 
 from logcheck import check_log
@@ -272,7 +272,7 @@ def test_only_runs_of_one_family_share_a_prefix(default_config, world_spy):
     # every field but the strategy, the seed and the QoS model set a run's
     # family; a run of another family that shared a prefix would show here
     def crowded(ap, load):
-        return ap_qos(ap, ApLoadState(load.ap_id, load.associated_user_count + 2))
+        return ap_qos(ap, load + 2)
 
     base = with_strategy(default_config, "hysteresis", 0.05)
     step = default_config.decision_step
@@ -327,6 +327,33 @@ def test_no_family_record_outlives_its_scope(tiny_config, family_spy):
     assert all(ref() is None for ref in family_spy)
 
 
+def test_a_familys_rows_and_noise_are_left_to_the_gc_untracked():
+    # rows and noise slices are plain tuples of atoms, so one collection
+    # untracks them and no later collection walks them again
+    config = replace(SHORT, qos_jitter_sigma=0.5)
+    with shared_worlds():
+        sweep(config, "randomized_wait", [0.0, 1.0, 2.5], [1, 2])
+        gc.collect()
+        families = hodsim.engine._families.get()
+        rows = [row for family in families for column in family.rows for row in column]
+        noise = [share for family in families for step in family.noise for share in step]
+        assert len(families) == 2 and rows and noise
+        assert not any(gc.is_tracked(o) for o in rows + noise)
+
+
+def test_a_family_and_its_runs_share_one_frozen_log(tiny_config):
+    # a run freezes its log once; its family keeps those tuples, and a run
+    # that replays the whole tape hands them out again without a copy
+    with shared_worlds():
+        first = run_simulation(with_strategy(tiny_config, "hysteresis", 0.5), 1)
+        (family,) = hodsim.engine._families.get()
+        columns = [first.outcomes[m] for m in first.mt_ids]
+        assert len(family.rows) == len(columns)
+        assert all(a is b for a, b in zip(family.rows, columns))
+        replayed = run_simulation(with_strategy(tiny_config, "hysteresis", 0.5), 1)
+        assert all(replayed.outcomes[m] is first.outcomes[m] for m in first.mt_ids)
+
+
 def test_a_jitter_family_computes_each_vector_and_score_once(tiny_config, monkeypatch):
     # inside one scope the runs of a family share its QoS tables: the model
     # is called once per (AP, load), each jittered vector is built once per
@@ -336,7 +363,7 @@ def test_a_jitter_family_computes_each_vector_and_score_once(tiny_config, monkey
     score_network, apply_jitter = hodsim.engine.score_network, hodsim.engine.apply_jitter
 
     def model(ap, load):
-        modelled.append((ap.id, load.associated_user_count))
+        modelled.append((ap.id, load))
         return ap_qos(ap, load)
 
     def jittering(qos, noise):
