@@ -9,7 +9,6 @@ harness producing handover-rate / score-rate sweeps.
 from .decision import (
     CombinedScore,
     Decision,
-    StrategyState,
     best_candidate,
     decide,
     normalize_criterion,

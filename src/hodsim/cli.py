@@ -168,8 +168,16 @@ def _seeds(args: argparse.Namespace, config: ScenarioConfig) -> List[int]:
     return [config.rng_seed]
 
 
+def _out_dir(args: argparse.Namespace) -> Path:
+    """Make the ``--out`` directory; called before the first run, so a bad path fails early."""
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"--out: cannot make directory {args.out!r}: {exc}") from exc
+    return Path(args.out)
+
+
 def _write(out_dir: Path, name: str, content: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     with open(path, "w", newline="") as fh:
         fh.write(content)
@@ -200,8 +208,8 @@ def best_at_retention(report: SweepReport, retention: float,
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_scenario(_load_document(args))
-    out_dir = Path(args.out)
     seeds = _seeds(args, config)
+    out_dir = _out_dir(args)
     _write(out_dir, "scenario.json", json.dumps(serialize(config), separators=(",", ":")) + "\n")
     for seed in seeds:
         log = run_simulation(config, seed)
@@ -235,8 +243,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_scenario(_load_document(args))
     kind, values = _sweep_choice(config, args.strategy, args.values)
     seeds = _seeds(args, config)
+    out_dir = _out_dir(args)
     report = sweep(config, kind, values, seeds)
-    out_dir = Path(args.out)
     path = _write(out_dir, f"sweep_{kind}.csv", sweep_csv(report))
     # smallest worst case; ties go to the smaller parameter
     pick = best_at_retention(report, args.retention, lambda r: (r.worst_ho, r.value))
@@ -277,8 +285,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if kind_a == kind_b:
         print("note: comparing a strategy against itself", file=sys.stderr)
     seeds = _seeds(args, config)
+    out_dir = _out_dir(args)
     report_a, report_b = compare_sweeps(config, (kind_a, values_a), (kind_b, values_b), seeds)
-    out_dir = Path(args.out)
     path = _write(out_dir, f"compare_{kind_a}_vs_{kind_b}.csv", compare_csv(report_a, report_b))
     print(f"compare {kind_a} vs {kind_b} on seeds {','.join(str(s) for s in seeds)} -> {path}")
     best_a, best_b = (best_at_retention(report, args.retention, lambda r: (r.mean_ho_rate, r.value))

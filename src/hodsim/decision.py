@@ -8,7 +8,6 @@ value in [0, k) for k criteria.  Strategies compare these scores.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -25,26 +24,13 @@ class CombinedScore(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class StrategyState:
-    """Per-terminal strategy memory.  ``parameter`` is the hysteresis margin
-    or the (maximum) waiting time; ``wait_until`` is the simulated time before
-    which waiting strategies suppress further handovers."""
-
-    kind: str
-    parameter: float
-    wait_until: float = 0.0
-
-    @classmethod
-    def from_strategy(cls, strategy: StabilityStrategy) -> "StrategyState":
-        return cls(kind=strategy.kind, parameter=strategy.parameter)
-
-
 class Decision(NamedTuple):
+    """One terminal's decision and the ``wait_until`` it leaves (see ``decide``)."""
+
     action: str
     target: Optional[str]
     suppressed: bool
-    state: StrategyState
+    wait_until: float
 
 
 # Largest float64 strictly below 1; deep saturation clamps here so the
@@ -122,42 +108,42 @@ def best_candidate(candidates: Sequence[CombinedScore]) -> Optional[CombinedScor
     return best
 
 
-def decide(c_asso: float, best: Optional[CombinedScore], state: StrategyState,
-           now: float, rng: Optional[np.random.Generator] = None) -> Decision:
-    """Apply the decision rule plus the stability strategy for one terminal.
+def decide(c_asso: float, best: Optional[CombinedScore], strategy: StabilityStrategy,
+           wait_until: float, now: float,
+           rng: Optional[np.random.Generator] = None) -> Decision:
+    """Apply the decision rule plus the run's stability strategy for one
+    terminal, which may not hand over again before ``wait_until``.
 
     Base rule: switch when the best candidate strictly beats the associated
     network.  Hysteresis additionally requires the candidate to clear the
-    margin; waiting strategies let the base rule fire but refuse to execute
-    within the wait window, re-arming the window on every executed handover
-    (fixed length, or drawn uniformly in [0, parameter] for the randomized
-    variant).  ``suppressed`` marks decisions where the base rule fired but
-    the strategy held the terminal in place.
+    margin ``strategy.parameter``; waiting strategies let the base rule fire
+    but refuse to execute before ``wait_until``, and every executed handover
+    returns a new one, ``now`` plus the wait (``parameter``, or drawn
+    uniformly in [0, parameter] for the randomized variant).  Otherwise the
+    returned ``wait_until`` is the one passed in.  ``suppressed`` marks
+    decisions where the base rule fired but the strategy held the terminal in
+    place.
     """
     if c_asso < 0:
         raise ValueError("c_asso must be >= 0")
-    if best is None:
-        return Decision(STAY, None, False, state)
+    if best is None or best.value <= c_asso:
+        return Decision(STAY, None, False, wait_until)
 
-    fires = best.value > c_asso
-    if not fires:
-        return Decision(STAY, None, False, state)
+    kind, parameter = strategy.kind, strategy.parameter
+    if kind == "hysteresis":
+        if best.value > c_asso + parameter:
+            return Decision(HANDOVER, best.ap_id, False, wait_until)
+        return Decision(STAY, None, True, wait_until)
 
-    if state.kind == "hysteresis":
-        if best.value > c_asso + state.parameter:
-            return Decision(HANDOVER, best.ap_id, False, state)
-        return Decision(STAY, None, True, state)
-
-    if state.kind in ("waiting_time", "randomized_wait"):
-        if now < state.wait_until:
-            return Decision(STAY, None, True, state)
-        if state.kind == "waiting_time":
-            wait = state.parameter
+    if kind in ("waiting_time", "randomized_wait"):
+        if now < wait_until:
+            return Decision(STAY, None, True, wait_until)
+        if kind == "waiting_time":
+            wait = parameter
         else:
             if rng is None:
                 raise ValueError("randomized_wait requires an rng")
-            wait = float(rng.uniform(0.0, state.parameter))
-        return Decision(HANDOVER, best.ap_id, False,
-                        StrategyState(state.kind, state.parameter, now + wait))
+            wait = float(rng.uniform(0.0, parameter))
+        return Decision(HANDOVER, best.ap_id, False, now + wait)
 
-    return Decision(HANDOVER, best.ap_id, False, state)
+    return Decision(HANDOVER, best.ap_id, False, wait_until)

@@ -34,8 +34,8 @@ jittered vector is fixed by (step, AP, load)).  It also holds the latest
 run's log and *tape*.  The strategy enters a run only through ``decide``,
 which is called only where the base rule fires, so the tape is every step at
 which it fired, with the loop state after phase (3).  A later run of the
-family replays the tape through ``decide`` with its own strategy states and
-generators; at the first step whose outcomes differ it takes that step's
+family replays the tape through ``decide`` with its own strategy, wait times
+and generators; at the first step whose outcomes differ it takes that step's
 state, applies its own switches and executes normally from the next step.
 If no step differs, it reuses the whole log.  Every row, ``decide`` call and
 generator draw is the one a fresh run makes.  ``metrics.sweep`` opens the
@@ -60,7 +60,6 @@ from .decision import (
     STAY,
     CombinedScore,
     Decision,
-    StrategyState,
     best_candidate,
     decide,
     score_network,
@@ -70,7 +69,7 @@ from .decision import (
 from .knowledge import candidate_view, diffuse, known  # noqa: F401
 from .mobility import init_mobility, step_mobility
 from .radio import QosVector, ap_qos, apply_jitter, sensed_aps
-from .scenario import ApProfile, ScenarioConfig, strategy_violations, validate
+from .scenario import ApProfile, ScenarioConfig, StabilityStrategy, strategy_violations, validate
 
 EVENTS_SCHEMA = "# hodsim events schema v1"
 EVENTS_HEADER = "time,mt,associated_ap,action,c_asso,c_best,suppressed"
@@ -192,7 +191,8 @@ class _Step(NamedTuple):
     order, plain tuples so that the garbage collector stops tracking them
     (the call's other inputs and outcome are in row ``i`` at step ``k``);
     ``rejoins`` holds its blind re-joins ``(i, ap_id)``.  The other fields
-    and the rows' associated APs are the loop state after phase (3).
+    and the rows' associated APs are the loop state after phase (3) that a
+    later step reads; a resumed run rebuilds its QoS (see ``run_simulation``).
     """
 
     k: int
@@ -202,9 +202,6 @@ class _Step(NamedTuple):
     views: tuple
     nb_ho: tuple
     current: dict
-    previous: dict
-    qos_now: dict
-    last_loads: Optional[dict]
 
 
 @dataclass(eq=False)
@@ -276,10 +273,10 @@ def _family_of(families: List[_Family], config: ScenarioConfig, seed: int,
     return None
 
 
-def _replay(family: _Family, states: List[StrategyState], rngs: list,
-            dt: float) -> Optional[Tuple[int, List[Decision]]]:
-    """Feed the family's tape to ``decide`` with this run's strategy states
-    and generators, as a fresh run would, up to the first step whose
+def _replay(family: _Family, strategy: StabilityStrategy, waits: List[float],
+            rngs: list, dt: float) -> Optional[Tuple[int, List[Decision]]]:
+    """Feed the family's tape to ``decide`` with this run's strategy, wait
+    times and generators, as a fresh run would, up to the first step whose
     outcomes differ from the tape.  Return that step's index in
     ``family.steps`` and this run's decisions at it, or None if no step
     differs."""
@@ -291,8 +288,9 @@ def _replay(family: _Family, states: List[StrategyState], rngs: list,
         differs = False
         for i, best_id in step.fired:
             _, action, c_asso, best_value, suppressed = rows[i][k]
-            outcome = decide(c_asso, CombinedScore(best_id, best_value), states[i], now, rngs[i])
-            states[i] = outcome.state
+            outcome = decide(c_asso, CombinedScore(best_id, best_value), strategy, waits[i],
+                             now, rngs[i])
+            waits[i] = outcome.wait_until
             decisions.append(outcome)
             differs = differs or outcome.action != action or outcome.suppressed != suppressed
         if differs:
@@ -326,7 +324,8 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     dt = config.decision_step
     mt_order = sorted(u.id for u in config.users if u.mobile)
     n = len(mt_order)
-    states = [StrategyState.from_strategy(config.strategy)] * n
+    # the time before which each terminal's waiting strategy holds it
+    waits = [0.0] * n
     # only randomized_wait draws from its terminal's strategy stream
     strat_rng = [None] * n
     if config.strategy.kind == "randomized_wait":
@@ -335,7 +334,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         strat_rng = [_restored(state) for state in family.strategy]
     resume = None
     if family.rows is not None:
-        resume = _replay(family, states, strat_rng, dt)
+        resume = _replay(family, config.strategy, waits, strat_rng, dt)
         if resume is None:
             return EventLog(seed=seed, config=config, mt_ids=mt_order,
                             outcomes=dict(zip(mt_order, family.rows)),
@@ -417,9 +416,6 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         # the last round at which it was associated (see knowledge.known).
         views: List[Dict[str, QosVector]] = [{}] * n
         current: Dict[str, QosVector] = {}
-        previous = current
-        qos_now: Dict[str, QosVector] = {}
-        last_loads: Optional[Dict[str, int]] = None
         start = 0
     else:
         # Up to this step the run is its family's latest run: take that
@@ -430,7 +426,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         static_loads = family.static_loads
         assoc = [r[step.k][0] for r in family.rows]
         disconnected, views, nb_ho = list(step.disconnected), list(step.views), list(step.nb_ho)
-        current, previous, qos_now, last_loads = step.current, step.previous, step.qos_now, step.last_loads
+        current = step.current
         rows = [list(r[:step.k + 1]) for r in family.rows]
         pending = [(i, ap_id, False) for i, ap_id in step.rejoins]
         for (i, _), outcome in zip(step.fired, decisions):
@@ -445,6 +441,11 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         family.rows, family.steps = None, []
         switch(pending)
         start = step.k + 1
+    # the first step builds qos_now anew, so the next round moves current to
+    # previous before anything reads previous
+    previous = current
+    qos_now: Dict[str, QosVector] = {}
+    last_loads: Optional[Dict[str, int]] = None
     # the views of the last diffusion round, by AP
     round_views: Dict[str, Dict[str, QosVector]] = {}
 
@@ -544,12 +545,13 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
 
             # Unless the best candidate beats the associated network, the base
             # rule does not fire and decide would keep the terminal in place,
-            # unsuppressed, with its state and rng untouched.
+            # unsuppressed, with its wait time and rng untouched.
             if best_id is None or best_value <= c_asso:
                 rows[i].append((ap_id, STAY, c_asso, best_value, False))
                 continue
-            outcome = decide(c_asso, CombinedScore(best_id, best_value), states[i], now, strat_rng[i])
-            states[i] = outcome.state
+            outcome = decide(c_asso, CombinedScore(best_id, best_value), config.strategy, waits[i],
+                             now, strat_rng[i])
+            waits[i] = outcome.wait_until
             if outcome.action == HANDOVER:
                 pending.append((i, outcome.target, True))
             rows[i].append((ap_id, outcome.action, c_asso, best_value, outcome.suppressed))
@@ -560,8 +562,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         if steps is not None and fired:
             steps.append(_Step(
                 k, tuple(fired), tuple((i, t) for i, t, h in pending if not h),
-                tuple(disconnected), tuple(views), tuple(nb_ho), current, previous, qos_now,
-                last_loads))
+                tuple(disconnected), tuple(views), tuple(nb_ho), current))
         switch(pending)
 
     # the log is frozen once, and a family keeps the same tuples

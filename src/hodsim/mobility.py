@@ -27,7 +27,6 @@ class MobilityState(NamedTuple):
     waypoint: Tuple[float, float]
     phase: str
     pause_remaining: float
-    speed: float
 
 
 def draw_pause(profile: UserProfile, rng: np.random.Generator) -> float:
@@ -50,7 +49,6 @@ def init_mobility(profile: UserProfile, area: Tuple[float, float],
         waypoint=(x, y),
         phase=PAUSED,
         pause_remaining=draw_pause(profile, rng),
-        speed=profile.speed,
     )
 
 
@@ -68,15 +66,15 @@ def step_mobility(state: MobilityState, dt: float, area: Tuple[float, float],
     if state.phase == PAUSED:
         remaining = state.pause_remaining - dt
         if remaining > 0:
-            return MobilityState(state.position, state.waypoint, PAUSED, remaining, state.speed)
-        return MobilityState(state.position, draw_waypoint(area, rng), MOVING, 0.0, state.speed)
+            return MobilityState(state.position, state.waypoint, PAUSED, remaining)
+        return MobilityState(state.position, draw_waypoint(area, rng), MOVING, 0.0)
 
     px, py = state.position
     wx, wy = state.waypoint
     dist = math.hypot(wx - px, wy - py)
-    travel = state.speed * dt
+    travel = profile.speed * dt
     if travel + ARRIVAL_EPS >= dist:
-        return MobilityState((wx, wy), state.waypoint, PAUSED, draw_pause(profile, rng), state.speed)
+        return MobilityState((wx, wy), state.waypoint, PAUSED, draw_pause(profile, rng))
     frac = travel / dist
     return MobilityState((px + frac * (wx - px), py + frac * (wy - py)), state.waypoint,
-                         state.phase, state.pause_remaining, state.speed)
+                         state.phase, state.pause_remaining)

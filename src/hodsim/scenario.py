@@ -260,7 +260,8 @@ def validate(config: ScenarioConfig) -> List[str]:
             )
 
     v += strategy_violations(config.strategy)
-    if not isinstance(config.rng_seed, int) or isinstance(config.rng_seed, bool) or config.rng_seed < 0:
+    # a bool is an int, but no seed or count
+    if type(config.rng_seed) is not int or config.rng_seed < 0:
         v.append("rng_seed: must be a non-negative integer")
     if not (0.0 <= config.mobility_ratio <= 1.0):
         v.append("mobility_ratio: must be in [0, 1]")
@@ -268,7 +269,7 @@ def validate(config: ScenarioConfig) -> List[str]:
         v.append("max_benefit: must be > 0")
     if config.qos_jitter_sigma < 0:
         v.append("qos_jitter_sigma: must be >= 0")
-    if not isinstance(config.handover_cost_steps, int) or config.handover_cost_steps < 0:
+    if type(config.handover_cost_steps) is not int or config.handover_cost_steps < 0:
         v.append("handover_cost_steps: must be a non-negative integer")
     return v
 

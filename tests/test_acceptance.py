@@ -15,12 +15,12 @@ import pytest
 from scipy.stats import spearmanr
 
 from hodsim.cli import main
-from hodsim.decision import CombinedScore, StrategyState, decide, utility
+from hodsim.decision import CombinedScore, decide, utility
 from hodsim.engine import events_csv, run_simulation
 from hodsim.knowledge import KnowledgeBase, diffuse
 from hodsim.metrics import confidence_interval, sweep
 from hodsim.mobility import draw_waypoint, init_mobility, step_mobility
-from hodsim.scenario import UserProfile, default_scenario, with_strategy
+from hodsim.scenario import StabilityStrategy, UserProfile, default_scenario, with_strategy
 
 from test_decision import assert_pipelines_agree, run_both_pipelines
 
@@ -191,8 +191,8 @@ def test_criterion_7_invariant_suites():
         c_asso = float(rng.uniform(0, 3))
         best = CombinedScore("B", float(rng.uniform(0, 3)))
         h1, h2 = sorted(rng.uniform(0, 1, size=2).tolist())
-        fired_hi = decide(c_asso, best, StrategyState("hysteresis", h2), 0.0).action
-        fired_lo = decide(c_asso, best, StrategyState("hysteresis", h1), 0.0).action
+        fired_hi = decide(c_asso, best, StabilityStrategy("hysteresis", h2), 0.0, 0.0).action
+        fired_lo = decide(c_asso, best, StabilityStrategy("hysteresis", h1), 0.0, 0.0).action
         if fired_hi == "handover":
             assert fired_lo == "handover"
 

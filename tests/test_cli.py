@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import pytest
 
+import hodsim.cli
+import hodsim.metrics
 from hodsim.cli import MAX_GRID_VALUES, apply_override, main, parse_values
 from hodsim.scenario import ScenarioError, load_scenario
 
@@ -375,3 +377,22 @@ def test_run_writes_the_resolved_scenario(tmp_path):
     assert set(saved) == {f.name for f in fields(config)}
     assert all(set(u) == {f.name for f in fields(config.users[0])} for u in saved["users"])
     assert load_scenario(saved) == config
+
+
+@pytest.mark.parametrize("verb", [
+    ["run"],
+    ["sweep", "--values", "0:0.1:0.1"],
+    ["compare", "--strategy-a", "hysteresis", "--strategy-b", "waiting"],
+])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_an_out_that_is_a_file_exits_one_naming_the_flag_before_any_run(
+        verb, below, tmp_path, config_file, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(hodsim.cli, "run_simulation", lambda *a, **k: runs.append(a))
+    monkeypatch.setattr(hodsim.metrics, "run_simulation", lambda *a, **k: runs.append(a))
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    out = blocker / below if below else blocker
+    assert main(verb + ["--seed", "1", "--config", config_file, "--out", str(out)]) == 1
+    assert "config error: --out:" in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory\n" and runs == []

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hodsim.decision import (
     CombinedScore,
-    StrategyState,
     best_candidate,
     decide,
     meets_requirements,
@@ -15,7 +14,7 @@ from hodsim.decision import (
     score_network,
     utility,
 )
-from hodsim.scenario import DecisionCriterion
+from hodsim.scenario import DecisionCriterion, StabilityStrategy
 
 import reference
 
@@ -199,63 +198,66 @@ def test_argmax_invariant_under_scaling(pairs, factor):
 
 # --- decide -------------------------------------------------------------------
 
-def hyst(h, wait=0.0):
-    return StrategyState(kind="hysteresis", parameter=h, wait_until=wait)
+NONE = StabilityStrategy("none", 0.0)
+
+
+def hyst(h):
+    return StabilityStrategy(kind="hysteresis", parameter=h)
 
 
 def test_hysteresis_blocks_small_gains():
-    d = decide(0.5, CombinedScore("B", 0.8), hyst(0.45), now=0.0)
+    d = decide(0.5, CombinedScore("B", 0.8), hyst(0.45), 0.0, now=0.0)
     assert d.action == "stay"
     assert d.suppressed is True
 
 
 def test_hysteresis_allows_large_gains():
-    d = decide(0.5, CombinedScore("B", 0.99), hyst(0.45), now=0.0)
+    d = decide(0.5, CombinedScore("B", 0.99), hyst(0.45), 0.0, now=0.0)
     assert d.action == "handover"
     assert d.target == "B"
 
 
 def test_no_candidates_means_stay():
-    d = decide(0.5, None, StrategyState("none", 0.0), now=0.0)
+    d = decide(0.5, None, NONE, 0.0, now=0.0)
     assert d.action == "stay" and not d.suppressed
 
 
 def test_equal_scores_mean_stay():
-    d = decide(0.5, CombinedScore("B", 0.5), StrategyState("none", 0.0), now=0.0)
+    d = decide(0.5, CombinedScore("B", 0.5), NONE, 0.0, now=0.0)
     assert d.action == "stay"
 
 
 def test_waiting_time_window():
     # handover at t=10 arms a 5 s window; a decision at t=12 is suppressed,
     # at t=15.5 allowed again
-    state = StrategyState("waiting_time", 5.0)
-    d1 = decide(0.2, CombinedScore("B", 0.4), state, now=10.0)
+    strategy = StabilityStrategy("waiting_time", 5.0)
+    d1 = decide(0.2, CombinedScore("B", 0.4), strategy, 0.0, now=10.0)
     assert d1.action == "handover"
-    assert d1.state.wait_until == 15.0
-    d2 = decide(0.2, CombinedScore("A", 0.4), d1.state, now=12.0)
+    assert d1.wait_until == 15.0
+    d2 = decide(0.2, CombinedScore("A", 0.4), strategy, d1.wait_until, now=12.0)
     assert d2.action == "stay" and d2.suppressed is True
-    d3 = decide(0.2, CombinedScore("A", 0.4), d2.state, now=15.5)
+    assert d2.wait_until == 15.0
+    d3 = decide(0.2, CombinedScore("A", 0.4), strategy, d2.wait_until, now=15.5)
     assert d3.action == "handover"
 
 
 def test_waiting_window_not_armed_without_firing():
-    state = StrategyState("waiting_time", 5.0, wait_until=0.0)
-    d = decide(0.9, CombinedScore("B", 0.1), state, now=1.0)
+    d = decide(0.9, CombinedScore("B", 0.1), StabilityStrategy("waiting_time", 5.0), 0.0, now=1.0)
     assert d.action == "stay" and not d.suppressed
-    assert d.state.wait_until == 0.0
+    assert d.wait_until == 0.0
 
 
 def test_randomized_wait_draws_within_bound():
     rng = np.random.default_rng(5)
-    state = StrategyState("randomized_wait", 8.0)
-    d = decide(0.1, CombinedScore("B", 0.9), state, now=100.0, rng=rng)
+    strategy = StabilityStrategy("randomized_wait", 8.0)
+    d = decide(0.1, CombinedScore("B", 0.9), strategy, 0.0, now=100.0, rng=rng)
     assert d.action == "handover"
-    assert 100.0 <= d.state.wait_until <= 108.0
+    assert 100.0 <= d.wait_until <= 108.0
 
 
 def test_randomized_wait_requires_rng():
     with pytest.raises(ValueError):
-        decide(0.1, CombinedScore("B", 0.9), StrategyState("randomized_wait", 8.0),
+        decide(0.1, CombinedScore("B", 0.9), StabilityStrategy("randomized_wait", 8.0), 0.0,
                now=0.0, rng=None)
 
 
@@ -263,9 +265,9 @@ def test_randomized_wait_is_seeded():
     outs = []
     for _ in range(2):
         rng = np.random.default_rng(77)
-        d = decide(0.1, CombinedScore("B", 0.9), StrategyState("randomized_wait", 8.0),
+        d = decide(0.1, CombinedScore("B", 0.9), StabilityStrategy("randomized_wait", 8.0), 0.0,
                    now=0.0, rng=rng)
-        outs.append(d.state.wait_until)
+        outs.append(d.wait_until)
     assert outs[0] == outs[1]
 
 
@@ -275,8 +277,8 @@ score_floats = st.floats(0, 3)
 @given(score_floats, score_floats, st.floats(0, 30))
 def test_zero_hysteresis_equals_no_strategy(c_asso, c_best, now):
     best = CombinedScore("B", c_best)
-    none_d = decide(c_asso, best, StrategyState("none", 0.0), now)
-    h0_d = decide(c_asso, best, StrategyState("hysteresis", 0.0), now)
+    none_d = decide(c_asso, best, NONE, 0.0, now)
+    h0_d = decide(c_asso, best, hyst(0.0), 0.0, now)
     assert (none_d.action, none_d.target, none_d.suppressed) == \
         (h0_d.action, h0_d.target, h0_d.suppressed)
 
@@ -285,8 +287,8 @@ def test_zero_hysteresis_equals_no_strategy(c_asso, c_best, now):
 def test_zero_wait_equals_no_strategy(c_asso, c_best, now, prev_ho):
     # with T=0 the window armed by any previous handover has already expired
     best = CombinedScore("B", c_best)
-    none_d = decide(c_asso, best, StrategyState("none", 0.0), now + prev_ho)
-    t0_d = decide(c_asso, best, StrategyState("waiting_time", 0.0, wait_until=prev_ho), now + prev_ho)
+    none_d = decide(c_asso, best, NONE, 0.0, now + prev_ho)
+    t0_d = decide(c_asso, best, StabilityStrategy("waiting_time", 0.0), prev_ho, now + prev_ho)
     assert (none_d.action, none_d.target, none_d.suppressed) == \
         (t0_d.action, t0_d.target, t0_d.suppressed)
 
@@ -295,8 +297,8 @@ def test_zero_wait_equals_no_strategy(c_asso, c_best, now, prev_ho):
 def test_hysteresis_monotone_in_margin(c_asso, c_best, h1, h2):
     lo, hi = sorted((h1, h2))
     best = CombinedScore("B", c_best)
-    if decide(c_asso, best, hyst(hi), 0.0).action == "handover":
-        assert decide(c_asso, best, hyst(lo), 0.0).action == "handover"
+    if decide(c_asso, best, hyst(hi), 0.0, 0.0).action == "handover":
+        assert decide(c_asso, best, hyst(lo), 0.0, 0.0).action == "handover"
 
 
 @given(st.sampled_from(["none", "hysteresis", "waiting_time", "randomized_wait"]),
@@ -306,15 +308,28 @@ def test_decide_leaves_a_terminal_alone_unless_the_base_rule_fires(
         kind, c_asso, c_best, parameter, wait_until, now):
     # the engine asks decide only when the best candidate beats the
     # associated network; otherwise decide must stay, unsuppressed, with the
-    # state unchanged and no random draw
+    # wait time unchanged and no random draw
     if c_best is not None and c_best > c_asso:
         c_best = c_asso
     best = None if c_best is None else CombinedScore("B", c_best)
-    state = StrategyState(kind, parameter, wait_until)
     rng = np.random.default_rng(3)
-    d = decide(c_asso, best, state, now, rng)
-    assert (d.action, d.target, d.suppressed, d.state) == ("stay", None, False, state)
+    d = decide(c_asso, best, StabilityStrategy(kind, parameter), wait_until, now, rng)
+    assert (d.action, d.target, d.suppressed, d.wait_until) == ("stay", None, False, wait_until)
     assert rng.uniform() == np.random.default_rng(3).uniform()
+
+
+@given(st.sampled_from(["none", "hysteresis", "waiting_time", "randomized_wait"]),
+       score_floats, score_floats, st.floats(0, 10), st.floats(0, 30), st.floats(0, 30))
+def test_decide_moves_the_wait_only_when_a_waiting_strategy_hands_over(
+        kind, c_asso, c_best, parameter, wait_until, now):
+    d = decide(c_asso, CombinedScore("B", c_best), StabilityStrategy(kind, parameter),
+               wait_until, now, np.random.default_rng(3))
+    if d.action != "handover" or kind in ("none", "hysteresis"):
+        assert d.wait_until == wait_until
+    elif kind == "waiting_time":
+        assert d.wait_until == now + parameter
+    else:
+        assert now <= d.wait_until <= now + parameter
 
 
 # --- oracle equivalence -------------------------------------------------------
@@ -331,8 +346,9 @@ def run_both_pipelines(criteria_doc, offered_by_ap, required,
         score_network(ap, qos, required, criteria, gated=gated, max_benefit=cap)
         for ap, qos in sorted(offered_by_ap.items())
     ]
-    state = StrategyState(strategy["kind"], strategy["parameter"], strategy["wait_until"])
-    got = decide(c_asso, best_candidate(scored), state, now, np.random.default_rng(0))
+    got = decide(c_asso, best_candidate(scored),
+                 StabilityStrategy(strategy["kind"], strategy["parameter"]),
+                 strategy["wait_until"], now, np.random.default_rng(0))
 
     ref_casso = reference.ref_score(assoc_offered, required, criteria_doc, True, cap)
     ref_scored = [

@@ -67,7 +67,7 @@ def test_pause_expiry_draws_waypoint_and_starts_moving():
 def test_straight_line_advance():
     state = init_mobility(profile(pos=(0.0, 0.0)), AREA, np.random.default_rng(0))
     state = state.__class__(position=(0.0, 0.0), waypoint=(10.0, 0.0),
-                            phase=MOVING, pause_remaining=0.0, speed=0.8)
+                            phase=MOVING, pause_remaining=0.0)
     stepped = step_mobility(state, 0.5, AREA, profile(), np.random.default_rng(0))
     assert stepped.position == (0.4, 0.0)
     assert stepped.phase == MOVING
@@ -76,7 +76,7 @@ def test_straight_line_advance():
 def test_arrival_clamps_to_waypoint_and_pauses():
     state = init_mobility(profile(pos=(0.0, 0.0)), AREA, np.random.default_rng(0))
     state = state.__class__(position=(9.9, 0.0), waypoint=(10.0, 0.0),
-                            phase=MOVING, pause_remaining=0.0, speed=0.8)
+                            phase=MOVING, pause_remaining=0.0)
     stepped = step_mobility(state, 0.5, AREA, profile(), np.random.default_rng(1))
     assert stepped.position == (10.0, 0.0)
     assert stepped.phase == PAUSED

@@ -174,6 +174,15 @@ def test_validate_collects_violations_without_raising():
     assert any("multiple" in m for m in messages)
 
 
+@pytest.mark.parametrize("field", ["handover_cost_steps", "rng_seed"])
+def test_validate_rejects_a_bool_where_an_integer_is_expected(field):
+    # bool is a subclass of int, but True is not a count or a seed
+    from dataclasses import replace
+
+    messages = validate(replace(default_scenario(), **{field: True}))
+    assert messages == [f"{field}: must be a non-negative integer"]
+
+
 def set_path(doc, path, value):
     """Set a dot path such as "aps.0.position" in a raw document."""
     keys = [int(k) if k.isdigit() else k for k in path.split(".")]

@@ -219,15 +219,15 @@ def _hysteresis_grid():
 
 
 def test_replayed_runs_make_the_same_decide_calls(default_config, monkeypatch):
-    # every run inside a scope calls decide with the arguments, strategy
-    # state and generator state that the same run makes on its own
+    # every run inside a scope calls decide with the arguments, strategy,
+    # wait time and generator state that the same run makes on its own
     calls = []
     decide = hodsim.engine.decide
 
-    def recording(c_asso, best, state, now, rng=None):
+    def recording(c_asso, best, strategy, wait_until, now, rng=None):
         drawn = None if rng is None else rng.bit_generator.state["state"]["state"]
-        calls.append((c_asso, best, state, now, drawn))
-        return decide(c_asso, best, state, now, rng)
+        calls.append((c_asso, best, strategy, wait_until, now, drawn))
+        return decide(c_asso, best, strategy, wait_until, now, rng)
 
     monkeypatch.setattr(hodsim.engine, "decide", recording)
     plan = [("hysteresis", 0.3, 1), ("hysteresis", 0.05, 1), ("waiting_time", 2.0, 1),
@@ -441,10 +441,10 @@ def test_a_run_that_fails_leaves_its_family_usable(monkeypatch):
     fresh = [events_csv(run_simulation(with_strategy(config, "hysteresis", v), 1)) for v in values]
     decide = hodsim.engine.decide
 
-    def failing(c_asso, best, state, now, rng=None):
+    def failing(c_asso, best, strategy, wait_until, now, rng=None):
         if now >= 20.0:
             raise RuntimeError("decide failed")
-        return decide(c_asso, best, state, now, rng)
+        return decide(c_asso, best, strategy, wait_until, now, rng)
 
     with shared_worlds():
         run_simulation(with_strategy(config, "hysteresis", 0.0), 1)
