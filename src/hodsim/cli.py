@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .engine import events_csv, run_simulation, shared_worlds
+from .engine import events_csv, run_simulation
 from .metrics import (
     SWEEP_HEADER,
     RunMetrics,
@@ -23,6 +23,7 @@ from .metrics import (
     sweep,
     sweep_csv,
     sweep_row_csv,
+    sweeps,
 )
 from .scenario import (
     DOCUMENT_KEYS,
@@ -258,19 +259,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def compare_sweeps(config: ScenarioConfig,
-                   plan_a: Tuple[str, Sequence[float]],
-                   plan_b: Tuple[str, Sequence[float]],
-                   seeds: Sequence[int]) -> Tuple[SweepReport, SweepReport]:
-    """Run both sweeps on the same seeds, so the comparison is paired run for
-    run.  The two sweeps share one scope, so each seed's world pass and tables
-    are computed once."""
-    with shared_worlds():
-        report_a = sweep(config, plan_a[0], plan_a[1], seeds)
-        report_b = sweep(config, plan_b[0], plan_b[1], seeds)
-    return report_a, report_b
-
-
 def compare_csv(report_a: SweepReport, report_b: SweepReport) -> str:
     lines = ["# hodsim compare schema v1", "strategy," + SWEEP_HEADER]
     for report in (report_a, report_b):
@@ -286,7 +274,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print("note: comparing a strategy against itself", file=sys.stderr)
     seeds = _seeds(args, config)
     out_dir = _out_dir(args)
-    report_a, report_b = compare_sweeps(config, (kind_a, values_a), (kind_b, values_b), seeds)
+    # paired run for run: both plans run on each seed's one record
+    report_a, report_b = sweeps(config, [(kind_a, values_a), (kind_b, values_b)], seeds)
     path = _write(out_dir, f"compare_{kind_a}_vs_{kind_b}.csv", compare_csv(report_a, report_b))
     print(f"compare {kind_a} vs {kind_b} on seeds {','.join(str(s) for s in seeds)} -> {path}")
     best_a, best_b = (best_at_retention(report, args.retention, lambda r: (r.mean_ho_rate, r.value))

@@ -38,10 +38,11 @@ family replays the tape through ``decide`` with its own strategy, wait times
 and generators; at the first step whose outcomes differ it takes that step's
 state, applies its own switches and executes normally from the next step.
 If no step differs, it reuses the whole log.  Every row, ``decide`` call and
-generator draw is the one a fresh run makes.  ``metrics.sweep`` opens the
-scope, so each seed's world is computed once per sweep and each value
-executes only the steps after its first difference from the value before.
-Outside a scope a run builds the same record without a tape and drops it.
+generator draw is the one a fresh run makes.  A scope holds one record, and
+``metrics.sweeps`` runs seed by seed in one: each value executes only the
+steps after its first difference from the value before, and a seed's record
+is dropped before the next seed's is made.  Outside a scope a run builds the
+same record without a tape and drops it.
 """
 
 import hashlib
@@ -207,7 +208,7 @@ class _Step(NamedTuple):
 @dataclass(eq=False)
 class _Family:
     """What the runs of one family share inside a ``shared_worlds()`` scope
-    (a run outside one builds its own record and drops it).
+    until another family's run replaces it (a run outside one drops it).
 
     The world pass; the model's vector by (AP, load), equal vectors being one
     object; the jittered vector by (step, AP, load); ``noise[k][j]``, the
@@ -237,9 +238,9 @@ class _Family:
 # A family is a seed, a QoS model and a config less its strategy.
 _FAMILY_FIELDS = tuple(f.name for f in fields(ScenarioConfig) if f.name != "strategy")
 
-# The families of the innermost open shared_worlds() scope; None outside
-# one.  A context variable, so each thread sees only the scopes it opened.
-_families: ContextVar[Optional[List[_Family]]] = ContextVar("hodsim_families", default=None)
+# The innermost open shared_worlds() scope's record, in a list of at most one;
+# None outside.  A context variable, so each thread sees only its own scopes.
+_slot: ContextVar[Optional[List[_Family]]] = ContextVar("hodsim_slot", default=None)
 
 
 @contextmanager
@@ -250,27 +251,20 @@ def shared_worlds() -> Iterator[None]:
     Its record holds the family's world pass and tables, and its latest run
     with that run's tape: a later run replays the tape's decisions through
     ``decide`` and executes only from the first step whose outcomes differ.
-    Everything is dropped when the outermost block exits; a block opened
-    inside another joins it.
+    A block holds one record, which another family's run replaces; a block
+    opened inside another holds its own and leaves the outer one's in place.
     """
-    if _families.get() is not None:
-        yield
-        return
-    families = _families.set([])
+    slot = _slot.set([])
     try:
         yield
     finally:
-        _families.reset(families)
+        _slot.reset(slot)
 
 
-def _family_of(families: List[_Family], config: ScenarioConfig, seed: int,
-               qos_model) -> Optional[_Family]:
-    for family in families:
-        if (family.seed == seed and family.qos_model is qos_model
-                and all(a is b or a == b for a, b in (
-                    (getattr(family.config, f), getattr(config, f)) for f in _FAMILY_FIELDS))):
-            return family
-    return None
+def _is_family(family: _Family, config: ScenarioConfig, seed: int, qos_model) -> bool:
+    return (family.seed == seed and family.qos_model is qos_model
+            and all(a is b or a == b for a, b in (
+                (getattr(family.config, f), getattr(config, f)) for f in _FAMILY_FIELDS)))
 
 
 def _replay(family: _Family, strategy: StabilityStrategy, waits: List[float],
@@ -310,16 +304,18 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     """
     if seed is None:
         seed = config.rng_seed
-    families = _families.get()
-    family = None if families is None else _family_of(families, config, seed, qos_model)
+    slot = _slot.get()
+    family = slot[0] if slot and _is_family(slot[0], config, seed, qos_model) else None
     # a family's record was made by a validated run, so only the strategy is new
     violations = validate(config) if family is None else strategy_violations(config.strategy)
     if violations:
         raise ValueError("invalid config: " + "; ".join(violations))
     if family is None:
+        if slot:
+            del slot[0]  # freed before the new record's world pass
         family = _Family(seed, config, qos_model, _world(config, seed))
-        if families is not None:
-            families.append(family)
+        if slot is not None:
+            slot.append(family)
 
     dt = config.decision_step
     mt_order = sorted(u.id for u in config.users if u.mobile)
@@ -386,7 +382,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     asso_profiles = [profile(users[m].app_requirements, True) for m in mt_order]
     cand_profiles = [profile(users[m].app_requirements, gate) for m in mt_order]
     # the steps this run records for its family; None outside a scope
-    steps: Optional[List[_Step]] = None if families is None else []
+    steps: Optional[List[_Step]] = None if slot is None else []
     if resume is None:
         # Initial association at t=0: users in id order greedily pick the
         # best sensed AP by live QoS, strategy-free; each pick loads the AP
@@ -441,8 +437,8 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         family.rows, family.steps = None, []
         switch(pending)
         start = step.k + 1
-    # the first step builds qos_now anew, so the next round moves current to
-    # previous before anything reads previous
+    # the next round moves current to previous before reading it, unless the
+    # first step's qos_now equals current, when previous = current is right
     previous = current
     qos_now: Dict[str, QosVector] = {}
     last_loads: Optional[Dict[str, int]] = None
@@ -479,6 +475,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
                 qos_now[ap_id] = qos
         elif loads != last_loads:
             qos_now = {ap_id: offered(ap_id, loads[ap_id]) for ap_id in ap_order}
+            qos_now = current if qos_now == current else qos_now  # keeps its views
             last_loads = loads
 
         # (2) diffusion round: every associated terminal takes its AP's view;

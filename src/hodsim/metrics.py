@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .engine import EventLog, run_simulation, shared_worlds
-from .scenario import ScenarioConfig, with_strategy
+from .scenario import ScenarioConfig, strategy_violations, with_strategy
 
 SWEEP_SCHEMA = "# hodsim sweep schema v1"
 SWEEP_HEADER = "value,runs,mean_ho_rate,worst_ho,ci_low,ci_high,mean_score_rate"
@@ -100,36 +100,49 @@ def confidence_interval(samples: Sequence[float], level: float = 0.95) -> Tuple[
     return (mean - half, mean + half)
 
 
-def sweep(config: ScenarioConfig, strategy_kind: str, values: Sequence[float],
-          seeds: Sequence[int]) -> SweepReport:
-    """Run |values| x |seeds| simulations and aggregate per parameter value.
+def sweeps(config: ScenarioConfig, plans: Sequence[Tuple[str, Sequence[float]]],
+           seeds: Sequence[int]) -> List[SweepReport]:
+    """Run each plan ``(strategy kind, values)`` over every seed, every value
+    checked before the first run; one report per plan, rows in grid order.
 
     Worst case is the maximum per-terminal handover count over all runs of a
     value; the confidence interval is over per-terminal counts pooled across
-    the value's runs, matching how per-terminal variability is reported.
-    The runs of one seed share one record (see engine.shared_worlds): its
-    world pass, its QoS and score tables, and the latest run's decision tape.
+    the value's runs.  Runs go seed by seed, one record at a time (see
+    engine.shared_worlds): a seed's runs, every plan's values in order, share
+    its world pass, QoS and score tables and the latest run's decision tape.
     """
-    if not values:
-        raise ValueError("values must be non-empty")
     if not seeds:
         raise ValueError("seeds must be non-empty")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
-    rows: List[SweepRow] = []
-    raw: Dict[float, Tuple[RunMetrics, ...]] = {}
+    grids = []  # per plan: (value, config, per-seed metrics) in grid order
+    for kind, values in plans:
+        if not values:
+            raise ValueError("values must be non-empty")
+        grid = [(value, with_strategy(config, kind, value), []) for value in values]
+        for value, cfg, _ in grid:
+            violations = strategy_violations(cfg.strategy)
+            if violations:
+                raise ValueError(f"{kind} value={value!r}: " + "; ".join(violations))
+        grids.append(grid)
     with shared_worlds():
-        for value in values:
-            cfg = with_strategy(config, strategy_kind, value)
-            per_seed: List[RunMetrics] = []
-            for seed in seeds:
-                try:
-                    per_seed.append(run_metrics(run_simulation(cfg, seed)))
-                except Exception as exc:
-                    raise RuntimeError(f"run failed for value={value!r} seed={seed}: {exc}") from exc
-            rows.append(_sweep_row(value, per_seed))
-            raw[float(value)] = tuple(per_seed)
-    return SweepReport(strategy_kind=strategy_kind, rows=tuple(rows), runs=raw)
+        for seed in seeds:
+            for grid in grids:
+                for value, cfg, runs in grid:
+                    try:
+                        runs.append(run_metrics(run_simulation(cfg, seed)))
+                    except Exception as exc:
+                        raise RuntimeError(f"run failed for value={value!r} seed={seed}: {exc}") from exc
+    return [SweepReport(strategy_kind=kind,
+                        rows=tuple(_sweep_row(value, runs) for value, _, runs in grid),
+                        runs={float(value): tuple(runs) for value, _, runs in grid})
+            for (kind, _), grid in zip(plans, grids)]
+
+
+def sweep(config: ScenarioConfig, strategy_kind: str, values: Sequence[float],
+          seeds: Sequence[int]) -> SweepReport:
+    """The one-plan ``sweeps``: |values| x |seeds| runs, one row per value."""
+    return sweeps(config, [(strategy_kind, values)], seeds)[0]
 
 
 def _sweep_row(value: float, per_seed: Sequence[RunMetrics]) -> SweepRow:

@@ -27,6 +27,12 @@ DEFAULT_PAUSE_RANGE = (1.0, 5.0)
 DEFAULT_MOBILITY_RATIO = 14.0 / 52.0
 DEFAULT_MAX_BENEFIT = 1e6
 
+# Bounds on the size of one run.  A run holds up to ~0.9 KB per mobile
+# terminal and step, and jitter ~0.6 KB per AP and step (measured in
+# docs/config.md), so either bound keeps a run of a few dozen APs near 2 GB.
+MAX_STEPS = 100_000
+MAX_TERMINAL_STEPS = 2_000_000
+
 
 class ScenarioError(ValueError):
     """Raised when a config document cannot be parsed or violates an invariant."""
@@ -147,7 +153,7 @@ def _is_multiple(value: float, step: float, tol: float = 1e-9) -> bool:
     if step <= 0:
         return False
     ratio = value / step
-    return abs(ratio - round(ratio)) <= tol and round(ratio) >= 1
+    return math.isfinite(ratio) and abs(ratio - round(ratio)) <= tol and round(ratio) >= 1
 
 
 def _inside(pos: Tuple[float, float], area: Tuple[float, float]) -> bool:
@@ -181,8 +187,15 @@ def validate(config: ScenarioConfig) -> List[str]:
         v.append("sim_time: must be > 0")
     if config.decision_step <= 0:
         v.append("decision_step: must be > 0")
+    elif timing_finite and config.sim_time / config.decision_step > MAX_STEPS:
+        v.append(f"sim_time: sim_time / decision_step gives more than {MAX_STEPS} steps")
     elif timing_finite and not _is_multiple(config.sim_time, config.decision_step):
         v.append("sim_time: not an integer multiple of decision_step")
+    elif timing_finite:
+        mobile = sum(u.mobile for u in config.users)
+        if mobile * config.nb_steps > MAX_TERMINAL_STEPS:
+            v.append(f"sim_time: {mobile} mobile users x {config.nb_steps} steps (sim_time / "
+                     f"decision_step) is more than {MAX_TERMINAL_STEPS}")
     if config.diffusion_period <= 0:
         v.append("diffusion_period: must be > 0")
     elif (timing_finite and config.decision_step > 0

@@ -5,6 +5,7 @@ from dataclasses import fields
 import pytest
 
 import hodsim.cli
+import hodsim.engine
 import hodsim.metrics
 from hodsim.cli import MAX_GRID_VALUES, apply_override, main, parse_values
 from hodsim.scenario import ScenarioError, load_scenario
@@ -171,6 +172,35 @@ def test_bad_values_exit_one_naming_the_field(assignment, field, tmp_path, capsy
     assert main(["run", "--set", assignment, "--out", str(tmp_path / "o")]) == 1
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("assignments", [
+    ["sim_time=1e300"],
+    ["sim_time=1e18"],
+    ["sim_time=1e308", "decision_step=0.001"],
+    ["diffusion_period=1e308", "decision_step=0.001"],
+])
+def test_a_run_too_large_to_hold_exits_one_before_any_allocation(assignments, tmp_path, capsys,
+                                                                  monkeypatch):
+    # these documents validated (or crashed validate) and then ended with
+    # exit 2, from np.empty in the world pass or an overflow in validate
+    def refused(config, seed):
+        raise AssertionError("a world pass started")
+
+    monkeypatch.setattr(hodsim.engine, "_world", refused)
+    sets = [arg for a in assignments for arg in ("--set", a)]
+    field = assignments[0].split("=")[0]
+    assert main(["validate"] + sets) == 1
+    assert field in capsys.readouterr().err
+    tracemalloc.start()
+    try:
+        assert main(["run"] + sets + ["--out", str(tmp_path / "o")]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err and "decision_step" in err
+    assert peak < 2 ** 22 and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv, flag", [

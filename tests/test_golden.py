@@ -14,9 +14,9 @@ import pytest
 
 import hodsim.engine
 import hodsim.metrics
-from hodsim.cli import compare_csv, compare_sweeps, parse_values
+from hodsim.cli import compare_csv, parse_values
 from hodsim.engine import events_csv, run_simulation, shared_worlds
-from hodsim.metrics import sweep, sweep_csv
+from hodsim.metrics import sweep, sweep_csv, sweeps
 from hodsim.radio import ap_qos
 from hodsim.scenario import STRATEGY_KINDS, load_scenario, with_strategy
 
@@ -73,7 +73,7 @@ BOUNDARY_FAMILY_EVENTS = {
     2.0: "8569fc7e3283f4c1d0daaf14570b377e71fa6e8af37ad970a9ba1be619560465",
     5.0: "097808fcc4a2b69551b825f0d658de2d530ecbca1228eb88a7a2d3f3a2ffc522",
 }
-# compare_sweeps of the default scenario, hysteresis 0:1:0.05 against
+# `hodsim compare` of the default scenario, hysteresis 0:1:0.05 against
 # waiting_time 0:10:0.5, on seeds 1 and 2
 DEFAULT_COMPARE = "2ffa1c4c4efbca785e2e4f5670ff7bf91d240e2e08b9e254937d63776f635d26"
 
@@ -254,8 +254,8 @@ def test_default_scenario_sweeps(default_config, checked_sweeps, kind):
 
 
 def test_default_scenario_compare(default_config, checked_sweeps):
-    # one scope for both sweeps, so runs of different strategy kinds meet
-    reports = compare_sweeps(default_config, ("hysteresis", parse_values("0:1:0.05")),
-                             ("waiting_time", parse_values("0:10:0.5")), [1, 2])
+    # one record per seed for both plans, so runs of different strategy kinds meet
+    reports = sweeps(default_config, [("hysteresis", parse_values("0:1:0.05")),
+                                      ("waiting_time", parse_values("0:10:0.5"))], [1, 2])
     assert sha256(compare_csv(*reports)) == DEFAULT_COMPARE
     assert len(checked_sweeps) == 84

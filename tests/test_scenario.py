@@ -2,13 +2,15 @@ import copy
 import hashlib
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from hodsim import scenario
 from hodsim.scenario import (
+    MAX_STEPS,
+    MAX_TERMINAL_STEPS,
     ApProfile,
     DecisionCriterion,
     ScenarioConfig,
@@ -95,6 +97,34 @@ def test_sim_time_must_be_multiple_of_step():
     # a step longer than the run leaves no whole step
     with pytest.raises(ScenarioError, match="multiple"):
         load_scenario(tiny_document(decision_step=20.0, diffusion_period=20.0))
+
+
+def test_validate_bounds_a_runs_size():
+    # a run's arrays and rows grow with its steps and its mobile terminals x
+    # steps, so both are bounded before anything is allocated
+    config = load_scenario(tiny_document())
+    dt = config.decision_step
+    assert validate(replace(config, sim_time=MAX_STEPS * dt)) == []
+    too_long = "sim_time: sim_time / decision_step gives more than 100000 steps"
+    for sim_time in ((MAX_STEPS + 1) * dt, 1e18, 1e300, 1e308):
+        assert validate(replace(config, sim_time=sim_time)) == [too_long]
+    # 50 mobile of 100 users
+    crowd = replace(config, users=tuple(replace(u, id=f"{u.id}_{j}")
+                                        for j in range(25) for u in config.users))
+    steps = MAX_TERMINAL_STEPS // 50
+    assert validate(replace(crowd, sim_time=steps * dt)) == []
+    assert validate(replace(crowd, sim_time=(steps + 1) * dt)) == [
+        f"sim_time: 50 mobile users x {steps + 1} steps (sim_time / decision_step) "
+        f"is more than {MAX_TERMINAL_STEPS}"]
+
+
+def test_validate_survives_a_step_ratio_beyond_the_float_range():
+    # sim_time or diffusion_period over a tiny decision_step overflows to inf
+    config = replace(load_scenario(tiny_document()), decision_step=1e-3)
+    assert validate(replace(config, sim_time=1e308)) == [
+        "sim_time: sim_time / decision_step gives more than 100000 steps"]
+    assert validate(replace(config, sim_time=1.0, diffusion_period=1e308)) == [
+        "diffusion_period: not an integer multiple of decision_step"]
 
 
 def test_mobility_ratio_enforced_within_one_user():

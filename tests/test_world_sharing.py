@@ -1,10 +1,11 @@
-"""The world pass (movement and sensing) is shared by the runs of one sweep
-or one compare and by nothing else, and sharing it never changes a run's
-events.  Nor does replaying the decision prefix a run has in common with the
-latest run of its family (same seed, QoS model and config but for the
-strategy)."""
+"""The world pass (movement and sensing) is shared by the runs of one seed
+in a sweep or a compare and by nothing else, and sharing it never changes a
+run's events.  Nor does replaying the decision prefix a run has in common
+with the latest run of its family (same seed, QoS model and config but for
+the strategy).  A scope holds one family's record at a time."""
 
 import gc
+import math
 import weakref
 from contextlib import nullcontext
 from dataclasses import replace
@@ -16,9 +17,9 @@ from hypothesis import strategies as st
 
 import hodsim.engine
 import hodsim.metrics
-from hodsim.cli import compare_csv, compare_sweeps
+from hodsim.cli import compare_csv
 from hodsim.engine import events_csv, run_simulation, shared_worlds
-from hodsim.metrics import run_metrics, sweep
+from hodsim.metrics import run_metrics, sweep, sweeps
 from hodsim.radio import ap_qos
 from hodsim.scenario import STRATEGY_KINDS, default_scenario, with_strategy
 
@@ -102,7 +103,7 @@ def test_no_world_outlives_a_call(tiny_config, world_spy):
     assert len(world_spy) == 2
     sweep(tiny_config, "hysteresis", [0.0, 0.5], [1, 2])
     assert len(world_spy) == 4
-    assert hodsim.engine._families.get() is None
+    assert hodsim.engine._slot.get() is None
     gc.collect()
     assert all(ref() is None for ref in world_spy)
 
@@ -113,30 +114,40 @@ def test_compare_computes_each_seeds_world_once(tiny_config, world_spy):
     separate = compare_csv(sweep(tiny_config, *plan_a, seeds), sweep(tiny_config, *plan_b, seeds))
     assert len(world_spy) == 2 * len(seeds)
 
-    shared = compare_csv(*compare_sweeps(tiny_config, plan_a, plan_b, seeds))
+    shared = compare_csv(*sweeps(tiny_config, [plan_a, plan_b], seeds))
     assert len(world_spy) - 2 * len(seeds) == len(seeds)
     assert shared == separate
-    assert hodsim.engine._families.get() is None
+    assert hodsim.engine._slot.get() is None
 
 
-def test_nested_scopes_share_one_dict(tiny_config, world_spy):
+def test_a_nested_scope_leaves_the_outer_record_in_place(tiny_config, world_spy):
+    # a block inside another holds its own record; when it exits, the outer
+    # block's record is back in place and later runs of its family use it
     with shared_worlds():
-        outer = hodsim.engine._families.get()
-        sweep(tiny_config, "hysteresis", [0.0, 0.5], [1, 2])
+        outer = hodsim.engine._slot.get()
+        run_simulation(tiny_config, 1)
+        (family,) = outer
         with shared_worlds():
-            assert hodsim.engine._families.get() is outer
+            inner = hodsim.engine._slot.get()
+            assert inner is not outer and inner == []
             run_simulation(tiny_config, 1)
-        # the inner block kept the outer scope's families alive
-        assert hodsim.engine._families.get() is outer and len(outer) == 2
-        sweep(tiny_config, "waiting_time", [0.0, 2.0], [2, 1])
-    assert len(world_spy) == 2
-    assert hodsim.engine._families.get() is None
+            run_simulation(tiny_config, 2)
+            assert len(inner) == 1 and inner[0] is not family
+        assert hodsim.engine._slot.get() is outer and outer == [family]
+        # a sweep opens its own scope, so it leaves the outer record alone too
+        sweep(tiny_config, "hysteresis", [0.0, 0.5], [1, 2])
+        assert hodsim.engine._slot.get() is outer and outer == [family]
+        run_simulation(with_strategy(tiny_config, "waiting_time", 2.0), 1)
+        assert outer == [family] and family.rows is not None
+    # the outer block's family, the inner block's two and the sweep's two
+    assert len(world_spy) == 5
+    assert hodsim.engine._slot.get() is None
 
 
 def test_scope_is_dropped_when_a_run_fails(tiny_config):
     with pytest.raises(RuntimeError, match="run failed"):
         sweep(replace(tiny_config, decision_step=0.3), "hysteresis", [0.0], [1])
-    assert hodsim.engine._families.get() is None
+    assert hodsim.engine._slot.get() is None
 
 
 def test_shared_worlds_match_fresh_runs(default_config, world_spy):
@@ -145,20 +156,24 @@ def test_shared_worlds_match_fresh_runs(default_config, world_spy):
     moved_ap = replace(default_config, aps=tuple(aps))
     wider = replace(default_config, area=(default_config.area[0] + 50.0, default_config.area[1]))
     hysteresis = with_strategy(default_config, "hysteresis", 0.3)
-    plan = [(default_config, 1), (moved_ap, 1), (hysteresis, 2), (wider, 1),
-            (hysteresis, 1), (default_config, 2), (moved_ap, 1), (wider, 2)]
+    plan = [(default_config, 1), (moved_ap, 1), (hysteresis, 1), (wider, 1),
+            (hysteresis, 2), (default_config, 2), (moved_ap, 1), (wider, 2)]
 
     fresh = [events_csv(run_simulation(cfg, seed)) for cfg, seed in plan]
     assert len(world_spy) == len(plan)
-    # the moved AP and the wider area change the events, so a key that
-    # missed either would show
+    # the moved AP and the wider area change the events, and each follows a
+    # run of its seed, so a key that missed either would show
     assert fresh[1] != fresh[0] and fresh[3] != fresh[0]
 
+    shared = []
     with shared_worlds():
-        shared = [events_csv(run_simulation(cfg, seed)) for cfg, seed in plan]
-        # one world per distinct (world inputs, seed): the strategy is not one
-        assert len(world_spy) - len(plan) == 5
-        assert all(not ref().xy.flags.writeable for ref in world_spy[len(plan):])
+        for cfg, seed in plan:
+            shared.append(events_csv(run_simulation(cfg, seed)))
+            # the scope's record holds the latest world
+            assert not world_spy[-1]().xy.flags.writeable
+        # a scope holds one record, so a world is made at each change of
+        # family: every run but (default_config, 2) after (hysteresis, 2)
+        assert len(world_spy) - len(plan) == len(plan) - 1
     assert shared == fresh
 
 
@@ -208,7 +223,7 @@ def test_shared_runs_equal_fresh_runs(plan, grid, swept, seeds, sigma, cost, per
             report = sweep(config, swept, values, seeds)
         finally:
             hodsim.metrics.run_simulation = run_simulation
-    assert hodsim.engine._families.get() is None
+    assert hodsim.engine._slot.get() is None
     assert sorted(report.runs) == sorted(set(values))
     for v in values:
         assert report.runs[v] == tuple(fresh[swept, v, seed][1] for seed in seeds)
@@ -268,28 +283,56 @@ def test_a_sweep_executes_fewer_steps_than_independent_runs(default_config, monk
     assert 0 < len(calls) < independent / 2
 
 
+def test_a_resumed_run_derives_each_rounds_views_once(default_config, monkeypatch):
+    # A resumed run builds its first step's QoS map anew; a map equal to the
+    # last measured one is kept as that one, so the next diffusion round
+    # reuses its views instead of deriving them again.  The counts are those
+    # of commit 939a71e, whose resume restored the measured map itself; with
+    # the extra round the hysteresis sweep made 2,799 calls.
+    calls = []
+    known = hodsim.engine.known
+
+    def counting(*args):
+        calls.append(1)
+        return known(*args)
+
+    monkeypatch.setattr(hodsim.engine, "known", counting)
+    counts = {}
+    for kind, grid in (("hysteresis", _hysteresis_grid()),
+                       ("waiting_time", [round(i * 0.5, 10) for i in range(21)])):
+        calls.clear()
+        sweep(default_config, kind, grid, [1, 2])
+        counts[kind] = len(calls)
+    assert counts == {"hysteresis": 2737, "waiting_time": 19468}
+
+
 def test_only_runs_of_one_family_share_a_prefix(default_config, world_spy):
     # every field but the strategy, the seed and the QoS model set a run's
-    # family; a run of another family that shared a prefix would show here
+    # family.  A scope holds one record, so each variant runs directly after
+    # a base run: a variant that shared the base run's record would show here
     def crowded(ap, load):
         return ap_qos(ap, load + 2)
 
     base = with_strategy(default_config, "hysteresis", 0.05)
     step = default_config.decision_step
-    plan = [(base, 1, ap_qos), (replace(base, handover_cost_steps=2), 1, ap_qos),
-            (replace(base, diffusion_period=2 * step), 1, ap_qos),
-            (replace(base, criteria=(replace(base.criteria[0], alpha=1.0),) + base.criteria[1:]),
-             1, ap_qos),
-            (replace(base, qos_jitter_sigma=0.5), 1, ap_qos), (base, 2, ap_qos),
-            (base, 1, crowded), (with_strategy(base, "hysteresis", 0.1), 1, ap_qos)]
-    fresh = [events_csv(run_simulation(cfg, seed, qos_model)) for cfg, seed, qos_model in plan]
-    assert len(set(fresh)) == len(plan) == len(world_spy)
+    variants = [(replace(base, handover_cost_steps=2), 1, ap_qos),
+                (replace(base, diffusion_period=2 * step), 1, ap_qos),
+                (replace(base, criteria=(replace(base.criteria[0], alpha=1.0),) + base.criteria[1:]),
+                 1, ap_qos),
+                (replace(base, qos_jitter_sigma=0.5), 1, ap_qos), (base, 2, ap_qos),
+                (base, 1, crowded), (with_strategy(base, "hysteresis", 0.1), 1, ap_qos)]
+    fresh_base = events_csv(run_simulation(base, 1))
+    fresh = [events_csv(run_simulation(cfg, seed, qos_model)) for cfg, seed, qos_model in variants]
+    assert len({fresh_base, *fresh}) == len(variants) + 1 == len(world_spy)
+    shared = []
     with shared_worlds():
-        shared = [events_csv(run_simulation(cfg, seed, qos_model))
-                  for cfg, seed, qos_model in plan]
-        assert len(hodsim.engine._families.get()) == len(plan) - 1
-        # one world pass per family
-        assert len(world_spy) - len(plan) == len(plan) - 1
+        for cfg, seed, qos_model in variants:
+            assert events_csv(run_simulation(base, 1)) == fresh_base
+            shared.append(events_csv(run_simulation(cfg, seed, qos_model)))
+            assert len(hodsim.engine._slot.get()) == 1
+        # one world pass per change of family: every run but the last, which
+        # is of the base run's family
+        assert len(world_spy) - len(variants) - 1 == 2 * len(variants) - 1
     assert shared == fresh
 
 
@@ -316,13 +359,14 @@ def test_no_family_record_outlives_its_scope(tiny_config, family_spy):
     sweep(tiny_config, "hysteresis", [0.0, 0.5, 0.05], [1, 2])
     assert len(family_spy) == 3
     with shared_worlds():
-        sweep(tiny_config, "waiting_time", [0.0, 2.0], [1])
+        for value in (0.0, 2.0):
+            run_simulation(with_strategy(tiny_config, "waiting_time", value), 1)
         run_simulation(with_strategy(tiny_config, "randomized_wait", 3.0), 1)
         # one record per family: the latest run of (tiny_config, seed 1)
-        (family,) = hodsim.engine._families.get()
+        (family,) = hodsim.engine._slot.get()
         assert family.offered and family.profiles and family.rows and family.steps
         del family
-    assert len(family_spy) == 4 and hodsim.engine._families.get() is None
+    assert len(family_spy) == 4 and hodsim.engine._slot.get() is None
     gc.collect()
     assert all(ref() is None for ref in family_spy)
 
@@ -331,10 +375,13 @@ def test_a_familys_rows_and_noise_are_left_to_the_gc_untracked():
     # rows and noise slices are plain tuples of atoms, so one collection
     # untracks them and no later collection walks them again
     config = replace(SHORT, qos_jitter_sigma=0.5)
+    families = []
     with shared_worlds():
-        sweep(config, "randomized_wait", [0.0, 1.0, 2.5], [1, 2])
+        for seed in (1, 2):
+            for value in (0.0, 1.0, 2.5):
+                run_simulation(with_strategy(config, "randomized_wait", value), seed)
+            families += hodsim.engine._slot.get()
         gc.collect()
-        families = hodsim.engine._families.get()
         rows = [row for family in families for column in family.rows for row in column]
         noise = [share for family in families for step in family.noise for share in step]
         assert len(families) == 2 and rows and noise
@@ -346,7 +393,7 @@ def test_a_family_and_its_runs_share_one_frozen_log(tiny_config):
     # that replays the whole tape hands them out again without a copy
     with shared_worlds():
         first = run_simulation(with_strategy(tiny_config, "hysteresis", 0.5), 1)
-        (family,) = hodsim.engine._families.get()
+        (family,) = hodsim.engine._slot.get()
         columns = [first.outcomes[m] for m in first.mt_ids]
         assert len(family.rows) == len(columns)
         assert all(a is b for a, b in zip(family.rows, columns))
@@ -385,7 +432,7 @@ def test_a_jitter_family_computes_each_vector_and_score_once(tiny_config, monkey
     with shared_worlds():
         shared = [events_csv(run_simulation(with_strategy(config, "randomized_wait", v), 1, model))
                   for v in values]
-        (family,) = hodsim.engine._families.get()
+        (family,) = hodsim.engine._slot.get()
         assert len(built) == len(family.jittered)
     assert shared == fresh and len(set(fresh)) == len(values)
     assert modelled and len(modelled) == len(set(modelled))
@@ -406,7 +453,7 @@ def test_a_familys_strategy_generators_draw_as_fresh_streams(tiny_config, monkey
         run_simulation(config, 2)
         assert [labels for labels in streams if labels[0] == "strategy"] == \
             [("strategy", m) for m in mt_order]
-        (family,) = hodsim.engine._families.get()
+        (family,) = hodsim.engine._slot.get()
         states = family.strategy
         assert len(states) == len(mt_order)
         for m, state in zip(mt_order, states):
@@ -420,17 +467,49 @@ def test_a_familys_strategy_generators_draw_as_fresh_streams(tiny_config, monkey
 
 
 def test_a_failing_sweep_drops_its_records(tiny_config, family_spy, monkeypatch):
-    validated = []
+    # every value of every plan is checked before the first run, so a bad
+    # value in either plan raises before any run or validation
+    runs, validated = [], []
     validate = hodsim.engine.validate
     monkeypatch.setattr(hodsim.engine, "validate", lambda c: validated.append(c) or validate(c))
-    with pytest.raises(RuntimeError, match="value=-1.0 .*strategy.parameter: must be >= 0"):
-        sweep(tiny_config, "hysteresis", [0.0, 0.05, -1.0], [1, 2])
-    # each seed's family was validated once; later runs checked only their
-    # strategy, which is how the negative margin was caught
-    assert len(validated) == 2
-    assert family_spy and hodsim.engine._families.get() is None
+
+    def counting(config, seed):
+        # the fifth run, the first of seed 2, fails
+        runs.append(seed)
+        if len(runs) == 5:
+            raise RuntimeError("run refused")
+        return run_simulation(config, seed)
+
+    monkeypatch.setattr(hodsim.metrics, "run_simulation", counting)
+    good = ("waiting_time", [0.0, 2.0])
+    for bad, message in ((("hysteresis", [0.0, 0.05, -1.0]), "value=-1.0: .*must be >= 0"),
+                         (("randomized_wait", [1.0, math.nan]), "value=nan: .*must be finite"),
+                         (("hover", [0.0]), "value=0.0: strategy.kind: must be one of")):
+        for plans in ([bad], [bad, good], [good, bad]):
+            with pytest.raises(ValueError, match=message):
+                sweeps(tiny_config, plans, [1, 2])
+    assert not runs and not validated and not family_spy
+    # a run that fails part way drops the records made before it
+    with pytest.raises(RuntimeError, match="value=0.0 seed=2: run refused"):
+        sweeps(tiny_config, [good, ("hysteresis", [0.0, 0.05])], [1, 2])
+    assert runs == [1, 1, 1, 1, 2] and len(family_spy) == 1 and hodsim.engine._slot.get() is None
     gc.collect()
     assert all(ref() is None for ref in family_spy)
+
+
+def test_a_sweep_drops_each_seeds_record_before_the_next(tiny_config, family_spy, monkeypatch):
+    # a sweep runs seed by seed, and a seed's record is freed before the
+    # next seed's world pass starts, with no help from the cyclic GC
+    alive = []
+    world = hodsim.engine._world
+
+    def spying(config, seed):
+        alive.append([ref() is not None for ref in family_spy])
+        return world(config, seed)
+
+    monkeypatch.setattr(hodsim.engine, "_world", spying)
+    sweeps(tiny_config, [("hysteresis", [0.0, 0.05, 0.2]), ("waiting_time", [0.0, 2.0])], [1, 2, 3])
+    assert alive == [[], [False], [False, False]]
 
 
 def test_a_run_that_fails_leaves_its_family_usable(monkeypatch):
@@ -448,13 +527,13 @@ def test_a_run_that_fails_leaves_its_family_usable(monkeypatch):
 
     with shared_worlds():
         run_simulation(with_strategy(config, "hysteresis", 0.0), 1)
-        (family,) = hodsim.engine._families.get()
+        (family,) = hodsim.engine._slot.get()
         assert family.rows is not None
         monkeypatch.setattr(hodsim.engine, "decide", failing)
         with pytest.raises(RuntimeError, match="decide failed"):
             run_simulation(with_strategy(config, "hysteresis", 0.3), 1)
         # the run had resumed: the tape was detached, the record kept
-        assert hodsim.engine._families.get() == [family] and family.rows is None
+        assert hodsim.engine._slot.get() == [family] and family.rows is None
         monkeypatch.setattr(hodsim.engine, "decide", decide)
         shared = [events_csv(run_simulation(with_strategy(config, "hysteresis", v), 1))
                   for v in values]
