@@ -16,7 +16,7 @@ from .decision import (
     utility,
 )
 from .engine import EventLog, events_csv, run_simulation
-from .knowledge import KnowledgeBase, KnowledgeRecord, candidate_view, diffuse, known
+from .knowledge import known
 from .metrics import (
     RunMetrics,
     SweepReport,

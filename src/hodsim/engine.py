@@ -65,12 +65,14 @@ from .decision import (
     decide,
     score_network,
 )
-# candidate_view and diffuse are not called here; they stay bound because
-# perfbench/tracing.py wraps every collaborator by its name in this module.
-from .knowledge import candidate_view, diffuse, known  # noqa: F401
+from .knowledge import known
 from .mobility import init_mobility, step_mobility
 from .radio import QosVector, ap_qos, apply_jitter, sensed_aps
 from .scenario import ApProfile, ScenarioConfig, StabilityStrategy, strategy_violations, validate
+
+# Nothing calls these; perfbench/tracing.py still wraps both names in this
+# module until ROADMAP item 4 drops them from its CALL_SITES.
+diffuse = candidate_view = None
 
 EVENTS_SCHEMA = "# hodsim events schema v1"
 EVENTS_HEADER = "time,mt,associated_ap,action,c_asso,c_best,suppressed"

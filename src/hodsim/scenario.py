@@ -29,9 +29,10 @@ DEFAULT_MAX_BENEFIT = 1e6
 
 # Bounds on the size of one run.  A run holds up to ~0.9 KB per mobile
 # terminal and step, and jitter ~0.6 KB per AP and step (measured in
-# docs/config.md), so either bound keeps a run of a few dozen APs near 2 GB.
+# docs/config.md), so each bound keeps a run near 2 GB or less.
 MAX_STEPS = 100_000
 MAX_TERMINAL_STEPS = 2_000_000
+MAX_JITTER_AP_STEPS = 3_000_000
 
 
 class ScenarioError(ValueError):
@@ -113,8 +114,8 @@ class ScenarioConfig:
 
 
 # Ids are written unquoted into the CSV outputs, so they may not contain a
-# field or line separator.
-_ID_FORBIDDEN = (",", "\n", "\r")
+# field or line separator or a quote.
+_ID_FORBIDDEN = (",", "\n", "\r", '"')
 
 
 def _bad_id(value: str) -> bool:
@@ -196,6 +197,9 @@ def validate(config: ScenarioConfig) -> List[str]:
         if mobile * config.nb_steps > MAX_TERMINAL_STEPS:
             v.append(f"sim_time: {mobile} mobile users x {config.nb_steps} steps (sim_time / "
                      f"decision_step) is more than {MAX_TERMINAL_STEPS}")
+        if config.qos_jitter_sigma > 0 and len(config.aps) * config.nb_steps > MAX_JITTER_AP_STEPS:
+            v.append(f"qos_jitter_sigma: with jitter on, {len(config.aps)} APs x {config.nb_steps} "
+                     f"steps is more than {MAX_JITTER_AP_STEPS}")
     if config.diffusion_period <= 0:
         v.append("diffusion_period: must be > 0")
     elif (timing_finite and config.decision_step > 0
@@ -224,7 +228,7 @@ def validate(config: ScenarioConfig) -> List[str]:
     crit_set = set(crit_ids)
     for ap in config.aps:
         if _bad_id(ap.id):
-            v.append(f"aps[{ap.id!r}].id: must be non-empty without ',' or line breaks")
+            v.append(f"aps[{ap.id!r}].id: must be non-empty without ',', '\"' or line breaks")
         if ap.coverage_radius <= 0:
             v.append(f"aps[{ap.id}].coverage_radius: must be > 0")
         if set(ap.base_qos) != crit_set:
@@ -249,7 +253,9 @@ def validate(config: ScenarioConfig) -> List[str]:
         v.append("users: duplicate user id")
     for u in config.users:
         if _bad_id(u.id):
-            v.append(f"users[{u.id!r}].id: must be non-empty without ',' or line breaks")
+            v.append(f"users[{u.id!r}].id: must be non-empty without ',', '\"' or line breaks")
+        elif u.id == "ALL":
+            v.append("users[ALL].id: 'ALL' is reserved for the summary row of metrics_s<seed>.csv")
         if not _inside(u.initial_position, config.area):
             v.append(f"users[{u.id}].initial_position: outside area")
         if u.speed < 0:

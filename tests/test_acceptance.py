@@ -17,11 +17,12 @@ from scipy.stats import spearmanr
 from hodsim.cli import main
 from hodsim.decision import CombinedScore, decide, utility
 from hodsim.engine import events_csv, run_simulation
-from hodsim.knowledge import KnowledgeBase, diffuse
+from hodsim.knowledge import known
 from hodsim.metrics import confidence_interval, sweep
 from hodsim.mobility import draw_waypoint, init_mobility, step_mobility
 from hodsim.scenario import StabilityStrategy, UserProfile, default_scenario, with_strategy
 
+from reference import ref_diffuse
 from test_decision import assert_pipelines_agree, run_both_pipelines
 
 SEEDS = list(range(1, 11))
@@ -209,15 +210,16 @@ def test_criterion_7_invariant_suites():
                 neighbors[a].add(b)
                 neighbors[b].add(a)
         neigh = {a: tuple(sorted(v)) for a, v in neighbors.items()}
-        bases = {a: KnowledgeBase(owner=a) for a in ids}
-        mt_base = None
+        aps, rounds = {a: {} for a in ids}, []
         for k in range(6):
             qos = {a: {"bw": float(rng.uniform(1, 9))} for a in ids}
-            bases, mts = diffuse(bases, neigh, qos, {"mt": ids[0]}, now=k * period)
-            mt_base = mts["mt"]
+            aps, mts = ref_diffuse(aps, neigh, qos, {"mt": ids[0]}, k * period)
+            rounds.append({a: (qos[a], k * period) for a in ids})
+        mt_view = mts["mt"]
+        assert mt_view == known(ids[0], neigh[ids[0]], rounds[-1], rounds[-2])
         for b in neigh[ids[0]]:
-            if b in mt_base.records:
-                age = 5 * period + period - 1e-9 - mt_base.records[b].timestamp
+            if b in mt_view:
+                age = 5 * period + period - 1e-9 - mt_view[b][1]
                 assert age <= 2 * period + 1e-9
                 cases += 1
         cases += 1

@@ -1,16 +1,27 @@
+import copy
+import io
 import json
+import re
+import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import hodsim.cli
 import hodsim.engine
 import hodsim.metrics
 from hodsim.cli import MAX_GRID_VALUES, apply_override, main, parse_values
-from hodsim.scenario import ScenarioError, load_scenario
+from hodsim.engine import events_csv, run_simulation
+from hodsim.scenario import DOCUMENT_KEYS, ScenarioError, default_document, load_scenario
 
 from conftest import tiny_document
+from logcheck import check_log
+from test_boundary import _paths
 
 
 @pytest.fixture
@@ -164,6 +175,10 @@ def test_validate_reports_violations(tmp_path, capsys):
     ("users.0.mobile=\"false\"", "mobile"),
     ("handover_cost_steps=1.7", "handover_cost_steps"),
     ("users.0.id=\"u,0\"", "id"),
+    # a quote would open a quoted CSV field that runs to the end of the file
+    ("users.0.id=\"\\\"u00\"", "users['\"u00'].id"),
+    # the metrics CSV's summary row is named ALL
+    ("users.0.id=\"ALL\"", "users[ALL].id"),
 ])
 def test_bad_values_exit_one_naming_the_field(assignment, field, tmp_path, capsys):
     # every path above exists in the built-in scenario's document
@@ -201,6 +216,33 @@ def test_a_run_too_large_to_hold_exits_one_before_any_allocation(assignments, tm
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err and "decision_step" in err
     assert peak < 2 ** 22 and not (tmp_path / "o").exists()
+
+
+def test_a_jittered_run_with_too_many_ap_steps_exits_one_before_any_allocation(
+        tmp_path, capsys, monkeypatch):
+    # jitter keeps ~0.6 KB per AP and step, so 40 APs x 100,000 steps is
+    # refused although the step and terminal-step counts are in bounds
+    def refused(config, seed):
+        raise AssertionError("a world pass started")
+
+    monkeypatch.setattr(hodsim.engine, "_world", refused)
+    doc = tiny_document(sim_time=50_000.0, qos_jitter_sigma=0.5)
+    doc["aps"] += [dict(doc["aps"][0], id=f"x{j}", wired_neighbors=[]) for j in range(38)]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "qos_jitter_sigma: with jitter on, 40 APs x 100000 steps" in capsys.readouterr().err
+    tracemalloc.start()
+    try:
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "qos_jitter_sigma" in err
+    assert peak < 2 ** 22 and not (tmp_path / "o").exists()
+    # without jitter the same document is in bounds
+    assert main(["validate", "--config", str(path), "--set", "qos_jitter_sigma=0"]) == 0
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -426,3 +468,121 @@ def test_an_out_that_is_a_file_exits_one_naming_the_flag_before_any_run(
     assert main(verb + ["--seed", "1", "--config", config_file, "--out", str(out)]) == 1
     assert "config error: --out:" in capsys.readouterr().err
     assert blocker.read_text() == "not a directory\n" and runs == []
+
+
+# --- Multi-fault boundary properties -----------------------------------------
+#
+# A document or an argument list with several faults at once must end as exit
+# 0 or 1, never as a traceback or exit 2; an exit 1 names a field or a flag,
+# and a document that validates must run.
+
+HOSTILE = [True, False, None, "", [], [1.0, 2.0], 1e300, 1e308, 1e-320, 2 ** 63, -1, 0]
+# short runs, so that every valid document can be run; kept as JSON text,
+# which loads faster than a deep copy
+FAULT_BASES = [json.dumps(dict(default_document(), sim_time=5.0)), json.dumps(tiny_document())]
+FIELD_NAMES = set(DOCUMENT_KEYS).union(*(keys for keys in DOCUMENT_KEYS.values() if keys))
+
+
+def _cli(argv):
+    """main(argv) with its output captured: (exit code, stderr text)."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _names_one_of(err, names) -> bool:
+    """Whether every line of ``err`` names one of ``names``."""
+    lines = err.splitlines()
+    return bool(lines) and all(any(re.search(rf"(?<![\w-]){re.escape(n)}(?!\w)", line)
+                                   for n in names) for line in lines)
+
+
+@st.composite
+def faulty_documents(draw):
+    """A short base document with 1-4 faults.  A fault picks a key of the
+    document, goes down into its value at random, one key per level, and
+    then replaces the value it stops at with a hostile one, wraps it in a
+    list, or deletes it from its object or duplicates it in its list."""
+    doc = json.loads(draw(st.sampled_from(FAULT_BASES)))
+    for _ in range(draw(st.integers(1, 4))):
+        node, key = doc, draw(st.sampled_from(list(doc)))
+        while isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+            node = node[key]
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        last = "delete" if isinstance(node, dict) else "duplicate"
+        kind = draw(st.sampled_from(["replace", "wrap", last]))
+        if kind == "replace":
+            node[key] = copy.deepcopy(draw(st.sampled_from(HOSTILE)))
+        elif kind == "wrap":
+            node[key] = [node[key]]
+        elif kind == "delete":
+            del node[key]
+        else:
+            node.insert(key, copy.deepcopy(node[key]))
+    return doc
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(faulty_documents())
+def test_multi_fault_documents_exit_one_naming_a_field_or_run(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "s.json", Path(tmp) / "o"
+        path.write_text(json.dumps(doc))
+        code, err = _cli(["validate", "--config", str(path)])
+        assert code in (0, 1), err
+        if code == 1:
+            assert _names_one_of(err, FIELD_NAMES), err
+            return
+        code, err = _cli(["run", "--config", str(path), "--seeds", "1", "--out", str(out)])
+        assert code == 0, err
+        log = run_simulation(load_scenario(doc), 1)
+        check_log(log)
+        assert (out / "events_s1.csv").read_text() == events_csv(log)
+
+
+ARG_TOKENS = ["", " ", "x", "-1", "0", "1", "0.5", "1e300", "1e308", "1e-320",
+              str(2 ** 63), "nan", "inf", "true"]
+JSON_TEXTS = ["true", "null", '""', "[]", "[1,2]", "1e300", "1e308", "1e-320", str(2 ** 63),
+              "-1", "0", "{", "x"]
+SET_PATHS = [".".join(map(str, p)) for p in _paths(tiny_document())] + [
+    "", "x", "aps.9.id", "sim_time.x", "users.-1.speed", "aps..id"]
+
+
+def _arguments(valid, joiner, max_size):
+    """No argument, a valid one, or 1..max_size hostile tokens joined."""
+    hostile = st.lists(st.sampled_from(ARG_TOKENS), min_size=1, max_size=max_size).map(joiner.join)
+    return st.none() | st.sampled_from(valid) | hostile
+
+
+@seed(20261019)
+@settings(max_examples=100, deadline=None)
+@given(
+    sets=st.lists(st.sampled_from(["qos_jitter_sigma=0.5", "handover_cost_steps=2",
+                                   "gate_candidates=false"])
+                  | st.tuples(st.sampled_from(SET_PATHS), st.sampled_from(JSON_TEXTS))
+                  .map("=".join), max_size=3),
+    values=_arguments(["0:1:0.5", "0.5:0.5:1"], ":", 4),
+    seeds=_arguments(["1", "0,2"], ",", 3),
+    retention=_arguments(["0", "1"], "", 1),
+)
+def test_hostile_argument_lists_exit_one_naming_a_flag_or_sweep(sets, values, seeds, retention):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "s.json", Path(tmp) / "o"
+        path.write_text(json.dumps(tiny_document(sim_time=1.0)))
+        argv = ["sweep", "--config", str(path), "--out", str(out)]
+        for assignment in sets:
+            argv += ["--set", assignment]
+        flags = ["--set"] if sets else []
+        for flag, arg in (("--values", values), ("--seeds", seeds), ("--retention", retention)):
+            if arg is not None:
+                argv.append(f"{flag}={arg}")
+                flags.append(flag)
+        code, err = _cli(argv)
+        assert code in (0, 1), err
+        if code == 1:
+            assert _names_one_of(err, FIELD_NAMES | set(flags)), err
+            assert not out.exists()
+        else:
+            assert (out / "sweep_hysteresis.csv").exists()

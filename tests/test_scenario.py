@@ -9,6 +9,7 @@ import pytest
 
 from hodsim import scenario
 from hodsim.scenario import (
+    MAX_JITTER_AP_STEPS,
     MAX_STEPS,
     MAX_TERMINAL_STEPS,
     ApProfile,
@@ -116,6 +117,15 @@ def test_validate_bounds_a_runs_size():
     assert validate(replace(crowd, sim_time=(steps + 1) * dt)) == [
         f"sim_time: 50 mobile users x {steps + 1} steps (sim_time / decision_step) "
         f"is more than {MAX_TERMINAL_STEPS}"]
+    # with jitter on, 40 APs x steps
+    wide = replace(config, qos_jitter_sigma=0.5, aps=tuple(
+        replace(config.aps[0], id=f"x{j}", wired_neighbors=()) for j in range(40)))
+    steps = MAX_JITTER_AP_STEPS // 40
+    assert validate(replace(wide, sim_time=steps * dt)) == []
+    assert validate(replace(wide, sim_time=(steps + 1) * dt)) == [
+        f"qos_jitter_sigma: with jitter on, 40 APs x {steps + 1} steps "
+        f"is more than {MAX_JITTER_AP_STEPS}"]
+    assert validate(replace(wide, sim_time=(steps + 1) * dt, qos_jitter_sigma=0.0)) == []
 
 
 def test_validate_survives_a_step_ratio_beyond_the_float_range():
