@@ -93,9 +93,9 @@ def apply_override(document: dict, assignment: str) -> None:
     """Apply one key=value override onto the raw config document.
 
     Each key of the dot path must be a field of its object, even one the
-    document leaves out, or a key already in a map such as ``base_qos``
-    (list indices allowed), so a typo cannot create a field.  The value is
-    parsed as JSON when possible, else kept as a string.
+    document leaves out, a key already in a map such as ``base_qos``, or a
+    list index in plain digits, so a typo cannot create a field.  The value
+    is parsed as JSON when possible, else kept as a string.
     """
     if "=" not in assignment:
         raise ScenarioError(f"--set: expected key=value, got {assignment!r}")
@@ -111,6 +111,9 @@ def apply_override(document: dict, assignment: str) -> None:
         last = i == len(parts) - 1
         if isinstance(node, list):
             try:
+                # plain digits only: int() would also read '-1', '+1', ' 1' and '1_0'
+                if not (part.isascii() and part.isdigit()):
+                    raise ValueError(part)
                 idx = int(part)
                 node[idx]
             except (ValueError, IndexError) as exc:

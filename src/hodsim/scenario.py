@@ -4,7 +4,9 @@ A scenario is immutable after loading and holds every constant a run needs:
 world geometry, access points, users, decision criteria, the stability
 strategy, and the RNG seed.  The JSON document schema is described in
 docs/config.md: each object's keys are the fields of its dataclass, and
-unknown keys are rejected to catch typos early.
+unknown keys are rejected to catch typos early.  A field's own rules, its
+finiteness and range, sit in the rule list beside its object's field table;
+``validate`` adds only the checks that relate fields to each other.
 """
 
 import json
@@ -113,186 +115,6 @@ class ScenarioConfig:
         return {ap.id: ap for ap in self.aps}
 
 
-# Ids are written unquoted into the CSV outputs, so they may not contain a
-# field or line separator or a quote.
-_ID_FORBIDDEN = (",", "\n", "\r", '"')
-
-
-def _bad_id(value: str) -> bool:
-    return not value or any(ch in value for ch in _ID_FORBIDDEN)
-
-
-def _nonfinite(config: ScenarioConfig) -> List[str]:
-    """Names of the numeric fields holding NaN or an infinity."""
-    fields = [
-        ("sim_time", (config.sim_time,)),
-        ("decision_step", (config.decision_step,)),
-        ("diffusion_period", (config.diffusion_period,)),
-        ("area", config.area),
-        ("mobility_ratio", (config.mobility_ratio,)),
-        ("max_benefit", (config.max_benefit,)),
-        ("qos_jitter_sigma", (config.qos_jitter_sigma,)),
-    ]
-    fields += [(f"criteria[{c.id}].alpha", (c.alpha,)) for c in config.criteria]
-    for ap in config.aps:
-        fields += [
-            (f"aps[{ap.id}].position", ap.position),
-            (f"aps[{ap.id}].coverage_radius", (ap.coverage_radius,)),
-            (f"aps[{ap.id}].base_qos", tuple(ap.base_qos.values())),
-        ]
-    for u in config.users:
-        fields += [
-            (f"users[{u.id}].initial_position", u.initial_position),
-            (f"users[{u.id}].speed", (u.speed,)),
-            (f"users[{u.id}].pause_range", u.pause_range),
-            (f"users[{u.id}].app_requirements", tuple(u.app_requirements.values())),
-        ]
-    return [name for name, values in fields if not all(math.isfinite(x) for x in values)]
-
-
-def _is_multiple(value: float, step: float, tol: float = 1e-9) -> bool:
-    if step <= 0:
-        return False
-    ratio = value / step
-    return math.isfinite(ratio) and abs(ratio - round(ratio)) <= tol and round(ratio) >= 1
-
-
-def _inside(pos: Tuple[float, float], area: Tuple[float, float]) -> bool:
-    return 0.0 <= pos[0] <= area[0] and 0.0 <= pos[1] <= area[1]
-
-
-def strategy_violations(strategy: StabilityStrategy) -> List[str]:
-    """The violations of ``validate`` that concern the strategy alone; a
-    config whose other fields are valid has exactly these."""
-    v = []
-    if not math.isfinite(strategy.parameter):
-        v.append("strategy.parameter: must be finite")
-    if strategy.kind not in STRATEGY_KINDS:
-        v.append(f"strategy.kind: must be one of {STRATEGY_KINDS}")
-    if strategy.parameter < 0:
-        v.append("strategy.parameter: must be >= 0")
-    return v
-
-
-def validate(config: ScenarioConfig) -> List[str]:
-    """Return all invariant violations, one human-readable message each.
-
-    An empty list means the config is runnable.  Messages name the offending
-    field so callers can surface them directly.
-    """
-    nonfinite = _nonfinite(config)
-    v: List[str] = [f"{name}: must be finite" for name in nonfinite]
-    # the step count is only defined for finite timing
-    timing_finite = not {"sim_time", "decision_step", "diffusion_period"} & set(nonfinite)
-    if config.sim_time <= 0:
-        v.append("sim_time: must be > 0")
-    if config.decision_step <= 0:
-        v.append("decision_step: must be > 0")
-    elif timing_finite and config.sim_time / config.decision_step > MAX_STEPS:
-        v.append(f"sim_time: sim_time / decision_step gives more than {MAX_STEPS} steps")
-    elif timing_finite and not _is_multiple(config.sim_time, config.decision_step):
-        v.append("sim_time: not an integer multiple of decision_step")
-    elif timing_finite:
-        mobile = sum(u.mobile for u in config.users)
-        if mobile * config.nb_steps > MAX_TERMINAL_STEPS:
-            v.append(f"sim_time: {mobile} mobile users x {config.nb_steps} steps (sim_time / "
-                     f"decision_step) is more than {MAX_TERMINAL_STEPS}")
-        if config.qos_jitter_sigma > 0 and len(config.aps) * config.nb_steps > MAX_JITTER_AP_STEPS:
-            v.append(f"qos_jitter_sigma: with jitter on, {len(config.aps)} APs x {config.nb_steps} "
-                     f"steps is more than {MAX_JITTER_AP_STEPS}")
-    if config.diffusion_period <= 0:
-        v.append("diffusion_period: must be > 0")
-    elif (timing_finite and config.decision_step > 0
-          and not _is_multiple(config.diffusion_period, config.decision_step)):
-        v.append("diffusion_period: not an integer multiple of decision_step")
-    if config.area[0] <= 0 or config.area[1] <= 0:
-        v.append("area: dimensions must be > 0")
-
-    crit_ids = [c.id for c in config.criteria]
-    if not config.criteria:
-        v.append("criteria: at least one criterion required")
-    if len(set(crit_ids)) != len(crit_ids):
-        v.append("criteria: duplicate criterion id")
-    for c in config.criteria:
-        if c.direction not in DIRECTIONS:
-            v.append(f"criteria[{c.id}].direction: must be one of {DIRECTIONS}")
-        if c.alpha <= 0:
-            v.append(f"criteria[{c.id}].alpha: must be > 0")
-
-    if not config.aps:
-        v.append("aps: at least one access point required")
-    ap_ids = [ap.id for ap in config.aps]
-    if len(set(ap_ids)) != len(ap_ids):
-        v.append("aps: duplicate ap id")
-    ap_id_set = set(ap_ids)
-    crit_set = set(crit_ids)
-    for ap in config.aps:
-        if _bad_id(ap.id):
-            v.append(f"aps[{ap.id!r}].id: must be non-empty without ',', '\"' or line breaks")
-        if ap.coverage_radius <= 0:
-            v.append(f"aps[{ap.id}].coverage_radius: must be > 0")
-        if set(ap.base_qos) != crit_set:
-            v.append(f"aps[{ap.id}].base_qos: keys must match criteria ids")
-        elif any(x < 0 for x in ap.base_qos.values()):
-            v.append(f"aps[{ap.id}].base_qos: values must be >= 0")
-        for n in ap.wired_neighbors:
-            if n == ap.id:
-                v.append(f"aps[{ap.id}].wired_neighbors: contains itself")
-            elif n not in ap_id_set:
-                v.append(f"aps[{ap.id}].wired_neighbors: unknown ap {n!r}")
-    by_id = {ap.id: ap for ap in config.aps}
-    for ap in config.aps:
-        for n in ap.wired_neighbors:
-            if n in by_id and ap.id not in by_id[n].wired_neighbors:
-                v.append(f"aps[{ap.id}].wired_neighbors: link to {n!r} not symmetric")
-
-    if not config.users:
-        v.append("users: at least one user required")
-    user_ids = [u.id for u in config.users]
-    if len(set(user_ids)) != len(user_ids):
-        v.append("users: duplicate user id")
-    for u in config.users:
-        if _bad_id(u.id):
-            v.append(f"users[{u.id!r}].id: must be non-empty without ',', '\"' or line breaks")
-        elif u.id == "ALL":
-            v.append("users[ALL].id: 'ALL' is reserved for the summary row of metrics_s<seed>.csv")
-        if not _inside(u.initial_position, config.area):
-            v.append(f"users[{u.id}].initial_position: outside area")
-        if u.speed < 0:
-            v.append(f"users[{u.id}].speed: must be >= 0")
-        if u.mobile and u.speed <= 0:
-            v.append(f"users[{u.id}].speed: mobile user needs speed > 0")
-        lo, hi = u.pause_range
-        if lo < 0 or lo > hi:
-            v.append(f"users[{u.id}].pause_range: need 0 <= min <= max")
-        if set(u.app_requirements) != crit_set:
-            v.append(f"users[{u.id}].app_requirements: keys must match criteria ids")
-        elif any(x < 0 for x in u.app_requirements.values()):
-            v.append(f"users[{u.id}].app_requirements: values must be >= 0")
-    if config.users:
-        n_mobile = sum(1 for u in config.users if u.mobile)
-        expected = config.mobility_ratio * len(config.users)
-        if abs(n_mobile - expected) > 1.0 + 1e-9:
-            v.append(
-                f"mobility_ratio: {n_mobile} mobile of {len(config.users)} users "
-                f"is more than one user away from ratio {config.mobility_ratio!r}"
-            )
-
-    v += strategy_violations(config.strategy)
-    # a bool is an int, but no seed or count
-    if type(config.rng_seed) is not int or config.rng_seed < 0:
-        v.append("rng_seed: must be a non-negative integer")
-    if not (0.0 <= config.mobility_ratio <= 1.0):
-        v.append("mobility_ratio: must be in [0, 1]")
-    if config.max_benefit <= 0:
-        v.append("max_benefit: must be > 0")
-    if config.qos_jitter_sigma < 0:
-        v.append("qos_jitter_sigma: must be >= 0")
-    if type(config.handover_cost_steps) is not int or config.handover_cost_steps < 0:
-        v.append("handover_cost_steps: must be a non-negative integer")
-    return v
-
-
 # --- JSON document handling -------------------------------------------------
 
 
@@ -379,16 +201,46 @@ def _list_of(cls, table: Dict[str, Callable], **defaults) -> Callable:
     return parse
 
 
+# Each object's field rules sit beside its table as (field, test, message),
+# the test true of a bad value: every field the table parses as numbers must
+# be finite, and each entry of ``own`` tests one field alone.  validate applies
+# them and adds the checks that relate fields to each other.
+_NOT_FINITE = {
+    _number: lambda x: not math.isfinite(x),
+    _pair: lambda p: not (math.isfinite(p[0]) and math.isfinite(p[1])),
+    _qos_map: lambda m: not all(map(math.isfinite, m.values())),
+}
+
+
+def _rules(table: Dict[str, Callable], **own: Tuple[Callable, str]) -> List[Tuple[str, Callable, str]]:
+    return ([(name, _NOT_FINITE[parse], "must be finite") for name, parse in table.items()
+             if parse in _NOT_FINITE] + [(name, bad, message) for name, (bad, message) in own.items()])
+
+
+_POSITIVE = (lambda x: x <= 0, "must be > 0")
+_NON_NEGATIVE = (lambda x: x < 0, "must be >= 0")
+# a bool is an int, but no seed or count
+_COUNT = (lambda n: type(n) is not int or n < 0, "must be a non-negative integer")
+
 _CRITERION_FIELDS = {"id": _text, "direction": _text, "alpha": _number}
+_CRITERION_RULES = _rules(_CRITERION_FIELDS,
+                          direction=(lambda d: d not in DIRECTIONS, f"must be one of {DIRECTIONS}"),
+                          alpha=_POSITIVE)
 _STRATEGY_FIELDS = {"kind": _text, "parameter": _number}
+_STRATEGY_RULES = _rules(_STRATEGY_FIELDS,
+                         kind=(lambda k: k not in STRATEGY_KINDS, f"must be one of {STRATEGY_KINDS}"),
+                         parameter=_NON_NEGATIVE)
 _AP_FIELDS = {
     "id": _text, "position": _pair, "coverage_radius": _number,
     "base_qos": _qos_map, "wired_neighbors": _ap_ids,
 }
+_AP_RULES = _rules(_AP_FIELDS, coverage_radius=_POSITIVE)
 _USER_FIELDS = {
     "id": _text, "mobile": _flag, "initial_position": _pair,
     "speed": _number, "pause_range": _pair, "app_requirements": _qos_map,
 }
+_USER_RULES = _rules(_USER_FIELDS, speed=_NON_NEGATIVE,
+                     pause_range=(lambda p: p[0] < 0 or p[0] > p[1], "need 0 <= min <= max"))
 _CONFIG_FIELDS = {
     "aps": _list_of(ApProfile, _AP_FIELDS),
     "users": None,  # parsed against the criteria, see parse_scenario
@@ -399,11 +251,133 @@ _CONFIG_FIELDS = {
     "mobility_ratio": _number, "gate_candidates": _flag, "max_benefit": _number,
     "qos_jitter_sigma": _number, "handover_cost_steps": _integer,
 }
+_CONFIG_RULES = _rules(
+    _CONFIG_FIELDS, sim_time=_POSITIVE, decision_step=_POSITIVE, diffusion_period=_POSITIVE,
+    area=(lambda a: a[0] <= 0 or a[1] <= 0, "dimensions must be > 0"),
+    criteria=(lambda c: not c, "at least one criterion required"),
+    aps=(lambda a: not a, "at least one access point required"),
+    users=(lambda u: not u, "at least one user required"),
+    rng_seed=_COUNT, handover_cost_steps=_COUNT, max_benefit=_POSITIVE,
+    mobility_ratio=(lambda r: not 0.0 <= r <= 1.0, "must be in [0, 1]"),
+    qos_jitter_sigma=_NON_NEGATIVE,
+)
 
 # The keys a document may hold, with those of the objects its fields hold.
 DOCUMENT_KEYS = dict(dict.fromkeys(_CONFIG_FIELDS), **{name: dict.fromkeys(table) for name, table in (
     ("aps", _AP_FIELDS), ("users", _USER_FIELDS),
     ("criteria", _CRITERION_FIELDS), ("strategy", _STRATEGY_FIELDS))})
+
+
+# --- Validation -------------------------------------------------------------
+
+
+# Ids are written unquoted into the CSV outputs, so they may not contain a
+# field or line separator or a quote.
+_ID_FORBIDDEN = (",", "\n", "\r", '"')
+
+
+def _bad_id(value: str) -> bool:
+    return not value or any(ch in value for ch in _ID_FORBIDDEN)
+
+
+def _is_multiple(value: float, step: float, tol: float = 1e-9) -> bool:
+    ratio = value / step
+    return math.isfinite(ratio) and abs(ratio - round(ratio)) <= tol and round(ratio) >= 1
+
+
+def _inside(pos: Tuple[float, float], area: Tuple[float, float]) -> bool:
+    return 0.0 <= pos[0] <= area[0] and 0.0 <= pos[1] <= area[1]
+
+
+def _violations(obj, rules: List[Tuple[str, Callable, str]], where: str) -> List[str]:
+    """The violations of the fields of ``obj`` on their own; ``where``
+    prefixes every field name."""
+    return [f"{where}{name}: {message}" for name, bad, message in rules if bad(getattr(obj, name))]
+
+
+def strategy_violations(strategy: StabilityStrategy) -> List[str]:
+    """The violations of ``validate`` that concern the strategy alone; a
+    config whose other fields are valid has exactly these."""
+    return _violations(strategy, _STRATEGY_RULES, "strategy.")
+
+
+def validate(config: ScenarioConfig) -> List[str]:
+    """Return all invariant violations, one human-readable message each.
+
+    An empty list means the config is runnable.  Messages name the offending
+    field so callers can surface them directly.
+    """
+    v = _violations(config, _CONFIG_RULES, "")
+    n_mobile = sum(u.mobile for u in config.users)
+    # the step count is only defined for positive finite timing
+    step = config.decision_step
+    if step > 0 and all(map(math.isfinite, (config.sim_time, step, config.diffusion_period))):
+        if config.sim_time / step > MAX_STEPS:
+            v.append(f"sim_time: sim_time / decision_step gives more than {MAX_STEPS} steps")
+        elif not _is_multiple(config.sim_time, step):
+            v.append("sim_time: not an integer multiple of decision_step")
+        else:
+            if n_mobile * config.nb_steps > MAX_TERMINAL_STEPS:
+                v.append(f"sim_time: {n_mobile} mobile users x {config.nb_steps} steps (sim_time / "
+                         f"decision_step) is more than {MAX_TERMINAL_STEPS}")
+            if config.qos_jitter_sigma > 0 and len(config.aps) * config.nb_steps > MAX_JITTER_AP_STEPS:
+                v.append(f"qos_jitter_sigma: with jitter on, {len(config.aps)} APs x {config.nb_steps} "
+                         f"steps is more than {MAX_JITTER_AP_STEPS}")
+        if config.diffusion_period > 0 and not _is_multiple(config.diffusion_period, step):
+            v.append("diffusion_period: not an integer multiple of decision_step")
+
+    crit_ids = [c.id for c in config.criteria]
+    if len(set(crit_ids)) != len(crit_ids):
+        v.append("criteria: duplicate criterion id")
+    for c in config.criteria:
+        v += _violations(c, _CRITERION_RULES, f"criteria[{c.id}].")
+
+    ap_ids = [ap.id for ap in config.aps]
+    if len(set(ap_ids)) != len(ap_ids):
+        v.append("aps: duplicate ap id")
+    by_id = config.ap_by_id()
+    crit_set = set(crit_ids)
+    for ap in config.aps:
+        v += _violations(ap, _AP_RULES, f"aps[{ap.id}].")
+        if _bad_id(ap.id):
+            v.append(f"aps[{ap.id!r}].id: must be non-empty without ',', '\"' or line breaks")
+        if set(ap.base_qos) != crit_set:
+            v.append(f"aps[{ap.id}].base_qos: keys must match criteria ids")
+        elif any(x < 0 for x in ap.base_qos.values()):
+            v.append(f"aps[{ap.id}].base_qos: values must be >= 0")
+        for n in ap.wired_neighbors:
+            if n == ap.id:
+                v.append(f"aps[{ap.id}].wired_neighbors: contains itself")
+            elif n not in by_id:
+                v.append(f"aps[{ap.id}].wired_neighbors: unknown ap {n!r}")
+            elif ap.id not in by_id[n].wired_neighbors:
+                v.append(f"aps[{ap.id}].wired_neighbors: link to {n!r} not symmetric")
+
+    user_ids = [u.id for u in config.users]
+    if len(set(user_ids)) != len(user_ids):
+        v.append("users: duplicate user id")
+    for u in config.users:
+        v += _violations(u, _USER_RULES, f"users[{u.id}].")
+        if _bad_id(u.id):
+            v.append(f"users[{u.id!r}].id: must be non-empty without ',', '\"' or line breaks")
+        elif u.id == "ALL":
+            v.append("users[ALL].id: 'ALL' is reserved for the summary row of metrics_s<seed>.csv")
+        if not _inside(u.initial_position, config.area):
+            v.append(f"users[{u.id}].initial_position: outside area")
+        if u.mobile and u.speed <= 0:
+            v.append(f"users[{u.id}].speed: mobile user needs speed > 0")
+        if set(u.app_requirements) != crit_set:
+            v.append(f"users[{u.id}].app_requirements: keys must match criteria ids")
+        elif any(x < 0 for x in u.app_requirements.values()):
+            v.append(f"users[{u.id}].app_requirements: values must be >= 0")
+    if config.users:
+        expected = config.mobility_ratio * len(config.users)
+        if abs(n_mobile - expected) > 1.0 + 1e-9:
+            v.append(
+                f"mobility_ratio: {n_mobile} mobile of {len(config.users)} users "
+                f"is more than one user away from ratio {config.mobility_ratio!r}"
+            )
+    return v + strategy_violations(config.strategy)
 
 
 def load_scenario(document: Union[str, dict, Path]) -> ScenarioConfig:

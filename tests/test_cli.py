@@ -332,6 +332,13 @@ def test_set_reaches_fields_the_document_leaves_out(field, raw, value, tmp_path,
     ("aps.0.base_qos.bw=1", "'bw'"),
     ("aps.99.coverage_radius=60", "'99'"),
     ("users.-53.speed=1", "'-53'"),
+    # a list index is plain digits, never read from the end or by int()'s leniency
+    ("users.-1.speed=1", "bad list index '-1'"),
+    ("aps.-9.coverage_radius=60", "bad list index '-9'"),
+    ("users.+1.speed=1", "bad list index '+1'"),
+    ("users. 1.speed=1", "bad list index ' 1'"),
+    ("users.1_0.speed=1", "bad list index '1_0'"),
+    ("users.\u0661.speed=1", "bad list index"),
 ])
 def test_set_still_rejects_unknown_keys_and_bad_indices(assignment, named, tmp_path, capsys):
     out = tmp_path / "o"
@@ -547,7 +554,8 @@ ARG_TOKENS = ["", " ", "x", "-1", "0", "1", "0.5", "1e300", "1e308", "1e-320",
 JSON_TEXTS = ["true", "null", '""', "[]", "[1,2]", "1e300", "1e308", "1e-320", str(2 ** 63),
               "-1", "0", "{", "x"]
 SET_PATHS = [".".join(map(str, p)) for p in _paths(tiny_document())] + [
-    "", "x", "aps.9.id", "sim_time.x", "users.-1.speed", "aps..id"]
+    "", "x", "aps.9.id", "sim_time.x", "users.-1.speed", "aps..id", "users.+1.speed",
+    "users.1_0.speed"]
 
 
 def _arguments(valid, joiner, max_size):

@@ -1,9 +1,13 @@
 import copy
+import functools
 import hashlib
 import json
+import operator
 import re
-from dataclasses import fields, replace
+import typing
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import Dict, Tuple
 
 import pytest
 
@@ -253,6 +257,40 @@ def test_nonfinite_numbers_rejected(path, value, field):
         load_scenario(json.dumps(doc))
 
 
+
+def _float_variants(obj, value, where=""):
+    """(path, copy) for each field of dataclass ``obj`` that holds floats, the
+    copy with that field, or one component of its pair or map, set to
+    ``value``.  Fields are found from the type hints alone; nested dataclasses,
+    single or in a tuple, are walked."""
+    for name, hint in typing.get_type_hints(type(obj)).items():
+        current = getattr(obj, name)
+        if hint is float:
+            yield where + name, replace(obj, **{name: value})
+        elif hint == Tuple[float, float]:
+            yield where + name, replace(obj, **{name: (current[0], value)})
+        elif hint == Dict[str, float]:
+            yield where + name, replace(obj, **{name: {**current, next(iter(current)): value}})
+        elif is_dataclass(hint):
+            for path, inner in _float_variants(current, value, f"{where}{name}."):
+                yield path, replace(obj, **{name: inner})
+        elif typing.get_origin(hint) is tuple and is_dataclass(typing.get_args(hint)[0]):
+            for i, item in enumerate(current):
+                for path, inner in _float_variants(item, value, f"{where}{name}[{item.id}]."):
+                    yield path, replace(obj, **{name: current[:i] + (inner,) + current[i + 1:]})
+        else:  # a new shape holding floats must be added above, not skipped
+            assert "float" not in str(hint), (where + name, hint)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_every_float_field_must_be_finite(tiny_config, value):
+    paths = set()
+    for path, config in _float_variants(tiny_config, value):
+        assert f"{path}: must be finite" in validate(config)
+        paths.add(path)
+    assert {"area", "strategy.parameter", "criteria[delay].alpha",
+            "aps[apB].base_qos", "users[s1].pause_range"} <= paths
+
 @pytest.mark.parametrize("path, value, field", [
     ("users.0.mobile", "false", "mobile"),
     ("users.0.mobile", 1, "mobile"),
@@ -340,6 +378,46 @@ def test_single_fault_parse_outcomes_are_pinned():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == PARSE_OUTCOMES
 
 
+
+# --- Golden of validate outcomes ----------------------------------------------
+#
+# Every numeric leaf of tiny_document() with every optional number explicit,
+# set in turn to each value below: the parse error, or else the sorted
+# messages of validate, for each of these single-fault documents, hashed in
+# order.  Sorted, because validate promises which messages, not their order.
+
+EDGE_NUMBERS = [float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 1e308, 5e-324, 0.5]
+VALIDATE_OUTCOMES = "27a65ce9b7179322"
+
+
+def _validate_outcome(doc) -> str:
+    try:
+        config = parse_scenario(doc)
+    except ScenarioError as exc:
+        return str(exc)
+    return " | ".join(sorted(validate(config)))
+
+
+def _validate_outcome_lines():
+    base = tiny_document(diffusion_period=0.5, max_benefit=1e6, qos_jitter_sigma=0.0,
+                         handover_cost_steps=1)
+    for user in base["users"]:
+        user.update(speed=0.8, pause_range=[1.0, 5.0],
+                    app_requirements={"bandwidth": 0.0, "delay": 0.0})
+    for path in _key_paths(base):
+        leaf = functools.reduce(operator.getitem, path, base)
+        if isinstance(leaf, (int, float)) and not isinstance(leaf, bool):
+            where = ".".join(str(k) for k in path)
+            for value in EDGE_NUMBERS:
+                yield f"{where}={value!r}: {_validate_outcome(_with_fault(base, path, value))}"
+
+
+def test_single_fault_validate_outcomes_are_pinned():
+    lines = list(_validate_outcome_lines())
+    assert len(lines) == 51 * len(EDGE_NUMBERS)
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == VALIDATE_OUTCOMES
+
 def _documented_fields(heading: str) -> set:
     """First-column field names of the table under ``heading`` in docs/config.md."""
     text = (Path(__file__).parent.parent / "docs" / "config.md").read_text()
@@ -356,6 +434,15 @@ def _documented_fields(heading: str) -> set:
 ])
 def test_each_field_table_lists_its_dataclass_fields(cls, table):
     assert list(table) == [f.name for f in fields(cls)]
+
+
+def test_each_rule_names_a_field_of_its_table():
+    for table, rules in ((scenario._CONFIG_FIELDS, scenario._CONFIG_RULES),
+                         (scenario._CRITERION_FIELDS, scenario._CRITERION_RULES),
+                         (scenario._STRATEGY_FIELDS, scenario._STRATEGY_RULES),
+                         (scenario._AP_FIELDS, scenario._AP_RULES),
+                         (scenario._USER_FIELDS, scenario._USER_RULES)):
+        assert {name for name, _, _ in rules} <= set(table)
 
 
 @pytest.mark.parametrize("heading, table", [
