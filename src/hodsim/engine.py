@@ -27,18 +27,20 @@ the time and the terminal id follow from the row's position.
 
 Inside ``shared_worlds()`` the runs of one *family* (same seed,
 ``qos_model`` and config but for the strategy) share one record, a
-``_Family``.  It holds what does not depend on the strategy: the world pass
-and the tables (the QoS tables, the jitter noise, the scores and the initial
-strategy-generator states; the step-k noise is the same in every run, so a
-jittered vector is fixed by (step, AP, load)).  It also holds the latest
-run's log and *tape*.  The strategy enters a run only through ``decide``,
-which is called only where the base rule fires, so the tape is every step at
-which it fired, with the loop state after phase (3).  A later run of the
-family replays the tape through ``decide`` with its own strategy, wait times
-and generators; at the first step whose outcomes differ it takes that step's
-state, applies its own switches and executes normally from the next step.
-If no step differs, it reuses the whole log.  Every row, ``decide`` call and
-generator draw is the one a fresh run makes.  A scope holds one record, and
+``_Family``.  It holds what does not depend on the strategy: the world pass,
+the tables (QoS, jitter noise, scores and initial strategy-generator states;
+the step-k noise is the same in every run, so a jittered vector is fixed by
+(step, AP, load)) and the start (initial association and static loads),
+made once by the family's first run.  It also holds the latest run's log
+and *tape*.  The strategy enters a run only through ``decide``, which is
+called only where the base rule fires, so the tape is every step at which it
+fired, with the loop state after phase (3).  A later run of the family
+replays the tape through ``decide`` with its own strategy, wait times and
+generators; at the first step whose outcomes differ it takes that step's
+state, applies its own switches and executes normally from the next step; a
+run with no tape takes the state before step 0 the same way.  If no step
+differs, it reuses the whole log.  Every row, ``decide`` call and generator
+draw is the one a fresh run makes.  A scope holds one record, and
 ``metrics.sweeps`` runs seed by seed in one: each value executes only the
 steps after its first difference from the value before, and a seed's record
 is dropped before the next seed's is made.  Outside a scope a run builds the
@@ -174,11 +176,11 @@ def _world(config: ScenarioConfig, seed: int) -> _World:
     states = [init_mobility(u, area, rng) for u, rng in zip(mobile, rngs)]
     initial = sense([u.initial_position for u in sorted(config.users, key=attrgetter("id"))])
     xy = np.empty((nb_steps, n, 2))
-    for k in range(nb_steps if n else 0):  # an empty list would not fit xy[k]
+    for k in range(nb_steps):
         states = [step_mobility(s, dt, area, u, rng) for s, u, rng in zip(states, mobile, rngs)]
         xy[k] = [s.position for s in states]
     xy.flags.writeable = False
-    block = max(1, _SENSE_BLOCK // max(1, n * len(config.aps)))
+    block = max(1, _SENSE_BLOCK // (n * len(config.aps)))
     sensed = []
     for start in range(0, nb_steps, block):
         stop = min(start + block, nb_steps)
@@ -188,14 +190,16 @@ def _world(config: ScenarioConfig, seed: int) -> _World:
 
 
 class _Step(NamedTuple):
-    """One step of a run at which the base rule fired for some terminal.
+    """One step of a run at which the base rule fired for some terminal, or
+    a family's state before step 0 (``k`` = -1), from which a fresh run starts.
 
     ``fired`` is the step's tape: ``(i, best_id)`` for each such terminal in
     order, plain tuples so that the garbage collector stops tracking them
     (the call's other inputs and outcome are in row ``i`` at step ``k``);
-    ``rejoins`` holds its blind re-joins ``(i, ap_id)``.  The other fields
-    and the rows' associated APs are the loop state after phase (3) that a
-    later step reads; a resumed run rebuilds its QoS (see ``run_simulation``).
+    ``rejoins`` holds its blind re-joins ``(i, ap_id)``, before step 0 the
+    initial associations.  The other fields and the rows' associated APs
+    (none before step 0) are the loop state after phase (3) that a later step
+    reads; a resumed run rebuilds its QoS (see ``run_simulation``).
     """
 
     k: int
@@ -216,9 +220,10 @@ class _Family:
     object; the jittered vector by (step, AP, load); ``noise[k][j]``, the
     j-th AP's (in id order) at step k; the score profiles; each terminal's
     initial strategy-generator state.  Every vector a memo has scored stays
-    here, so no id in a memo is reused.  Then the latest run's static loads,
-    rows, handover counts and tape (``steps``); ``rows`` is None while no
-    complete run's tape is attached.
+    here, so no id in a memo is reused.  The family's start, made once by its
+    first run: ``start``, the state before step 0, the static loads and the
+    noise.  Then the latest run's rows, handover counts and tape (``steps``);
+    ``rows`` is None while no complete run's tape is attached.
     """
 
     seed: int
@@ -231,6 +236,7 @@ class _Family:
     noise: Optional[List[Tuple[Tuple[float, ...], ...]]] = None
     profiles: Dict[Tuple[tuple, bool], _Profile] = field(default_factory=dict)
     strategy: Optional[List[dict]] = None
+    start: Optional[_Step] = None
     static_loads: Dict[str, int] = field(default_factory=dict)
     rows: Optional[Tuple[Tuple[tuple, ...], ...]] = None
     nb_ho: Tuple[int, ...] = ()
@@ -330,13 +336,14 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         if family.strategy is None:
             family.strategy = [_stream(seed, "strategy", m).bit_generator.state for m in mt_order]
         strat_rng = [_restored(state) for state in family.strategy]
-    resume = None
+    index, decisions = -1, []
     if family.rows is not None:
         resume = _replay(family, config.strategy, waits, strat_rng, dt)
         if resume is None:
             return EventLog(seed=seed, config=config, mt_ids=mt_order,
                             outcomes=dict(zip(mt_order, family.rows)),
                             nb_ho=dict(zip(mt_order, family.nb_ho)))
+        index, decisions = resume
 
     diffuse_every = int(round(config.diffusion_period / dt))
     sigma = config.qos_jitter_sigma
@@ -383,62 +390,63 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     gate = config.gate_candidates
     asso_profiles = [profile(users[m].app_requirements, True) for m in mt_order]
     cand_profiles = [profile(users[m].app_requirements, gate) for m in mt_order]
-    # the steps this run records for its family; None outside a scope
-    steps: Optional[List[_Step]] = None if slot is None else []
-    if resume is None:
+    if family.start is None:
         # Initial association at t=0: users in id order greedily pick the
         # best sensed AP by live QoS, strategy-free; each pick loads the AP
         # for the next user's view.
         loads = dict.fromkeys(ap_order, 0)
-        initial: Dict[str, Optional[str]] = {}
+        static_loads = family.static_loads = dict(loads)
+        initial: Dict[str, str] = {}
         for uid, sensed in zip(sorted(users), family.world.initial):
             prof = profile(users[uid].app_requirements, gate)
             best = best_candidate([
                 CombinedScore(ap_id, score(ap_id, offered(ap_id, loads[ap_id]), prof))
                 for ap_id in sensed
             ])
-            initial[uid] = best.ap_id if best is not None else None
             if best is not None:
+                initial[uid] = best.ap_id
                 loads[best.ap_id] += 1
-        # stationary users never move, so they keep their AP and its load
-        static_loads = dict.fromkeys(ap_order, 0)
-        for uid, ap_id in initial.items():
-            if ap_id is not None and not users[uid].mobile:
-                static_loads[ap_id] += 1
+                if not users[uid].mobile:
+                    # stationary users never move, so they keep their AP and its load
+                    static_loads[best.ap_id] += 1
+        if sigma > 0:
+            # the whole run's noise in one draw, equal to one draw per step;
+            # each AP takes a fixed share of a step's row, sized at step 0's
+            # loads, which are those the initial association leaves
+            sizes = [len(offered(a, loads[a])) for a in ap_order]
+            drawn = _stream(seed, "qos-jitter").normal(0.0, sigma, (config.nb_steps, sum(sizes)))
+            ends = list(accumulate(sizes))
+            family.noise = [tuple(row[e - size:e] for size, e in zip(sizes, ends))
+                            for row in map(tuple, drawn.tolist())]
+        # before step 0 the mobile terminals hold no AP, know nothing and
+        # take their initial APs as re-joins
+        rejoins = tuple((i, initial[m]) for i, m in enumerate(mt_order) if m in initial)
+        family.start = _Step(-1, (), rejoins, (0,) * n, ({},) * n, (0,) * n, {})
 
-        assoc = [initial[m] for m in mt_order]
-        disconnected = [0] * n
-        rows: List[List[tuple]] = [[] for _ in mt_order]
-        nb_ho = [0] * n
-        # Each terminal's knowledge in closed form: the view its AP held at
-        # the last round at which it was associated (see knowledge.known).
-        views: List[Dict[str, QosVector]] = [{}] * n
-        current: Dict[str, QosVector] = {}
-        start = 0
-    else:
-        # Up to this step the run is its family's latest run: take that
-        # run's state after phase (3), its rows with this run's outcomes
-        # where the base rule fired, and go on from phase (4).
-        index, decisions = resume
-        step = family.steps[index]
-        static_loads = family.static_loads
-        assoc = [r[step.k][0] for r in family.rows]
-        disconnected, views, nb_ho = list(step.disconnected), list(step.views), list(step.nb_ho)
-        current = step.current
-        rows = [list(r[:step.k + 1]) for r in family.rows]
-        pending = [(i, ap_id, False) for i, ap_id in step.rejoins]
-        for (i, _), outcome in zip(step.fired, decisions):
-            ap_id, _, c_asso, c_best, _ = rows[i][-1]
-            rows[i][-1] = (ap_id, outcome.action, c_asso, c_best, outcome.suppressed)
-            if outcome.action == HANDOVER:
-                pending.append((i, outcome.target, True))
-        steps = family.steps[:index + 1]
-        # this run replaces the tape; detach it now, so that its steps after
-        # this one are freed while the run goes on and a run that fails
-        # leaves the family without a tape rather than with half of one
-        family.rows, family.steps = None, []
-        switch(pending)
-        start = step.k + 1
+    # Up to this step the run is its family's latest run (a fresh run starts
+    # from the pre-step-0 state): take that run's state after phase (3), its
+    # rows with this run's outcomes where the base rule fired, and go on
+    # from phase (4).
+    step = family.start if index < 0 else family.steps[index]
+    rows = [[] for _ in mt_order] if index < 0 else [list(r[:step.k + 1]) for r in family.rows]
+    assoc = [r[-1][0] if r else None for r in rows]
+    # Each terminal's knowledge in closed form: the view its AP held at the
+    # last round at which it was associated (see knowledge.known).
+    disconnected, views, nb_ho = list(step.disconnected), list(step.views), list(step.nb_ho)
+    current = step.current
+    pending = [(i, ap_id, False) for i, ap_id in step.rejoins]
+    for (i, _), outcome in zip(step.fired, decisions):
+        ap_id, _, c_asso, c_best, _ = rows[i][-1]
+        rows[i][-1] = (ap_id, outcome.action, c_asso, c_best, outcome.suppressed)
+        if outcome.action == HANDOVER:
+            pending.append((i, outcome.target, True))
+    # the steps this run records for its family; None outside a scope
+    steps = None if slot is None else family.steps[:index + 1]
+    # this run replaces the tape; detach it now, so that its steps after
+    # this one are freed while the run goes on and a run that fails leaves
+    # the family without a tape rather than with half of one
+    family.rows, family.steps = None, []
+    switch(pending)
     # the next round moves current to previous before reading it, unless the
     # first step's qos_now equals current, when previous = current is right
     previous = current
@@ -447,23 +455,15 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     # the views of the last diffusion round, by AP
     round_views: Dict[str, Dict[str, QosVector]] = {}
 
-    for k in range(start, config.nb_steps):
+    for k in range(step.k + 1, config.nb_steps):
         now = k * dt
 
         # (1) load and offered QoS per AP
-        loads = dict(static_loads)
+        loads = dict(family.static_loads)
         for ap_id in assoc:
             if ap_id is not None:
                 loads[ap_id] += 1
         if sigma > 0:
-            if family.noise is None:
-                # the whole run's noise in one draw, equal to one draw per
-                # step; each AP takes a fixed share of a step's row
-                sizes = [len(offered(a, loads[a])) for a in ap_order]
-                drawn = _stream(seed, "qos-jitter").normal(0.0, sigma, (config.nb_steps, sum(sizes)))
-                ends = list(accumulate(sizes))
-                family.noise = [tuple(row[e - size:e] for size, e in zip(sizes, ends))
-                                for row in map(tuple, drawn.tolist())]
             qos_now = {}
             for ap_id, noise in zip(ap_order, family.noise[k]):
                 key = (k, ap_id, loads[ap_id])
@@ -567,8 +567,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     # the log is frozen once, and a family keeps the same tuples
     log = tuple(tuple(r) for r in rows)
     if steps is not None:
-        family.static_loads, family.nb_ho, family.steps = static_loads, tuple(nb_ho), steps
-        family.rows = log
+        family.rows, family.nb_ho, family.steps = log, tuple(nb_ho), steps
     return EventLog(seed=seed, config=config, mt_ids=mt_order,
                     outcomes=dict(zip(mt_order, log)), nb_ho=dict(zip(mt_order, nb_ho)))
 

@@ -256,7 +256,8 @@ _CONFIG_RULES = _rules(
     area=(lambda a: a[0] <= 0 or a[1] <= 0, "dimensions must be > 0"),
     criteria=(lambda c: not c, "at least one criterion required"),
     aps=(lambda a: not a, "at least one access point required"),
-    users=(lambda u: not u, "at least one user required"),
+    # a run's log and metrics are its mobile terminals'
+    users=(lambda u: not any(user.mobile for user in u), "at least one mobile user required"),
     rng_seed=_COUNT, handover_cost_steps=_COUNT, max_benefit=_POSITIVE,
     mobility_ratio=(lambda r: not 0.0 <= r <= 1.0, "must be in [0, 1]"),
     qos_jitter_sigma=_NON_NEGATIVE,
@@ -370,13 +371,9 @@ def validate(config: ScenarioConfig) -> List[str]:
             v.append(f"users[{u.id}].app_requirements: keys must match criteria ids")
         elif any(x < 0 for x in u.app_requirements.values()):
             v.append(f"users[{u.id}].app_requirements: values must be >= 0")
-    if config.users:
-        expected = config.mobility_ratio * len(config.users)
-        if abs(n_mobile - expected) > 1.0 + 1e-9:
-            v.append(
-                f"mobility_ratio: {n_mobile} mobile of {len(config.users)} users "
-                f"is more than one user away from ratio {config.mobility_ratio!r}"
-            )
+    if abs(n_mobile - config.mobility_ratio * len(config.users)) > 1.0 + 1e-9:
+        v.append(f"mobility_ratio: {n_mobile} mobile of {len(config.users)} users "
+                 f"is more than one user away from ratio {config.mobility_ratio!r}")
     return v + strategy_violations(config.strategy)
 
 

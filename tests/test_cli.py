@@ -189,6 +189,23 @@ def test_bad_values_exit_one_naming_the_field(assignment, field, tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("verb", [
+    ["validate"],
+    ["run"],
+    ["sweep", "--values", "0:0.1:0.1"],
+    ["compare", "--strategy-a", "hysteresis", "--strategy-b", "waiting"],
+])
+def test_a_scenario_without_mobile_users_exits_one_before_writing(verb, tmp_path, capsys):
+    # the built-in scenario made static: its 14 mobile users, u00-u13, stay put
+    static = ["--set", "mobility_ratio=0"]
+    for i in range(14):
+        static += ["--set", f"users.{i}.mobile=false"]
+    out = [] if verb == ["validate"] else ["--out", str(tmp_path / "o")]
+    assert main(verb + static + out) == 1
+    assert "users: at least one mobile user required" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("assignments", [
     ["sim_time=1e300"],
     ["sim_time=1e18"],

@@ -5,7 +5,7 @@ import pytest
 
 from hodsim.engine import events_csv, run_simulation, shared_worlds, _stream
 from hodsim.radio import ap_qos
-from hodsim.scenario import load_scenario, with_strategy
+from hodsim.scenario import ScenarioError, load_scenario, with_strategy
 
 from conftest import tiny_document
 from logcheck import Row, check_log, named
@@ -219,13 +219,20 @@ def test_stationary_users_hold_their_association(tiny_config):
     assert set(log.mt_ids) == {"m0", "m1"}
 
 
-def test_world_without_mobile_terminals_runs():
+def test_world_without_mobile_terminals_is_refused(tiny_config):
+    # a run logs and measures only its mobile terminals, so a world without
+    # one is refused before any run; so is a world without users
     doc = tiny_document(mobility_ratio=0.0, qos_jitter_sigma=1.0)
     for user in doc["users"]:
         user["mobile"] = False
-    log = run_simulation(load_scenario(doc), 2)
-    assert log.mt_ids == [] and log.outcomes == {}
-    assert events_csv(log).count("\n") == 2
+    with pytest.raises(ScenarioError, match="^users: at least one mobile user required$"):
+        load_scenario(doc)
+    static = replace(tiny_config, mobility_ratio=0.0,
+                     users=tuple(replace(u, mobile=False) for u in tiny_config.users))
+    with pytest.raises(ValueError, match="users: at least one mobile user required"):
+        run_simulation(static, 2)
+    with pytest.raises(ScenarioError, match="^users: at least one mobile user required$"):
+        load_scenario(tiny_document(users=[]))
 
 
 def test_terminal_outside_all_coverage_is_logged_not_fatal():

@@ -539,3 +539,42 @@ def test_a_run_that_fails_leaves_its_family_usable(monkeypatch):
                   for v in values]
         assert family.rows is not None
     assert shared == fresh and len(set(fresh)) > 1
+
+
+def test_a_familys_start_is_made_once(monkeypatch):
+    # the initial association and the jitter noise do not depend on the
+    # strategy, so the runs of one family in a scope make them once, at the
+    # first run, and a run that fails part way leaves them to the next run,
+    # which starts afresh from them
+    config = replace(SHORT, qos_jitter_sigma=0.5)
+    values = [0.0, 0.05, 0.1, 0.2, 0.3]
+    fresh = [events_csv(run_simulation(with_strategy(config, "hysteresis", v), 1)) for v in values]
+    picks, draws = [], []
+    best_candidate, stream, known = (hodsim.engine.best_candidate, hodsim.engine._stream,
+                                     hodsim.engine.known)
+    monkeypatch.setattr(hodsim.engine, "best_candidate", lambda c: picks.append(1) or best_candidate(c))
+
+    def drawing(seed, *labels):
+        if labels == ("qos-jitter",):
+            draws.append(seed)
+        return stream(seed, *labels)
+
+    def failing(*args):
+        raise RuntimeError("known failed")
+
+    monkeypatch.setattr(hodsim.engine, "_stream", drawing)
+    shared = []
+    with shared_worlds():
+        for index, v in enumerate(values):
+            if index == 2:
+                monkeypatch.setattr(hodsim.engine, "known", failing)
+                with pytest.raises(RuntimeError, match="known failed"):
+                    run_simulation(with_strategy(config, "waiting_time", 2.0), 1)
+                monkeypatch.setattr(hodsim.engine, "known", known)
+                # the failed run had resumed: the tape is gone, the record kept
+                (family,) = hodsim.engine._slot.get()
+                assert family.rows is None
+            shared.append(events_csv(run_simulation(with_strategy(config, "hysteresis", v), 1)))
+    assert shared == fresh and len(set(fresh)) > 1
+    # one pick per user, and the noise drawn once
+    assert len(picks) == len(config.users) and draws == [1]
