@@ -43,12 +43,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
-STRATEGY_NAMES = {
-    "none": "none",
-    "hysteresis": "hysteresis",
-    "waiting": "waiting_time",
-    "randomized": "randomized_wait",
-}
+# the sweepable strategy kinds, which --strategy, --strategy-a and --strategy-b take
 DEFAULT_VALUE_GRIDS = {
     "hysteresis": "0:1:0.05",
     "waiting_time": "0:10:0.5",
@@ -58,11 +53,18 @@ DEFAULT_VALUE_GRIDS = {
 MAX_GRID_VALUES = 10_000
 
 
+def _plain_float(text: str) -> float:
+    """float(text), refusing the '_' separators and non-ASCII digits float() also reads."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return float(text)
+
+
 def parse_values(grid: str, flag: str = "--values") -> List[float]:
     """Inclusive start:stop:step grid, e.g. 0:1:0.05 gives 21 values; errors
     name ``flag``."""
     try:
-        start, stop, step = (float(p) for p in grid.split(":"))
+        start, stop, step = (_plain_float(p) for p in grid.split(":"))
     except ValueError as exc:
         raise ScenarioError(f"{flag}: expected start:stop:step, got {grid!r}") from exc
     if not all(math.isfinite(p) for p in (start, stop, step)):
@@ -151,25 +153,22 @@ def _load_document(args: argparse.Namespace) -> dict:
 
 
 def _seeds(args: argparse.Namespace, config: ScenarioConfig) -> List[int]:
-    if args.seed is not None and args.seeds is not None:
-        raise ScenarioError("use either --seed or --seeds, not both")
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ScenarioError(f"--seed: must be a non-negative integer, got {args.seed}")
-        return [args.seed]
-    if args.seeds is not None:
-        try:
-            seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
-        except ValueError as exc:
-            raise ScenarioError(f"--seeds: expected comma-separated integers, got {args.seeds!r}") from exc
-        if not seeds:
-            raise ScenarioError(f"--seeds: expected at least one seed, got {args.seeds!r}")
-        if any(s < 0 for s in seeds):
-            raise ScenarioError(f"--seeds: seeds must be non-negative, got {args.seeds!r}")
-        if len(set(seeds)) != len(seeds):
-            raise ScenarioError(f"--seeds: each seed may appear once, got {args.seeds!r}")
-        return seeds
-    return [config.rng_seed]
+    if args.seeds is None:
+        return [config.rng_seed]
+    items = [s.strip() for s in args.seeds.split(",") if s.strip() != ""]
+    try:
+        # plain digits only: int() would also read '-1', '+1', '1_0' and other scripts' digits
+        if not all(s.isascii() and s.isdigit() for s in items):
+            raise ValueError(args.seeds)
+        seeds = [int(s) for s in items]  # raises past 4,300 digits too
+    except ValueError as exc:
+        raise ScenarioError(f"--seeds: expected comma-separated non-negative integers, "
+                            f"got {args.seeds!r}") from exc
+    if not seeds:
+        raise ScenarioError(f"--seeds: expected at least one seed, got {args.seeds!r}")
+    if len(set(seeds)) != len(seeds):
+        raise ScenarioError(f"--seeds: each seed may appear once, got {args.seeds!r}")
+    return seeds
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -226,16 +225,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _sweep_choice(config: ScenarioConfig, strategy_arg: Optional[str], values_arg: Optional[str],
                   suffix: str = "") -> Tuple[str, List[float]]:
-    """The strategy kind and value grid of one sweep; errors name the flags
-    ``--strategy`` and ``--values`` with ``suffix`` (``-a``, ``-b``)."""
-    if strategy_arg is not None:
-        kind = STRATEGY_NAMES[strategy_arg]
-    elif config.strategy.kind != "none":
-        kind = config.strategy.kind
-    else:
+    """The strategy kind and value grid of one sweep; errors name the flag
+    ``--values`` with ``suffix`` (``-a``, ``-b``)."""
+    kind = strategy_arg or config.strategy.kind
+    if kind == "none":  # the scenario's own kind has no parameter to sweep
         kind = "hysteresis"
-    if kind == "none":
-        raise ScenarioError(f"--strategy{suffix}: cannot sweep the parameterless 'none' strategy")
     values = parse_values(values_arg or DEFAULT_VALUE_GRIDS[kind], f"--values{suffix}")
     if 0.0 not in values:
         # the zero row doubles as the no-strategy baseline for retention
@@ -319,7 +313,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _retention(text: str) -> float:
     try:
-        value = float(text)
+        value = _plain_float(text)
     except ValueError:
         value = math.nan
     if not 0.0 <= value <= 1.0:  # NaN fails the test too
@@ -330,6 +324,7 @@ def _retention(text: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="hodsim", description="WLAN handover decision simulator")
     sub = parser.add_subparsers(dest="verb", required=True)
+    kinds = list(DEFAULT_VALUE_GRIDS)
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", default=None, help="scenario JSON (default: built-in scenario)")
@@ -338,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def outputs(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        p.add_argument("--seed", type=int, default=None, help="single run seed")
-        p.add_argument("--seeds", default=None, help="comma-separated seed list")
+        p.add_argument("--seeds", default=None,
+                       help="comma-separated non-negative seeds (default: the scenario's rng_seed)")
 
     p_run = sub.add_parser("run", help="execute single runs and write event/metric CSVs")
     common(p_run)
@@ -349,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="sweep a strategy parameter grid")
     common(p_sweep)
     outputs(p_sweep)
-    p_sweep.add_argument("--strategy", choices=sorted(STRATEGY_NAMES), default=None)
+    p_sweep.add_argument("--strategy", choices=kinds, default=None)
     p_sweep.add_argument("--values", default=None, metavar="START:STOP:STEP")
     p_sweep.add_argument("--retention", type=_retention, default=0.95,
                          help="score-rate retention floor for the recommendation (default 0.95)")
@@ -358,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="compare two strategies on identical seeds")
     common(p_cmp)
     outputs(p_cmp)
-    p_cmp.add_argument("--strategy-a", choices=sorted(STRATEGY_NAMES), required=True)
-    p_cmp.add_argument("--strategy-b", choices=sorted(STRATEGY_NAMES), required=True)
+    p_cmp.add_argument("--strategy-a", choices=kinds, required=True)
+    p_cmp.add_argument("--strategy-b", choices=kinds, required=True)
     p_cmp.add_argument("--values-a", default=None, metavar="START:STOP:STEP")
     p_cmp.add_argument("--values-b", default=None, metavar="START:STOP:STEP")
     p_cmp.add_argument("--retention", type=_retention, default=0.95)

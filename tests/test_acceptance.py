@@ -56,7 +56,7 @@ def test_criterion_1_determinism_and_runtime(tmp_path):
     for sub in ("a", "b"):
         out = tmp_path / sub
         start = time.perf_counter()
-        rc = main(["run", "--out", str(out), "--seed", "1"])
+        rc = main(["run", "--out", str(out), "--seeds", "1"])
         elapsed.append(time.perf_counter() - start)
         assert rc == 0
         outputs.append((out / "events_s1.csv").read_bytes())

@@ -86,7 +86,7 @@ def test_override_rejects_unknown_key():
 
 
 def test_run_writes_events_and_metrics(tmp_path, config_file, capsys):
-    rc = main(["run", "--config", config_file, "--out", str(tmp_path / "o"), "--seed", "1"])
+    rc = main(["run", "--config", config_file, "--out", str(tmp_path / "o"), "--seeds", "1"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "HO_rate" in out and "Score_rate" in out
@@ -103,8 +103,8 @@ def test_run_writes_events_and_metrics(tmp_path, config_file, capsys):
 
 
 def test_run_is_reproducible(tmp_path, config_file):
-    main(["run", "--config", config_file, "--out", str(tmp_path / "a"), "--seed", "2"])
-    main(["run", "--config", config_file, "--out", str(tmp_path / "b"), "--seed", "2"])
+    main(["run", "--config", config_file, "--out", str(tmp_path / "a"), "--seeds", "2"])
+    main(["run", "--config", config_file, "--out", str(tmp_path / "b"), "--seeds", "2"])
     assert (tmp_path / "a" / "events_s2.csv").read_bytes() == \
         (tmp_path / "b" / "events_s2.csv").read_bytes()
 
@@ -193,7 +193,7 @@ def test_bad_values_exit_one_naming_the_field(assignment, field, tmp_path, capsy
     ["validate"],
     ["run"],
     ["sweep", "--values", "0:0.1:0.1"],
-    ["compare", "--strategy-a", "hysteresis", "--strategy-b", "waiting"],
+    ["compare", "--strategy-a", "hysteresis", "--strategy-b", "waiting_time"],
 ])
 def test_a_scenario_without_mobile_users_exits_one_before_writing(verb, tmp_path, capsys):
     # the built-in scenario made static: its 14 mobile users, u00-u13, stay put
@@ -263,11 +263,15 @@ def test_a_jittered_run_with_too_many_ap_steps_exits_one_before_any_allocation(
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["run", "--seed", "-1"], "--seed"),
+    (["run", "--seeds", "-1"], "--seeds"),
     (["run", "--seeds", "1,-2"], "--seeds"),
     (["sweep", "--values", "0:0.1:0.1", "--seeds", "1,-2"], "--seeds"),
-    (["compare", "--strategy-a", "hysteresis", "--strategy-b", "waiting", "--seed", "-3"],
-     "--seed"),
+    (["compare", "--strategy-a", "hysteresis", "--strategy-b", "waiting_time", "--seeds", "-3"],
+     "--seeds"),
+    # int() would read these as 10, 3 and 4
+    (["run", "--set", "sim_time=1", "--seeds", "1_0,+3, \u0664"], "--seeds"),
+    # int() refuses more than 4,300 digits with a ValueError
+    (["run", "--seeds", "1" * 5000], "--seeds"),
 ])
 def test_negative_seeds_exit_one_before_writing(argv, flag, tmp_path, config_file, capsys):
     out = tmp_path / "o"
@@ -279,7 +283,7 @@ def test_negative_seeds_exit_one_before_writing(argv, flag, tmp_path, config_fil
 @pytest.mark.parametrize("verb", [
     ["run"],
     ["sweep", "--values", "0:0.1:0.1"],
-    ["compare", "--strategy-a", "hysteresis", "--strategy-b", "waiting"],
+    ["compare", "--strategy-a", "hysteresis", "--strategy-b", "waiting_time"],
 ])
 @pytest.mark.parametrize("seeds", [",", ""])
 def test_seed_lists_naming_no_seed_exit_one_before_writing(verb, seeds, tmp_path, config_file,
@@ -292,18 +296,19 @@ def test_seed_lists_naming_no_seed_exit_one_before_writing(verb, seeds, tmp_path
 
 @pytest.mark.parametrize("argv, flag", [
     (["sweep", "--values=-1:1:0.5"], "--values"),
-    (["compare", "--strategy-a", "hysteresis", "--strategy-b", "waiting", "--values-b=-2:2:1"],
-     "--values-b"),
-    (["compare", "--strategy-a", "hysteresis", "--strategy-b", "waiting", "--values-b", "2:1:1"],
-     "--values-b"),
-    (["compare", "--strategy-a", "none", "--strategy-b", "waiting"], "--strategy-a"),
+    (["compare", "--strategy-a", "hysteresis", "--strategy-b", "waiting_time",
+      "--values-b=-2:2:1"], "--values-b"),
+    (["compare", "--strategy-a", "hysteresis", "--strategy-b", "waiting_time",
+      "--values-b", "2:1:1"], "--values-b"),
+    # float() would read the stop as 0.1
+    (["sweep", "--values", "0:0.1_0:0.5"], "--values"),
 ])
 def test_bad_grids_exit_one_naming_their_flag_before_writing(argv, flag, tmp_path, config_file,
                                                              capsys):
     # a strategy parameter is never negative, so a grid starting below 0
     # is a malformed argument, not a failed run
     out = tmp_path / "o"
-    assert main(argv + ["--seed", "1", "--config", config_file, "--out", str(out)]) == 1
+    assert main(argv + ["--seeds", "1", "--config", config_file, "--out", str(out)]) == 1
     assert f"config error: {flag}:" in capsys.readouterr().err
     assert not out.exists()
 
@@ -316,7 +321,7 @@ def test_parse_values_names_the_flag_it_is_given():
 
 def test_set_override_via_cli(tmp_path, config_file):
     rc = main(["run", "--config", config_file, "--out", str(tmp_path / "o"),
-               "--seed", "1", "--set", "strategy.kind=hysteresis",
+               "--seeds", "1", "--set", "strategy.kind=hysteresis",
                "--set", "strategy.parameter=0.5"])
     assert rc == 0
     saved = json.loads((tmp_path / "o" / "scenario.json").read_text())
@@ -338,7 +343,7 @@ def test_set_reaches_fields_the_document_leaves_out(field, raw, value, tmp_path,
     # the built-in scenario's document omits these optional fields
     assert main(["validate", "--set", f"{field}={raw}"]) == 0
     out = tmp_path / "o"
-    assert main(["run", "--set", "sim_time=5", "--set", f"{field}={raw}", "--seed", "1",
+    assert main(["run", "--set", "sim_time=5", "--set", f"{field}={raw}", "--seeds", "1",
                  "--out", str(out)]) == 0
     assert json.loads((out / "scenario.json").read_text())[field] == value
 
@@ -388,7 +393,7 @@ def test_sweep_writes_report_and_recommendation(tmp_path, config_file, capsys):
 
 def test_sweep_grid_gets_zero_baseline(tmp_path, config_file):
     rc = main(["sweep", "--config", config_file, "--out", str(tmp_path / "o"),
-               "--strategy", "waiting", "--values", "1:2:0.5", "--seed", "1"])
+               "--strategy", "waiting_time", "--values", "1:2:0.5", "--seeds", "1"])
     assert rc == 0
     lines = (tmp_path / "o" / "sweep_waiting_time.csv").read_text().splitlines()
     assert lines[2].split(",")[0] == "0.0"
@@ -396,7 +401,7 @@ def test_sweep_grid_gets_zero_baseline(tmp_path, config_file):
 
 def test_compare_emits_side_by_side(tmp_path, config_file, capsys):
     rc = main(["compare", "--config", config_file, "--out", str(tmp_path / "o"),
-               "--strategy-a", "hysteresis", "--strategy-b", "waiting",
+               "--strategy-a", "hysteresis", "--strategy-b", "waiting_time",
                "--values-a", "0:0.2:0.1", "--values-b", "0:2:1",
                "--seeds", "1,2"])
     assert rc == 0
@@ -410,7 +415,7 @@ def test_compare_against_itself_matches(tmp_path, config_file):
     rc = main(["compare", "--config", config_file, "--out", str(tmp_path / "o"),
                "--strategy-a", "hysteresis", "--strategy-b", "hysteresis",
                "--values-a", "0:0.2:0.1", "--values-b", "0:0.2:0.1",
-               "--seed", "3"])
+               "--seeds", "3"])
     assert rc == 0
     lines = (tmp_path / "o" / "compare_hysteresis_vs_hysteresis.csv").read_text().splitlines()
     body = lines[2:]
@@ -420,20 +425,26 @@ def test_compare_against_itself_matches(tmp_path, config_file):
 
 def test_sweep_refuses_parameterless_strategy(tmp_path, config_file, capsys):
     rc = main(["sweep", "--config", config_file, "--out", str(tmp_path / "o"),
-               "--strategy", "none", "--seed", "1"])
+               "--strategy", "none", "--seeds", "1"])
     assert rc == 1
-    assert "cannot sweep" in capsys.readouterr().err
+    assert "argument --strategy: invalid choice: 'none'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["run", "--seed", "abc"], "--seed"),
+    (["run", "--seeds", "abc"], "--seeds"),
     (["sweep", "--retention", "abc"], "--retention"),
     (["sweep", "--strategy", "bogus"], "--strategy"),
     ([], "verb"),
+    # the strategy flags take the scenario's sweepable kinds only
+    (["sweep", "--strategy", "waiting"], "--strategy:"),
+    (["compare", "--strategy-a", "none", "--strategy-b", "waiting_time"], "--strategy-a:"),
 ])
-def test_bad_arguments_exit_one_naming_the_flag(argv, flag, capsys):
+def test_bad_arguments_exit_one_naming_the_flag(argv, flag, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where the default --out would be made
     assert main(argv) == 1
     assert flag in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_help_still_exits_zero(capsys):
@@ -443,10 +454,10 @@ def test_help_still_exits_zero(capsys):
     assert "--retention" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("retention", ["nan", "-1", "1.5"])
+@pytest.mark.parametrize("retention", ["nan", "-1", "1.5", "0.9_5"])
 def test_retention_outside_the_unit_interval_exits_one(retention, tmp_path, config_file, capsys):
     out = tmp_path / "o"
-    assert main(["sweep", "--config", config_file, "--out", str(out), "--seed", "1",
+    assert main(["sweep", "--config", config_file, "--out", str(out), "--seeds", "1",
                  "--retention", retention]) == 1
     assert "--retention" in capsys.readouterr().err
     assert not out.exists()
@@ -478,7 +489,7 @@ def test_run_writes_the_resolved_scenario(tmp_path):
 @pytest.mark.parametrize("verb", [
     ["run"],
     ["sweep", "--values", "0:0.1:0.1"],
-    ["compare", "--strategy-a", "hysteresis", "--strategy-b", "waiting"],
+    ["compare", "--strategy-a", "hysteresis", "--strategy-b", "waiting_time"],
 ])
 @pytest.mark.parametrize("below", ["", "sub"])
 def test_an_out_that_is_a_file_exits_one_naming_the_flag_before_any_run(
@@ -489,7 +500,7 @@ def test_an_out_that_is_a_file_exits_one_naming_the_flag_before_any_run(
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")
     out = blocker / below if below else blocker
-    assert main(verb + ["--seed", "1", "--config", config_file, "--out", str(out)]) == 1
+    assert main(verb + ["--seeds", "1", "--config", config_file, "--out", str(out)]) == 1
     assert "config error: --out:" in capsys.readouterr().err
     assert blocker.read_text() == "not a directory\n" and runs == []
 
@@ -567,7 +578,7 @@ def test_multi_fault_documents_exit_one_naming_a_field_or_run(doc):
 
 
 ARG_TOKENS = ["", " ", "x", "-1", "0", "1", "0.5", "1e300", "1e308", "1e-320",
-              str(2 ** 63), "nan", "inf", "true"]
+              str(2 ** 63), "nan", "inf", "true", "1_0", "+1", "\u0663"]
 JSON_TEXTS = ["true", "null", '""', "[]", "[1,2]", "1e300", "1e308", "1e-320", str(2 ** 63),
               "-1", "0", "{", "x"]
 SET_PATHS = [".".join(map(str, p)) for p in _paths(tiny_document())] + [
