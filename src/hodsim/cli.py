@@ -27,6 +27,7 @@ from .metrics import (
 )
 from .scenario import (
     DOCUMENT_KEYS,
+    SEED_LIMIT,
     ScenarioConfig,
     ScenarioError,
     default_document,
@@ -168,6 +169,8 @@ def _seeds(args: argparse.Namespace, config: ScenarioConfig) -> List[int]:
         raise ScenarioError(f"--seeds: expected at least one seed, got {args.seeds!r}")
     if len(set(seeds)) != len(seeds):
         raise ScenarioError(f"--seeds: each seed may appear once, got {args.seeds!r}")
+    if max(seeds) >= SEED_LIMIT:
+        raise ScenarioError(f"--seeds: each seed must be below 2**64, got {args.seeds!r}")
     return seeds
 
 

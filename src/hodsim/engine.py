@@ -68,12 +68,12 @@ from .decision import (
     score_network,
 )
 from .knowledge import known
-from .mobility import init_mobility, step_mobility
+from .mobility import init_mobility, step_mobility, walk_mobility
 from .radio import QosVector, ap_qos, apply_jitter, sensed_aps
 from .scenario import ApProfile, ScenarioConfig, StabilityStrategy, strategy_violations, validate
 
-# Nothing calls these; perfbench/tracing.py still wraps both names in this
-# module until ROADMAP item 4 drops them from its CALL_SITES.
+# Nothing calls these or step_mobility (each terminal walks once), but
+# perfbench/tracing.py wraps all three, and init_mobility, by their names here.
 diffuse = candidate_view = None
 
 EVENTS_SCHEMA = "# hodsim events schema v1"
@@ -120,10 +120,17 @@ class EventLog:
 
 def _stream(seed: int, *labels: str) -> np.random.Generator:
     """Independent generator for (seed, labels); stable across runs and
-    unaffected by how many other streams exist."""
+    unaffected by how many other streams exist.  Its state is that of
+    ``default_rng(SeedSequence([seed] + words))``, the words being the labels'
+    sha256 words 0-3, big-endian; one uint32 array (the seed's words
+    little-endian, as numpy splits an int, then those) builds it faster."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"expected a non-negative seed, got {seed}")
+    head = seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little")
     digest = hashlib.sha256("/".join(labels).encode("utf-8")).digest()
-    words = [int.from_bytes(digest[i:i + 4], "big") for i in range(0, 16, 4)]
-    return np.random.default_rng(np.random.SeedSequence([int(seed)] + words))
+    entropy = np.concatenate([np.frombuffer(head, "<u4"), np.frombuffer(digest, ">u4", 4)])
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 _BLANK_SEED = np.random.SeedSequence(0)  # seeds a state _restored overwrites
@@ -160,7 +167,7 @@ def _world(config: ScenarioConfig, seed: int) -> _World:
 
     Each terminal draws only from its own stream ``_stream(seed, "mobility",
     m)``, so its trajectory depends neither on the other terminals nor on the
-    strategy, nor on what it senses.  So every step is moved first; then one
+    strategy, nor on what it senses.  So all walks come first; then one
     ``sensed_aps`` call senses every user at t=0 and one call each block of
     whole steps, up to ``_SENSE_BLOCK`` position x AP checks per block.
     """
@@ -172,13 +179,11 @@ def _world(config: ScenarioConfig, seed: int) -> _World:
     def sense(positions) -> Tuple[Tuple[str, ...], ...]:
         return tuple(interned.setdefault(hits, hits) for hits in sensed_aps(positions, config.aps))
 
-    rngs = [_stream(seed, "mobility", u.id) for u in mobile]
-    states = [init_mobility(u, area, rng) for u, rng in zip(mobile, rngs)]
     initial = sense([u.initial_position for u in sorted(config.users, key=attrgetter("id"))])
     xy = np.empty((nb_steps, n, 2))
-    for k in range(nb_steps):
-        states = [step_mobility(s, dt, area, u, rng) for s, u, rng in zip(states, mobile, rngs)]
-        xy[k] = [s.position for s in states]
+    for i, u in enumerate(mobile):
+        rng = _stream(seed, "mobility", u.id)
+        xy[:, i] = walk_mobility(init_mobility(u, area, rng), dt, nb_steps, area, u, rng)[0]
     xy.flags.writeable = False
     block = max(1, _SENSE_BLOCK // (n * len(config.aps)))
     sensed = []
@@ -593,21 +598,24 @@ def events_csv(log: EventLog) -> str:
     """Line-oriented CSV of the run, one row per terminal per step.
 
     Floats use repr so the file round-trips exactly; identical (config, seed)
-    runs produce byte-identical output.
+    runs produce byte-identical output.  A run repeats few distinct outcomes,
+    so each is formatted once, and the text is joined from shared pieces; an
+    outcome's key holds its scores' signs too, because 0.0 and -0.0 are
+    equal but print apart.
     """
-    lines = [EVENTS_SCHEMA, EVENTS_HEADER]
     dt = log.config.decision_step
+    columns = [(m + ",", log.outcomes[m]) for m in log.mt_ids]
+    tails: Dict[tuple, str] = {}
+    pieces = [EVENTS_SCHEMA + "\n" + EVENTS_HEADER + "\n"]
     for k in range(log.nb_steps):
-        time = repr(k * dt)
-        for m in log.mt_ids:
-            associated, action, c_asso, c_best, suppressed = log.outcomes[m][k]
-            lines.append(",".join([
-                time,
-                m,
-                associated if associated is not None else "",
-                action,
-                repr(c_asso),
-                repr(c_best),
-                "1" if suppressed else "0",
-            ]))
-    return "\n".join(lines) + "\n"
+        time = repr(k * dt) + ","
+        for m, rows in columns:
+            row = rows[k]
+            key = (row, math.copysign(1.0, row[2]), math.copysign(1.0, row[3]))
+            tail = tails.get(key)
+            if tail is None:
+                associated, action, c_asso, c_best, suppressed = row
+                tail = tails[key] = (f"{'' if associated is None else associated},{action},"
+                                     f"{c_asso!r},{c_best!r},{'1' if suppressed else '0'}\n")
+            pieces += (time, m, tail)
+    return "".join(pieces)

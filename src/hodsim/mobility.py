@@ -6,7 +6,7 @@ the generator passed in, so trajectories are reproducible per terminal.
 """
 
 import math
-from typing import NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -52,9 +52,11 @@ def init_mobility(profile: UserProfile, area: Tuple[float, float],
     )
 
 
-def step_mobility(state: MobilityState, dt: float, area: Tuple[float, float],
-                  profile: UserProfile, rng: np.random.Generator) -> MobilityState:
-    """Advance one terminal by dt seconds.
+def walk_mobility(state: MobilityState, dt: float, nb_steps: int, area: Tuple[float, float],
+                  profile: UserProfile, rng: np.random.Generator
+                  ) -> Tuple[List[Tuple[float, float]], MobilityState]:
+    """Advance one terminal by ``nb_steps`` steps of dt seconds each; return
+    its position after each step and its state after the last.
 
     Pausing counts down; on expiry a uniform waypoint is drawn and movement
     starts next step.  Moving advances min(speed*dt, remaining distance); on
@@ -62,19 +64,27 @@ def step_mobility(state: MobilityState, dt: float, area: Tuple[float, float],
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-
-    if state.phase == PAUSED:
-        remaining = state.pause_remaining - dt
-        if remaining > 0:
-            return MobilityState(state.position, state.waypoint, PAUSED, remaining)
-        return MobilityState(state.position, draw_waypoint(area, rng), MOVING, 0.0)
-
-    px, py = state.position
-    wx, wy = state.waypoint
-    dist = math.hypot(wx - px, wy - py)
+    (x, y), (wx, wy) = state.position, state.waypoint
+    moving, pause = state.phase != PAUSED, state.pause_remaining
     travel = profile.speed * dt
-    if travel + ARRIVAL_EPS >= dist:
-        return MobilityState((wx, wy), state.waypoint, PAUSED, draw_pause(profile, rng))
-    frac = travel / dist
-    return MobilityState((px + frac * (wx - px), py + frac * (wy - py)), state.waypoint,
-                         state.phase, state.pause_remaining)
+    positions = []
+    for _ in range(nb_steps):
+        if not moving:
+            pause -= dt
+            if pause <= 0:
+                (wx, wy), moving, pause = draw_waypoint(area, rng), True, 0.0
+        else:
+            dist = math.hypot(wx - x, wy - y)
+            if travel + ARRIVAL_EPS >= dist:
+                x, y, moving, pause = wx, wy, False, draw_pause(profile, rng)
+            else:
+                frac = travel / dist
+                x, y = x + frac * (wx - x), y + frac * (wy - y)
+        positions.append((x, y))
+    return positions, MobilityState((x, y), (wx, wy), MOVING if moving else PAUSED, pause)
+
+
+def step_mobility(state: MobilityState, dt: float, area: Tuple[float, float],
+                  profile: UserProfile, rng: np.random.Generator) -> MobilityState:
+    """Advance one terminal by dt seconds: the one-step ``walk_mobility``."""
+    return walk_mobility(state, dt, 1, area, profile, rng)[1]

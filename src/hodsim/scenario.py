@@ -11,7 +11,7 @@ finiteness and range, sit in the rule list beside its object's field table;
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple, Union
 
@@ -35,6 +35,8 @@ DEFAULT_MAX_BENEFIT = 1e6
 MAX_STEPS = 100_000
 MAX_TERMINAL_STEPS = 2_000_000
 MAX_JITTER_AP_STEPS = 3_000_000
+# A seed names its output files, so it is below this.
+SEED_LIMIT = 2 ** 64
 
 
 class ScenarioError(ValueError):
@@ -258,7 +260,8 @@ _CONFIG_RULES = _rules(
     aps=(lambda a: not a, "at least one access point required"),
     # a run's log and metrics are its mobile terminals'
     users=(lambda u: not any(user.mobile for user in u), "at least one mobile user required"),
-    rng_seed=_COUNT, handover_cost_steps=_COUNT, max_benefit=_POSITIVE,
+    rng_seed=(lambda n: _COUNT[0](n) or n >= SEED_LIMIT, _COUNT[1] + " below 2**64"),
+    handover_cost_steps=_COUNT, max_benefit=_POSITIVE,
     mobility_ratio=(lambda r: not 0.0 <= r <= 1.0, "must be in [0, 1]"),
     qos_jitter_sigma=_NON_NEGATIVE,
 )
@@ -417,11 +420,17 @@ def parse_scenario(document: Union[str, dict, Path]) -> ScenarioConfig:
     return _build(ScenarioConfig, table, document, "", criteria=criteria, diffusion_period=step)
 
 
+# Each scenario dataclass's field names, in field order.
+_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in (
+    DecisionCriterion, ApProfile, UserProfile, StabilityStrategy, ScenarioConfig)}
+
+
 def serialize(config: ScenarioConfig) -> dict:
     """Inverse of load_scenario: a JSON-ready dict with every field explicit."""
     def plain(value):
-        if is_dataclass(value):
-            return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+        names = _FIELD_NAMES.get(type(value))
+        if names is not None:
+            return {name: plain(getattr(value, name)) for name in names}
         if isinstance(value, tuple):
             return [plain(x) for x in value]
         if isinstance(value, dict):

@@ -3,14 +3,13 @@
 Written directly from the formulas in a deliberately different style (plain
 dicts, explicit loops, its own math) and sharing no code with the package,
 so agreement with the production pipeline is meaningful evidence.  Only
-``ref_run`` takes two things from the package: the derivation of its random
-streams and the mobility step, which draw the numbers a run is made of.
+``ref_run`` takes one thing from the package: the derivation of its random
+streams, which draw the numbers a run is made of.
 """
 
 import math
 
 from hodsim.engine import _stream
-from hodsim.mobility import MobilityState, step_mobility
 
 # The largest float below 1: a saturated utility stays below 1.
 _BELOW_ONE = 1.0 - 2.0 ** -53
@@ -136,6 +135,33 @@ def ref_sensed(position, aps):
     return tuple(hits)
 
 
+def ref_step(state, dt, area, user, rng):
+    """One Random Way Point step of ``state = (position, waypoint, phase,
+    pause)``, phase "paused" or "moving".
+
+    A pause counts down by dt; once it is used up a waypoint is drawn
+    uniformly in the area (x, then y) and the terminal moves from the next
+    step.  A move covers speed * dt towards the waypoint; within 1e-6 m of it
+    the terminal stands on it and draws its next pause from ``pause_range``.
+    """
+    position, waypoint, phase, pause = state
+    if phase == "paused":
+        remaining = pause - dt
+        if remaining > 0:
+            return position, waypoint, "paused", remaining
+        waypoint = (float(rng.uniform(0.0, area[0])), float(rng.uniform(0.0, area[1])))
+        return position, waypoint, "moving", 0.0
+    dx = waypoint[0] - position[0]
+    dy = waypoint[1] - position[1]
+    dist = math.hypot(dx, dy)
+    travel = user.speed * dt
+    if travel + 1e-6 >= dist:
+        low, high = user.pause_range
+        return waypoint, waypoint, "paused", float(rng.uniform(low, high))
+    frac = travel / dist
+    return (position[0] + frac * dx, position[1] + frac * dy), waypoint, "moving", pause
+
+
 def ref_jitter(vector, sigma, rng):
     """One vector jittered with one scalar draw per component, in key order,
     each clipped at zero."""
@@ -149,7 +175,7 @@ def ref_run(config, seed, qos_model):
     """The ``events_*.csv`` text of one run, from the plain step loop.
 
     No table, memo, closed form, replay or batch: at every step each mobile
-    terminal moves and senses its APs (``ref_sensed``), the load of every AP
+    terminal moves (``ref_step``) and senses its APs (``ref_sensed``), the load of every AP
     is counted again and its QoS asked of ``qos_model`` (then jittered with
     ``ref_jitter``, APs in id order), a diffusion step runs one
     ``ref_diffuse`` round of timestamped records, and every terminal scores
@@ -195,7 +221,7 @@ def ref_run(config, seed, qos_model):
         moves[u.id] = _stream(seed, "mobility", u.id)
         draws[u.id] = _stream(seed, "strategy", u.id)
         pause = float(moves[u.id].uniform(u.pause_range[0], u.pause_range[1]))
-        where[u.id] = MobilityState(u.initial_position, u.initial_position, "paused", pause)
+        where[u.id] = (u.initial_position, u.initial_position, "paused", pause)
         assoc[u.id], wait[u.id], away[u.id], knows[u.id] = first[u.id], 0.0, 0, {}
     noise = _stream(seed, "qos-jitter")
     records = {ap.id: {} for ap in aps}
@@ -218,8 +244,8 @@ def ref_run(config, seed, qos_model):
         switches = []
         for u in mobile:
             m = u.id
-            where[m] = step_mobility(where[m], dt, config.area, u, moves[m])
-            x, y = where[m].position
+            where[m] = ref_step(where[m], dt, config.area, u, moves[m])
+            x, y = where[m][0]
             sensed = ref_sensed((x, y), aps)
             if assoc[m] not in sensed:
                 assoc[m] = None  # out of coverage: no handover, no cost
@@ -256,4 +282,17 @@ def ref_run(config, seed, qos_model):
             assoc[m] = target
             if handover:
                 away[m] = config.handover_cost_steps
+    return "\n".join(lines) + "\n"
+
+
+def ref_events_csv(log):
+    """The ``events_*.csv`` text of an engine ``EventLog``, every row
+    formatted on its own."""
+    lines = ["# hodsim events schema v1", "time,mt,associated_ap,action,c_asso,c_best,suppressed"]
+    dt = log.config.decision_step
+    for k in range(log.nb_steps):
+        for m in log.mt_ids:
+            associated, action, c_asso, c_best, suppressed = log.outcomes[m][k]
+            lines.append(",".join([repr(k * dt), m, associated if associated is not None else "",
+                                   action, repr(c_asso), repr(c_best), "1" if suppressed else "0"]))
     return "\n".join(lines) + "\n"

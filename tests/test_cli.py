@@ -272,12 +272,24 @@ def test_a_jittered_run_with_too_many_ap_steps_exits_one_before_any_allocation(
     (["run", "--set", "sim_time=1", "--seeds", "1_0,+3, \u0664"], "--seeds"),
     # int() refuses more than 4,300 digits with a ValueError
     (["run", "--seeds", "1" * 5000], "--seeds"),
+    # a seed names its output files, so it is below 2**64
+    (["run", "--seeds", str(2 ** 64)], "--seeds"),
+    (["sweep", "--values", "0:0.1:0.1", "--seeds", "1," + "1" * 300], "--seeds"),
+    (["run", "--set", f"rng_seed={2 ** 64}"], "rng_seed"),
 ])
 def test_negative_seeds_exit_one_before_writing(argv, flag, tmp_path, config_file, capsys):
     out = tmp_path / "o"
     assert main(argv + ["--config", config_file, "--out", str(out)]) == 1
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_the_largest_seed_runs(tmp_path, config_file, capsys):
+    out = tmp_path / "o"
+    seed = 2 ** 64 - 1
+    assert main(["run", "--seeds", str(seed), "--set", "sim_time=1", "--config", config_file,
+                 "--out", str(out)]) == 0
+    assert (out / f"events_s{seed}.csv").exists()
 
 
 @pytest.mark.parametrize("verb", [
@@ -578,9 +590,9 @@ def test_multi_fault_documents_exit_one_naming_a_field_or_run(doc):
 
 
 ARG_TOKENS = ["", " ", "x", "-1", "0", "1", "0.5", "1e300", "1e308", "1e-320",
-              str(2 ** 63), "nan", "inf", "true", "1_0", "+1", "\u0663"]
+              str(2 ** 63), str(2 ** 64), "nan", "inf", "true", "1_0", "+1", "\u0663"]
 JSON_TEXTS = ["true", "null", '""', "[]", "[1,2]", "1e300", "1e308", "1e-320", str(2 ** 63),
-              "-1", "0", "{", "x"]
+              str(2 ** 64), "-1", "0", "{", "x"]
 SET_PATHS = [".".join(map(str, p)) for p in _paths(tiny_document())] + [
     "", "x", "aps.9.id", "sim_time.x", "users.-1.speed", "aps..id", "users.+1.speed",
     "users.1_0.speed"]

@@ -1,14 +1,16 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hodsim.engine import events_csv, run_simulation, shared_worlds, _stream
+from hodsim.engine import EventLog, events_csv, run_simulation, shared_worlds, _stream
 from hodsim.radio import ap_qos
 from hodsim.scenario import ScenarioError, load_scenario, with_strategy
 
 from conftest import tiny_document
 from logcheck import Row, check_log, named
+from reference import ref_events_csv
 
 
 def test_same_config_and_seed_bitwise_identical(tiny_config):
@@ -265,6 +267,22 @@ def test_streams_are_independent_and_stable():
     assert a1 != c
 
 
+@pytest.mark.parametrize("labels", [("mobility", "m0"), ("qos-jitter",)])
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+def test_a_stream_is_the_generator_of_its_seed_sequence(seed, labels):
+    # the seed, then the label digest's first four big-endian 32-bit words
+    digest = hashlib.sha256("/".join(labels).encode("utf-8")).digest()
+    words = [int.from_bytes(digest[i:i + 4], "big") for i in range(0, 16, 4)]
+    expected = np.random.default_rng(np.random.SeedSequence([seed] + words))
+    assert _stream(seed, *labels).bit_generator.state == expected.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [-1, -(2 ** 32)])
+def test_a_negative_seed_has_no_stream(seed):
+    with pytest.raises(ValueError):
+        _stream(seed, "mobility", "m0")
+
+
 def test_event_log_holds_exactly_the_csv_fields(tiny_config):
     # time and terminal id come from the row's position; the row is a plain
     # tuple of the other five columns, in the header's order
@@ -290,6 +308,29 @@ def test_events_csv_shape(tiny_config):
     first = lines[2].split(",")
     assert first[0] == "0.0"
     assert first[1] == "m0"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_events_csv_is_the_per_row_text(default_config, seed):
+    log = run_simulation(default_config, seed)
+    assert events_csv(log) == ref_events_csv(log)
+
+
+def test_events_csv_keeps_the_sign_of_a_zero_score(tiny_config):
+    # 0.0 == -0.0, but they print apart, so equal rows may not share a text
+    rows = [("apA", "stay", 0.0, -0.0, False), ("apA", "stay", -0.0, 0.0, False),
+            ("apA", "stay", 0.0, 0.0, False), (None, "stay", -0.0, -0.0, False),
+            ("apB", "handover", 0.5, 0.75, False), ("apB", "stay", 0.5, -0.0, True)]
+    steps = tiny_config.nb_steps
+    log = EventLog(seed=1, config=tiny_config, mt_ids=["m0", "m1"], outcomes={
+        "m0": tuple(rows[k % len(rows)] for k in range(steps)),
+        "m1": tuple(rows[(k * 5 + 1) % len(rows)] for k in range(steps))})
+    text = events_csv(log)
+    assert text == ref_events_csv(log)
+    lines = text.splitlines()
+    assert lines[2] == "0.0,m0,apA,stay,0.0,-0.0,0"
+    assert lines[3] == "0.0,m1,apA,stay,-0.0,0.0,0"
+    assert lines[8] == "1.5,m0,,stay,-0.0,-0.0,0"
 
 
 def test_check_log_rejects_broken_logs(default_config):

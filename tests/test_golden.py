@@ -6,15 +6,20 @@ the outputs themselves.  A digest may only change together with a CHANGES.md
 entry that says why the outputs moved.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import hodsim.engine
 import hodsim.metrics
-from hodsim.cli import compare_csv, parse_values
+from hodsim.cli import compare_csv, main, parse_values
 from hodsim.engine import events_csv, run_simulation, shared_worlds
 from hodsim.metrics import sweep, sweep_csv, sweeps
 from hodsim.radio import ap_qos
@@ -22,6 +27,9 @@ from hodsim.scenario import STRATEGY_KINDS, load_scenario, with_strategy
 
 from conftest import tiny_document
 from logcheck import check_log, named
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import dense_document  # noqa: E402
 
 DEFAULT_EVENTS = {
     1: "64d882d6ec8ecca971817ffd8f1c3260f3d746fec4f30f13b61e037d092a9786",
@@ -72,6 +80,12 @@ BOUNDARY_FAMILY_EVENTS = {
     0.0: "ad0fa021405a5b9c63a7246ff747a2e0b260ad813349c35e899aad7b1c2124ed",
     2.0: "8569fc7e3283f4c1d0daaf14570b377e71fa6e8af37ad970a9ba1be619560465",
     5.0: "097808fcc4a2b69551b825f0d658de2d530ecbca1228eb88a7a2d3f3a2ffc522",
+}
+# The scenario.json that `hodsim run` writes: for the built-in scenario, and
+# for the benchmark's dense document of input set 0 (6x6 APs, 300 users)
+SCENARIO_JSON = {
+    "default": "dbc0b748d45dcd65a8bc1391995216bb190bdf1d50e01d8a48fc31a968e333d9",
+    "dense": "77785915f6e58fbadb19486c3b3510225806dda74a949ccb8516f02389414ac9",
 }
 # `hodsim compare` of the default scenario, hysteresis 0:1:0.05 against
 # waiting_time 0:10:0.5, on seeds 1 and 2
@@ -259,3 +273,15 @@ def test_default_scenario_compare(default_config, checked_sweeps):
                                       ("waiting_time", parse_values("0:10:0.5"))], [1, 2])
     assert sha256(compare_csv(*reports)) == DEFAULT_COMPARE
     assert len(checked_sweeps) == 84
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_JSON))
+def test_run_writes_the_pinned_scenario_json(name, tmp_path):
+    argv = ["run", "--out", str(tmp_path / "o")]
+    if name == "dense":
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(dense_document(0)))
+        argv += ["--config", str(path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert sha256((tmp_path / "o" / "scenario.json").read_text()) == SCENARIO_JSON[name]

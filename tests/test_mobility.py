@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodsim.mobility import (
     MOVING,
     PAUSED,
+    MobilityState,
     draw_waypoint,
     init_mobility,
     step_mobility,
+    walk_mobility,
 )
 from hodsim.scenario import UserProfile
+
+from reference import ref_step
 
 AREA = (100.0, 100.0)
 
@@ -124,3 +130,45 @@ def test_waypoints_uniform_chi_square():
     expected = n / 16
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < CHI2_CRIT_DF15_P01
+
+
+coordinates = st.floats(0.0, 100.0)
+points = st.tuples(coordinates, coordinates)
+
+
+@st.composite
+def walk_cases(draw):
+    """A start state, a profile and a step: pauses of zero length, ones that
+    end exactly on a step and waypoints at or within reach of the position
+    are all drawn, so arrivals and immediate pauses come up."""
+    position = draw(points)
+    waypoint = draw(st.sampled_from([position]) | points
+                    | points.map(lambda p: (p[0], position[1])))
+    dt = draw(st.sampled_from([0.5, 0.25, 1.0]) | st.floats(1e-3, 10.0))
+    pause = draw(st.sampled_from([0.0, dt, 2 * dt]) | st.floats(0.0, 20.0))
+    low = draw(st.sampled_from([0.0, dt]) | st.floats(0.0, 5.0))
+    high = draw(st.sampled_from([low, low + dt]) | st.floats(low, 10.0))
+    speed = draw(st.sampled_from([0.0, 0.8]) | st.floats(0.0, 200.0))
+    phase = draw(st.sampled_from([PAUSED, MOVING]))
+    user = UserProfile(id="m", mobile=True, initial_position=position, speed=speed,
+                       pause_range=(low, high), app_requirements={})
+    return MobilityState(position, waypoint, phase, pause), user, dt
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_cases(), st.integers(0, 60), st.integers(0, 2 ** 32 - 1))
+def test_a_walk_is_repeated_reference_steps(case, nb_steps, seed):
+    state, user, dt = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    positions, end = walk_mobility(state, dt, nb_steps, AREA, user, rng)
+    expected = []
+    ref_state = tuple(state)
+    for _ in range(nb_steps):
+        ref_state = ref_step(ref_state, dt, AREA, user, ref_rng)
+        expected.append(ref_state[0])
+    assert positions == expected
+    assert tuple(end) == ref_state
+    # the same draws, no more
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    first = step_mobility(state, dt, AREA, user, np.random.default_rng(seed))
+    assert tuple(first) == ref_step(tuple(state), dt, AREA, user, np.random.default_rng(seed))

@@ -198,6 +198,18 @@ def test_defaults_applied_for_absent_fields():
     assert config.gate_candidates is True
 
 
+def test_serialize_keys_follow_field_order():
+    doc = serialize(default_scenario())
+
+    def names(cls):
+        return [f.name for f in fields(cls)]
+
+    assert list(doc) == names(ScenarioConfig)
+    assert list(doc["strategy"]) == names(StabilityStrategy)
+    for key, cls in (("aps", ApProfile), ("users", UserProfile), ("criteria", DecisionCriterion)):
+        assert doc[key] and all(list(obj) == names(cls) for obj in doc[key])
+
+
 def test_serialize_round_trip_is_identity():
     config = default_scenario()
     assert load_scenario(serialize(config)) == config
@@ -218,13 +230,28 @@ def test_validate_collects_violations_without_raising():
     assert any("multiple" in m for m in messages)
 
 
-@pytest.mark.parametrize("field", ["handover_cost_steps", "rng_seed"])
+INTEGER_MESSAGES = {
+    "handover_cost_steps": "must be a non-negative integer",
+    "rng_seed": "must be a non-negative integer below 2**64",
+}
+
+
+@pytest.mark.parametrize("field", list(INTEGER_MESSAGES))
 def test_validate_rejects_a_bool_where_an_integer_is_expected(field):
     # bool is a subclass of int, but True is not a count or a seed
     from dataclasses import replace
 
     messages = validate(replace(default_scenario(), **{field: True}))
-    assert messages == [f"{field}: must be a non-negative integer"]
+    assert messages == [f"{field}: {INTEGER_MESSAGES[field]}"]
+
+
+@pytest.mark.parametrize("seed, valid", [(2 ** 64 - 1, True), (2 ** 64, False), (10 ** 30, False)])
+def test_rng_seed_is_below_two_to_the_64(seed, valid):
+    # a seed names output files, so an unbounded one could name none
+    from dataclasses import replace
+
+    messages = validate(replace(default_scenario(), rng_seed=seed))
+    assert messages == ([] if valid else [f"rng_seed: {INTEGER_MESSAGES['rng_seed']}"])
 
 
 def set_path(doc, path, value):

@@ -48,18 +48,19 @@ def world_spy(monkeypatch):
 
 
 def test_sweep_moves_each_seeds_terminals_once(tiny_config, monkeypatch):
-    calls = []
-    step_mobility = hodsim.engine.step_mobility
+    walks = []
+    walk_mobility = hodsim.engine.walk_mobility
 
-    def counting(*args):
-        calls.append(1)
-        return step_mobility(*args)
+    def counting(state, dt, nb_steps, *args):
+        walks.append(nb_steps)
+        return walk_mobility(state, dt, nb_steps, *args)
 
-    monkeypatch.setattr(hodsim.engine, "step_mobility", counting)
+    monkeypatch.setattr(hodsim.engine, "walk_mobility", counting)
     values, seeds = [0.0, 0.1, 0.2], [1, 2]
     sweep(tiny_config, "hysteresis", values, seeds)
     mobile = sum(u.mobile for u in tiny_config.users)
-    assert len(calls) == len(seeds) * tiny_config.nb_steps * mobile
+    # one walk through the whole run per seed and mobile terminal
+    assert walks == [tiny_config.nb_steps] * (len(seeds) * mobile)
 
 
 def test_world_pass_senses_in_blocks_of_whole_steps(default_config, monkeypatch):
