@@ -27,12 +27,12 @@ the time and the terminal id follow from the row's position.
 
 Inside ``shared_worlds()`` the runs of one *family* (same seed,
 ``qos_model`` and config but for the strategy) share one record, a
-``_Family``.  It holds what does not depend on the strategy: the world pass,
-the tables (QoS, jitter noise, scores and initial strategy-generator states;
-the step-k noise is the same in every run, so a jittered vector is fixed by
-(step, AP, load)) and the start (initial association and static loads),
-made once by the family's first run.  It also holds the latest run's log
-and *tape*.  The strategy enters a run only through ``decide``, which is
+``_Family``, of what does not depend on the strategy.  Its constructor makes
+the world pass and the start: initial association, static loads and, with
+jitter on, the whole run's noise (the same in every run, so a jittered
+vector is fixed by (step, AP, load)).  Runs fill its vector, jitter and
+score tables, its initial strategy-generator states, and the latest run's
+log and *tape*.  The strategy enters a run only through ``decide``, which is
 called only where the base rule fires, so the tape is every step at which it
 fired, with the loop state after phase (3).  A later run of the family
 replays the tape through ``decide`` with its own strategy, wait times and
@@ -53,7 +53,7 @@ from itertools import accumulate
 from operator import attrgetter
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -216,40 +216,109 @@ class _Step(NamedTuple):
     current: dict
 
 
-@dataclass(eq=False)
 class _Family:
     """What the runs of one family share inside a ``shared_worlds()`` scope
     until another family's run replaces it (a run outside one drops it).
 
-    The world pass; the model's vector by (AP, load), equal vectors being one
-    object; the jittered vector by (step, AP, load); ``noise[k][j]``, the
-    j-th AP's (in id order) at step k; the score profiles; each terminal's
-    initial strategy-generator state.  Every vector a memo has scored stays
-    here, so no id in a memo is reused.  The family's start, made once by its
-    first run: ``start``, the state before step 0, the static loads and the
-    noise.  Then the latest run's rows, handover counts and tape (``steps``);
-    ``rows`` is None while no complete run's tape is attached.
+    The constructor makes the world pass; the mobile terminals' ids and the
+    APs', in id order; each terminal's score profiles, equal ones being one
+    object; and the start: ``start``, the state before step 0, the static
+    loads and, with jitter on, ``noise[k][j]``, the j-th AP's at step k.  If
+    it raises, no record is kept.  Runs fill the rest: the model's vector by
+    (AP, load), equal vectors being one object; the jittered vector by (step,
+    AP, load); the score memos; each terminal's initial strategy-generator
+    state; and the latest run's rows, handover counts and tape (``steps``),
+    ``rows`` being None while no complete run's tape is attached.  Every
+    vector a memo has scored stays here, so no id in a memo is reused.
     """
 
-    seed: int
-    config: ScenarioConfig
-    qos_model: object
-    world: _World
-    offered: Dict[Tuple[str, int], QosVector] = field(default_factory=dict)
-    interned: Dict[tuple, QosVector] = field(default_factory=dict)
-    jittered: Dict[Tuple[int, str, int], QosVector] = field(default_factory=dict)
-    noise: Optional[List[Tuple[Tuple[float, ...], ...]]] = None
-    profiles: Dict[Tuple[tuple, bool], _Profile] = field(default_factory=dict)
-    strategy: Optional[List[dict]] = None
-    start: Optional[_Step] = None
-    static_loads: Dict[str, int] = field(default_factory=dict)
-    rows: Optional[Tuple[Tuple[tuple, ...], ...]] = None
-    nb_ho: Tuple[int, ...] = ()
-    steps: List[_Step] = field(default_factory=list)
+    def __init__(self, seed: int, config: ScenarioConfig, qos_model) -> None:
+        self.seed, self.config, self.qos_model = seed, config, qos_model
+        self.world = _world(config, seed)
+        self.aps = config.ap_by_id()
+        self.ap_order = sorted(self.aps)
+        self.vectors: Dict[Tuple[str, int], QosVector] = {}
+        self.interned: Dict[tuple, QosVector] = {}
+        self.jittered: Dict[Tuple[int, str, int], QosVector] = {}
+        self.strategy: Optional[List[dict]] = None
+        self.rows: Optional[Tuple[Tuple[tuple, ...], ...]] = None
+        self.nb_ho: Tuple[int, ...] = ()
+        self.steps: List[_Step] = []
 
+        gate = config.gate_candidates
+        profiles: Dict[Tuple[tuple, bool], _Profile] = {}
 
-# A family is a seed, a QoS model and a config less its strategy.
-_FAMILY_FIELDS = tuple(f.name for f in fields(ScenarioConfig) if f.name != "strategy")
+        def profile(user, gated: bool) -> _Profile:
+            required = user.app_requirements
+            return profiles.setdefault((tuple(required.items()), gated), _Profile(required, gated, {}))
+
+        users = sorted(config.users, key=attrgetter("id"))
+        mobile = [u for u in users if u.mobile]
+        self.mt_order = [u.id for u in mobile]
+        self.asso_profiles = [profile(u, True) for u in mobile]
+        self.cand_profiles = [profile(u, gate) for u in mobile]
+
+        # Initial association at t=0: users in id order greedily pick the
+        # best sensed AP by live QoS, strategy-free; each pick loads the AP
+        # for the next user's view.
+        loads = dict.fromkeys(self.ap_order, 0)
+        self.static_loads = dict(loads)
+        initial: Dict[str, str] = {}
+        for user, sensed in zip(users, self.world.initial):
+            prof = profile(user, gate)
+            best = best_candidate([
+                CombinedScore(ap_id, self.score(ap_id, self.offered(ap_id, loads[ap_id]), prof))
+                for ap_id in sensed
+            ])
+            if best is not None:
+                initial[user.id] = best.ap_id
+                loads[best.ap_id] += 1
+                if not user.mobile:
+                    # stationary users never move, so they keep their AP and its load
+                    self.static_loads[best.ap_id] += 1
+        self.noise: List[Tuple[Tuple[float, ...], ...]] = []
+        if config.qos_jitter_sigma > 0:
+            # the whole run's noise in one draw, equal to one draw per step;
+            # each AP takes a fixed share of a step's row, sized at step 0's
+            # loads, which are those the initial association leaves
+            sizes = [len(self.offered(a, loads[a])) for a in self.ap_order]
+            drawn = _stream(seed, "qos-jitter").normal(
+                0.0, config.qos_jitter_sigma, (config.nb_steps, sum(sizes)))
+            ends = list(accumulate(sizes))
+            self.noise = [tuple(row[e - size:e] for size, e in zip(sizes, ends))
+                          for row in map(tuple, drawn.tolist())]
+        # before step 0 the mobile terminals hold no AP, know nothing and
+        # take their initial APs as re-joins
+        n = len(mobile)
+        rejoins = tuple((i, initial[m]) for i, m in enumerate(self.mt_order) if m in initial)
+        self.start = _Step(-1, (), rejoins, (0,) * n, ({},) * n, (0,) * n, {})
+
+    def holds(self, config: ScenarioConfig, seed: int, qos_model) -> bool:
+        """Whether a run is of this family (a frozen dataclass's ``vars`` are
+        exactly its fields)."""
+        return (seed == self.seed and qos_model is self.qos_model
+                and dict(vars(config), strategy=None) == dict(vars(self.config), strategy=None))
+
+    def offered(self, ap_id: str, load: int) -> QosVector:
+        """The model's vector for ``ap_id`` at ``load``, made once."""
+        qos = self.vectors.get((ap_id, load))
+        if qos is None:
+            qos = self.qos_model(self.aps[ap_id], load)
+            qos = self.vectors[ap_id, load] = self.interned.setdefault(tuple(qos.items()), qos)
+        return qos
+
+    def score(self, ap_id: str, qos: QosVector, prof: _Profile) -> float:
+        """``qos`` scored for ``prof``, once per vector object: within a family
+        a score depends only on the vector, the requirements and the gate (the
+        AP id does not enter the value), and equal vectors are one object."""
+        value = prof.memo.get(id(qos))
+        if value is None:
+            value = prof.memo[id(qos)] = score_network(
+                ap_id, qos, prof.required, self.config.criteria,
+                gated=prof.gated, max_benefit=self.config.max_benefit,
+            ).value
+        return value
+
 
 # The innermost open shared_worlds() scope's record, in a list of at most one;
 # None outside.  A context variable, so each thread sees only its own scopes.
@@ -261,8 +330,8 @@ def shared_worlds() -> Iterator[None]:
     """Let the runs of one family made inside the block share one record.
 
     A family is a seed, a ``qos_model`` and a config but for the strategy.
-    Its record holds the family's world pass and tables, and its latest run
-    with that run's tape: a later run replays the tape's decisions through
+    Its record holds the family's world pass, start and tables, and its latest
+    run with that run's tape: a later run replays the tape's decisions through
     ``decide`` and executes only from the first step whose outcomes differ.
     A block holds one record, which another family's run replaces; a block
     opened inside another holds its own and leaves the outer one's in place.
@@ -272,12 +341,6 @@ def shared_worlds() -> Iterator[None]:
         yield
     finally:
         _slot.reset(slot)
-
-
-def _is_family(family: _Family, config: ScenarioConfig, seed: int, qos_model) -> bool:
-    return (family.seed == seed and family.qos_model is qos_model
-            and all(a is b or a == b for a, b in (
-                (getattr(family.config, f), getattr(config, f)) for f in _FAMILY_FIELDS)))
 
 
 def _replay(family: _Family, strategy: StabilityStrategy, waits: List[float],
@@ -318,7 +381,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     if seed is None:
         seed = config.rng_seed
     slot = _slot.get()
-    family = slot[0] if slot and _is_family(slot[0], config, seed, qos_model) else None
+    family = slot[0] if slot and slot[0].holds(config, seed, qos_model) else None
     # a family's record was made by a validated run, so only the strategy is new
     violations = validate(config) if family is None else strategy_violations(config.strategy)
     if violations:
@@ -326,12 +389,12 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     if family is None:
         if slot:
             del slot[0]  # freed before the new record's world pass
-        family = _Family(seed, config, qos_model, _world(config, seed))
+        family = _Family(seed, config, qos_model)
         if slot is not None:
             slot.append(family)
 
     dt = config.decision_step
-    mt_order = sorted(u.id for u in config.users if u.mobile)
+    mt_order = family.mt_order
     n = len(mt_order)
     # the time before which each terminal's waiting strategy holds it
     waits = [0.0] * n
@@ -345,44 +408,15 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     if family.rows is not None:
         resume = _replay(family, config.strategy, waits, strat_rng, dt)
         if resume is None:
-            return EventLog(seed=seed, config=config, mt_ids=mt_order,
+            return EventLog(seed=seed, config=config, mt_ids=list(mt_order),
                             outcomes=dict(zip(mt_order, family.rows)),
                             nb_ho=dict(zip(mt_order, family.nb_ho)))
         index, decisions = resume
 
     diffuse_every = int(round(config.diffusion_period / dt))
     sigma = config.qos_jitter_sigma
-    aps = config.ap_by_id()
-    ap_order = sorted(aps)
-    users = {u.id: u for u in config.users}
-
-    def offered(ap_id: str, load: int) -> QosVector:
-        qos = family.offered.get((ap_id, load))
-        if qos is None:
-            qos = qos_model(aps[ap_id], load)
-            qos = family.offered[ap_id, load] = family.interned.setdefault(tuple(qos.items()), qos)
-        return qos
-
-    # Within one family a score depends only on the offered QoS, the
-    # requirements and the gate (criteria and max_benefit are fixed; the AP
-    # id does not enter the value).  Equal offered vectors are one object and
-    # a jittered vector is built once per (step, AP, load), so each vector is
-    # scored once per profile and found again by its identity.
-    def profile(required: QosVector, gated: bool) -> _Profile:
-        key = (tuple(required.items()), gated)
-        found = family.profiles.get(key)
-        if found is None:
-            found = family.profiles[key] = _Profile(required, gated, {})
-        return found
-
-    def score(ap_id: str, qos: QosVector, prof: _Profile) -> float:
-        value = prof.memo.get(id(qos))
-        if value is None:
-            value = prof.memo[id(qos)] = score_network(
-                ap_id, qos, prof.required, config.criteria,
-                gated=prof.gated, max_benefit=config.max_benefit,
-            ).value
-        return value
+    aps, ap_order, offered, score = family.aps, family.ap_order, family.offered, family.score
+    asso_profiles, cand_profiles = family.asso_profiles, family.cand_profiles
 
     def switch(pending: List[Tuple[int, str, bool]]) -> None:
         # (4) apply switches atomically; they take effect next step
@@ -391,42 +425,6 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
             if is_handover:
                 nb_ho[i] += 1
                 disconnected[i] = config.handover_cost_steps
-
-    gate = config.gate_candidates
-    asso_profiles = [profile(users[m].app_requirements, True) for m in mt_order]
-    cand_profiles = [profile(users[m].app_requirements, gate) for m in mt_order]
-    if family.start is None:
-        # Initial association at t=0: users in id order greedily pick the
-        # best sensed AP by live QoS, strategy-free; each pick loads the AP
-        # for the next user's view.
-        loads = dict.fromkeys(ap_order, 0)
-        static_loads = family.static_loads = dict(loads)
-        initial: Dict[str, str] = {}
-        for uid, sensed in zip(sorted(users), family.world.initial):
-            prof = profile(users[uid].app_requirements, gate)
-            best = best_candidate([
-                CombinedScore(ap_id, score(ap_id, offered(ap_id, loads[ap_id]), prof))
-                for ap_id in sensed
-            ])
-            if best is not None:
-                initial[uid] = best.ap_id
-                loads[best.ap_id] += 1
-                if not users[uid].mobile:
-                    # stationary users never move, so they keep their AP and its load
-                    static_loads[best.ap_id] += 1
-        if sigma > 0:
-            # the whole run's noise in one draw, equal to one draw per step;
-            # each AP takes a fixed share of a step's row, sized at step 0's
-            # loads, which are those the initial association leaves
-            sizes = [len(offered(a, loads[a])) for a in ap_order]
-            drawn = _stream(seed, "qos-jitter").normal(0.0, sigma, (config.nb_steps, sum(sizes)))
-            ends = list(accumulate(sizes))
-            family.noise = [tuple(row[e - size:e] for size, e in zip(sizes, ends))
-                            for row in map(tuple, drawn.tolist())]
-        # before step 0 the mobile terminals hold no AP, know nothing and
-        # take their initial APs as re-joins
-        rejoins = tuple((i, initial[m]) for i, m in enumerate(mt_order) if m in initial)
-        family.start = _Step(-1, (), rejoins, (0,) * n, ({},) * n, (0,) * n, {})
 
     # Up to this step the run is its family's latest run (a fresh run starts
     # from the pre-step-0 state): take that run's state after phase (3), its
@@ -573,7 +571,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     log = tuple(tuple(r) for r in rows)
     if steps is not None:
         family.rows, family.nb_ho, family.steps = log, tuple(nb_ho), steps
-    return EventLog(seed=seed, config=config, mt_ids=mt_order,
+    return EventLog(seed=seed, config=config, mt_ids=list(mt_order),
                     outcomes=dict(zip(mt_order, log)), nb_ho=dict(zip(mt_order, nb_ho)))
 
 

@@ -365,7 +365,7 @@ def test_no_family_record_outlives_its_scope(tiny_config, family_spy):
         run_simulation(with_strategy(tiny_config, "randomized_wait", 3.0), 1)
         # one record per family: the latest run of (tiny_config, seed 1)
         (family,) = hodsim.engine._slot.get()
-        assert family.offered and family.profiles and family.rows and family.steps
+        assert family.vectors and family.rows and family.steps
         del family
     assert len(family_spy) == 4 and hodsim.engine._slot.get() is None
     gc.collect()
@@ -579,3 +579,55 @@ def test_a_familys_start_is_made_once(monkeypatch):
     assert shared == fresh and len(set(fresh)) > 1
     # one pick per user, and the noise drawn once
     assert len(picks) == len(config.users) and draws == [1]
+
+
+def test_a_run_that_reuses_its_familys_whole_log_does_no_table_work(default_config, monkeypatch):
+    # every decision of the second run agrees with the first run's tape, so
+    # it only feeds the tape to decide: no world pass, QoS model, score,
+    # initial pick, view, sensing or stream
+    calls = dict.fromkeys(("decide", "_world", "score_network", "best_candidate", "known",
+                           "sensed_aps", "_stream", "qos_model"), 0)
+
+    def counted(name, function):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return counting
+
+    model = counted("qos_model", ap_qos)
+    with shared_worlds():
+        first = run_simulation(with_strategy(default_config, "hysteresis", 0.5), 1, model)
+        (family,) = hodsim.engine._slot.get()
+        tape = sum(len(step.fired) for step in family.steps)
+        calls["qos_model"] = 0
+        for name in calls:
+            if name != "qos_model":
+                monkeypatch.setattr(hodsim.engine, name, counted(name, getattr(hodsim.engine, name)))
+        second = run_simulation(with_strategy(default_config, "hysteresis", 0.6), 1, model)
+    assert all(second.outcomes[m] is first.outcomes[m] for m in first.mt_ids)
+    assert tape == 521 and calls.pop("decide") == tape
+    assert not any(calls.values()), calls
+
+
+def test_a_family_whose_start_fails_leaves_no_record(tiny_config, world_spy):
+    # a family's record is made whole or not kept: a QoS model that raises
+    # during the initial association leaves the scope's slot empty, and the
+    # family's next run makes a fresh world pass and equals a fresh run
+    failing = []
+
+    def model(ap, load):
+        if failing:
+            raise RuntimeError("model failed")
+        return ap_qos(ap, load)
+
+    fresh = events_csv(run_simulation(tiny_config, 1, model))
+    with shared_worlds():
+        run_simulation(tiny_config, 2, model)
+        failing.append(True)
+        with pytest.raises(RuntimeError, match="model failed"):
+            run_simulation(tiny_config, 1, model)
+        # its world pass was made; seed 2's record had been dropped before it
+        assert len(world_spy) == 3 and hodsim.engine._slot.get() == []
+        failing.clear()
+        assert events_csv(run_simulation(tiny_config, 1, model)) == fresh
+        assert len(world_spy) == 4 and len(hodsim.engine._slot.get()) == 1
