@@ -12,39 +12,34 @@ zero and makes no decision, reflecting the break-before-make nature of WLAN
 re-association.
 
 The decision pass keeps knowledge in its closed form (see ``knowledge``):
-after a diffusion round an AP knows its own QoS of that round and each wired
-neighbor's QoS of the round before, nothing else.  So a terminal's
-knowledge is just the view its AP held at the last round at which the
-terminal was associated, and no record is ever copied or merged.  Offered
-QoS comes from a table by (AP, load).  With jitter, the noise of the whole
-run is drawn at once and a jittered vector comes from a table by (step, AP,
-load).  Each vector is scored once per (requirements, gate).
+a terminal's knowledge is the view its AP held at the last round at which
+it was associated, and no record is ever copied or merged.  The pass holds
+APs by index (0..A-1 in id order) and QoS vectors by number: loads are a
+list, and what a terminal senses, the measured QoS and each view are tuples
+by AP index.  A vector's number indexes its family's table of vectors and
+each score memo.  Offered vectors come from a table by (AP, load); with
+jitter, the whole run's noise is drawn at once and a jittered vector comes
+from a table by (step, AP, load).  Each vector is scored once per
+(requirements, gate).  AP ids come back only in the log's rows and in the
+calls of ``score_network`` and the QoS model.
 
 The run's log keeps, per terminal and step, a plain tuple of exactly the
-last five fields of its ``events_*.csv`` row (associated AP, action,
+last five fields of its ``events_*.csv`` row (associated AP id, action,
 ``c_asso``, ``c_best``, suppressed), plus each terminal's handover count;
 the time and the terminal id follow from the row's position.
 
 Inside ``shared_worlds()`` the runs of one *family* (same seed,
 ``qos_model`` and config but for the strategy) share one record, a
-``_Family``, of what does not depend on the strategy.  Its constructor makes
-the world pass and the start: initial association, static loads and, with
-jitter on, the whole run's noise (the same in every run, so a jittered
-vector is fixed by (step, AP, load)).  Runs fill its vector, jitter and
-score tables, its initial strategy-generator states, and the latest run's
-log and *tape*.  The strategy enters a run only through ``decide``, which is
-called only where the base rule fires, so the tape is every step at which it
+``_Family``: its world pass, start and tables, and its latest run's log and
+*tape*.  The strategy enters a run only through ``decide``, which is called
+only where the base rule fires, so the tape is every step at which it
 fired, with the loop state after phase (3).  A later run of the family
 replays the tape through ``decide`` with its own strategy, wait times and
-generators; at the first step whose outcomes differ it takes that step's
-state, applies its own switches and executes normally from the next step; a
-run with no tape takes the state before step 0 the same way.  If no step
-differs, it reuses the whole log.  Every row, ``decide`` call and generator
-draw is the one a fresh run makes.  A scope holds one record, and
-``metrics.sweeps`` runs seed by seed in one: each value executes only the
-steps after its first difference from the value before, and a seed's record
-is dropped before the next seed's is made.  Outside a scope a run builds the
-same record without a tape and drops it.
+generators, and executes only from the first step whose outcomes differ (a
+run with no tape, from the state before step 0); if none differs, it reuses
+the whole log.  Every row, ``decide`` call and generator draw is the one a
+fresh run makes.  Outside a scope a run builds the same record without a
+tape and drops it.
 """
 
 import hashlib
@@ -70,7 +65,7 @@ from .decision import (
 from .knowledge import known
 from .mobility import init_mobility, step_mobility, walk_mobility
 from .radio import QosVector, ap_qos, apply_jitter, sensed_aps
-from .scenario import ApProfile, ScenarioConfig, StabilityStrategy, strategy_violations, validate
+from .scenario import ScenarioConfig, StabilityStrategy, strategy_violations, validate
 
 # Nothing calls these or step_mobility (each terminal walks once), but
 # perfbench/tracing.py wraps all three, and init_mobility, by their names here.
@@ -85,12 +80,12 @@ _UNASSOCIATED = (None, STAY, 0.0, 0.0, False)
 
 
 class _Profile(NamedTuple):
-    """One (requirements, gate) pair and its score memo: the id of each
-    offered vector scored so far -> its score."""
+    """One (requirements, gate) pair and its score memo: ``memo[v]`` is the
+    score of its family's vector number ``v``, None until it is scored."""
 
     required: QosVector
     gated: bool
-    memo: Dict[int, float]
+    memo: List[Optional[float]]
 
 
 @dataclass
@@ -147,14 +142,16 @@ def _restored(state: dict) -> np.random.Generator:
 class _World:
     """The strategy-independent part of one run.
 
-    ``initial[i]`` is what the i-th user in id order senses at t=0;
+    ``index`` numbers the AP ids 0..A-1 in id order, and holds them in that
+    order.  ``initial[i]`` is what the i-th user in id order senses at t=0;
     ``sensed[k][i]`` and ``xy[k, i]`` are what the i-th mobile terminal in id
-    order senses, and where it is, after the move of step ``k``.  Equal
-    sensed tuples are one object, and ``xy`` is read-only.
+    order senses, as ascending AP indices, and where it is, after the move of
+    step ``k``.  Equal sensed tuples are one object, and ``xy`` is read-only.
     """
 
-    initial: Tuple[Tuple[str, ...], ...]
-    sensed: Tuple[Tuple[Tuple[str, ...], ...], ...]
+    index: Dict[str, int]
+    initial: Tuple[Tuple[int, ...], ...]
+    sensed: Tuple[Tuple[Tuple[int, ...], ...], ...]
     xy: np.ndarray
 
 
@@ -170,14 +167,19 @@ def _world(config: ScenarioConfig, seed: int) -> _World:
     strategy, nor on what it senses.  So all walks come first; then one
     ``sensed_aps`` call senses every user at t=0 and one call each block of
     whole steps, up to ``_SENSE_BLOCK`` position x AP checks per block.
+    Each distinct tuple of sensed ids is turned into AP indices once.
     """
     dt, area, nb_steps = config.decision_step, config.area, config.nb_steps
     mobile = sorted((u for u in config.users if u.mobile), key=attrgetter("id"))
     n = len(mobile)
-    interned: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+    index = {ap_id: j for j, ap_id in enumerate(sorted(ap.id for ap in config.aps))}
+    interned: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
 
-    def sense(positions) -> Tuple[Tuple[str, ...], ...]:
-        return tuple(interned.setdefault(hits, hits) for hits in sensed_aps(positions, config.aps))
+    def sense(positions) -> Tuple[Tuple[int, ...], ...]:
+        hits = sensed_aps(positions, config.aps)
+        for ids in set(hits).difference(interned):
+            interned[ids] = tuple(index[ap_id] for ap_id in ids)
+        return tuple(map(interned.__getitem__, hits))
 
     initial = sense([u.initial_position for u in sorted(config.users, key=attrgetter("id"))])
     xy = np.empty((nb_steps, n, 2))
@@ -191,20 +193,20 @@ def _world(config: ScenarioConfig, seed: int) -> _World:
         stop = min(start + block, nb_steps)
         hits = sense(xy[start:stop])
         sensed += [hits[i * n:(i + 1) * n] for i in range(stop - start)]
-    return _World(initial, tuple(sensed), xy)
+    return _World(index, initial, tuple(sensed), xy)
 
 
 class _Step(NamedTuple):
     """One step of a run at which the base rule fired for some terminal, or
     a family's state before step 0 (``k`` = -1), from which a fresh run starts.
 
-    ``fired`` is the step's tape: ``(i, best_id)`` for each such terminal in
+    ``fired`` is the step's tape: ``(i, best)`` for each such terminal in
     order, plain tuples so that the garbage collector stops tracking them
     (the call's other inputs and outcome are in row ``i`` at step ``k``);
-    ``rejoins`` holds its blind re-joins ``(i, ap_id)``, before step 0 the
+    ``rejoins`` holds its blind re-joins ``(i, j)``, before step 0 the
     initial associations.  The other fields and the rows' associated APs
-    (none before step 0) are the loop state after phase (3) that a later step
-    reads; a resumed run rebuilds its QoS (see ``run_simulation``).
+    are the loop state after phase (3) that a later step reads; APs are
+    indices throughout.  A resumed run rebuilds its QoS.
     """
 
     k: int
@@ -213,44 +215,47 @@ class _Step(NamedTuple):
     disconnected: tuple
     views: tuple
     nb_ho: tuple
-    current: dict
+    current: tuple
 
 
 class _Family:
     """What the runs of one family share inside a ``shared_worlds()`` scope
     until another family's run replaces it (a run outside one drops it).
 
-    The constructor makes the world pass; the mobile terminals' ids and the
-    APs', in id order; each terminal's score profiles, equal ones being one
-    object; and the start: ``start``, the state before step 0, the static
-    loads and, with jitter on, ``noise[k][j]``, the j-th AP's at step k.  If
-    it raises, no record is kept.  Runs fill the rest: the model's vector by
-    (AP, load), equal vectors being one object; the jittered vector by (step,
-    AP, load); the score memos; each terminal's initial strategy-generator
-    state; and the latest run's rows, handover counts and tape (``steps``),
-    ``rows`` being None while no complete run's tape is attached.  Every
-    vector a memo has scored stays here, so no id in a memo is reused.
+    AP ``j`` is ``ap_order[j]`` and vector ``v`` is ``table[v]``.  The
+    constructor makes the world pass, the APs' profiles and neighbors by
+    index, each terminal's score profiles (equal ones are one object) and
+    the start: ``start``, the static loads and, with jitter on,
+    ``noise[k][j]``, AP j's at step k; if it raises, no record is kept.
+    Runs fill the vector numbers by (AP, load), equal vectors sharing one,
+    and by (step, AP, load) when jittered; the score memos; the initial
+    strategy-generator states; and the latest run's rows, handover counts
+    and tape (``steps``), ``rows`` being None while no tape is attached.
     """
 
     def __init__(self, seed: int, config: ScenarioConfig, qos_model) -> None:
         self.seed, self.config, self.qos_model = seed, config, qos_model
         self.world = _world(config, seed)
-        self.aps = config.ap_by_id()
-        self.ap_order = sorted(self.aps)
-        self.vectors: Dict[Tuple[str, int], QosVector] = {}
-        self.interned: Dict[tuple, QosVector] = {}
-        self.jittered: Dict[Tuple[int, str, int], QosVector] = {}
+        self.index = self.world.index
+        self.ap_order = list(self.index)
+        by_id = config.ap_by_id()
+        self.aps = [by_id[ap_id] for ap_id in self.ap_order]
+        self.neighbors = [tuple(self.index[a] for a in ap.wired_neighbors) for ap in self.aps]
+        self.table: List[QosVector] = []
+        self.vectors: List[Dict[int, int]] = [{} for _ in self.aps]
+        self.interned: Dict[tuple, int] = {}
+        self.profiles: Dict[Tuple[tuple, bool], _Profile] = {}
         self.strategy: Optional[List[dict]] = None
         self.rows: Optional[Tuple[Tuple[tuple, ...], ...]] = None
         self.nb_ho: Tuple[int, ...] = ()
         self.steps: List[_Step] = []
 
         gate = config.gate_candidates
-        profiles: Dict[Tuple[tuple, bool], _Profile] = {}
 
         def profile(user, gated: bool) -> _Profile:
             required = user.app_requirements
-            return profiles.setdefault((tuple(required.items()), gated), _Profile(required, gated, {}))
+            return self.profiles.setdefault((tuple(required.items()), gated),
+                                            _Profile(required, gated, [None] * len(self.table)))
 
         users = sorted(config.users, key=attrgetter("id"))
         mobile = [u for u in users if u.mobile]
@@ -260,16 +265,14 @@ class _Family:
 
         # Initial association at t=0: users in id order greedily pick the
         # best sensed AP by live QoS, strategy-free; each pick loads the AP
-        # for the next user's view.
-        loads = dict.fromkeys(self.ap_order, 0)
-        self.static_loads = dict(loads)
-        initial: Dict[str, str] = {}
+        # for the next user's view.  Candidates carry AP indices.
+        loads = [0] * len(self.aps)
+        self.static_loads = list(loads)
+        initial: Dict[str, int] = {}
         for user, sensed in zip(users, self.world.initial):
             prof = profile(user, gate)
-            best = best_candidate([
-                CombinedScore(ap_id, self.score(ap_id, self.offered(ap_id, loads[ap_id]), prof))
-                for ap_id in sensed
-            ])
+            best = best_candidate([CombinedScore(j, self.score(j, self.offered(j, loads[j]), prof))
+                                   for j in sensed])
             if best is not None:
                 initial[user.id] = best.ap_id
                 loads[best.ap_id] += 1
@@ -277,44 +280,81 @@ class _Family:
                     # stationary users never move, so they keep their AP and its load
                     self.static_loads[best.ap_id] += 1
         self.noise: List[Tuple[Tuple[float, ...], ...]] = []
+        self.jittered: List[Dict[int, int]] = []
         if config.qos_jitter_sigma > 0:
             # the whole run's noise in one draw, equal to one draw per step;
             # each AP takes a fixed share of a step's row, sized at step 0's
             # loads, which are those the initial association leaves
-            sizes = [len(self.offered(a, loads[a])) for a in self.ap_order]
+            sizes = [len(self.table[self.offered(j, load)]) for j, load in enumerate(loads)]
             drawn = _stream(seed, "qos-jitter").normal(
                 0.0, config.qos_jitter_sigma, (config.nb_steps, sum(sizes)))
             ends = list(accumulate(sizes))
             self.noise = [tuple(row[e - size:e] for size, e in zip(sizes, ends))
                           for row in map(tuple, drawn.tolist())]
-        # before step 0 the mobile terminals hold no AP, know nothing and
-        # take their initial APs as re-joins
-        n = len(mobile)
+            self.jittered = [{} for _ in range(config.nb_steps)]
+        # before step 0 the mobile terminals hold no AP and take their initial
+        # APs as re-joins; nothing is known, and no QoS measured
+        n, unknown = len(mobile), (None,) * len(self.aps)
         rejoins = tuple((i, initial[m]) for i, m in enumerate(self.mt_order) if m in initial)
-        self.start = _Step(-1, (), rejoins, (0,) * n, ({},) * n, (0,) * n, {})
+        self.start = _Step(-1, (), rejoins, (0,) * n, (unknown,) * n, (0,) * n, unknown)
 
-    def holds(self, config: ScenarioConfig, seed: int, qos_model) -> bool:
-        """Whether a run is of this family (a frozen dataclass's ``vars`` are
-        exactly its fields)."""
-        return (seed == self.seed and qos_model is self.qos_model
-                and dict(vars(config), strategy=None) == dict(vars(self.config), strategy=None))
+    def numbered(self, qos: QosVector) -> int:
+        """Give ``qos`` the next vector number and every memo its slot."""
+        self.table.append(qos)
+        for prof in self.profiles.values():
+            prof.memo.append(None)
+        return len(self.table) - 1
 
-    def offered(self, ap_id: str, load: int) -> QosVector:
-        """The model's vector for ``ap_id`` at ``load``, made once."""
-        qos = self.vectors.get((ap_id, load))
-        if qos is None:
-            qos = self.qos_model(self.aps[ap_id], load)
-            qos = self.vectors[ap_id, load] = self.interned.setdefault(tuple(qos.items()), qos)
-        return qos
+    def offered(self, j: int, load: int) -> int:
+        """The number of the model's vector for AP ``j`` at ``load``, made
+        once; equal vectors get one number."""
+        number = self.vectors[j].get(load)
+        if number is None:
+            qos = self.qos_model(self.aps[j], load)
+            key = tuple(qos.items())
+            if key not in self.interned:
+                self.interned[key] = self.numbered(qos)
+            number = self.vectors[j][load] = self.interned[key]
+        return number
 
-    def score(self, ap_id: str, qos: QosVector, prof: _Profile) -> float:
-        """``qos`` scored for ``prof``, once per vector object: within a family
-        a score depends only on the vector, the requirements and the gate (the
-        AP id does not enter the value), and equal vectors are one object."""
-        value = prof.memo.get(id(qos))
+    def jittered_at(self, k: int, loads: List[int]) -> Tuple[int, ...]:
+        """The numbers of step ``k``'s jittered vectors at ``loads``, by AP
+        index; each is made once per (step, AP, load), kept in ``jittered[k]``
+        under the key ``load * A + j`` (A APs)."""
+        made, keys = self.jittered[k], [load * len(loads) + j for j, load in enumerate(loads)]
+        numbers = list(map(made.get, keys))
+        for j, number in enumerate(numbers):
+            if number is None:
+                qos, noise = self.table[self.offered(j, loads[j])], self.noise[k][j]
+                if len(qos) != len(noise):
+                    raise ValueError(f"with jitter on, qos_model must give ap {self.ap_order[j]!r} "
+                                     "vectors of one length at every load")
+                numbers[j] = made[keys[j]] = self.numbered(apply_jitter(qos, noise))
+        return tuple(numbers)
+
+    def nearest_usable(self, position: Tuple[float, float], sensed: Tuple[int, ...],
+                       qos_now: Tuple[int, ...]) -> Optional[int]:
+        """Blind (re-)association: the nearest sensed AP currently offering any
+        nonzero QoS, ties broken by index, which is id order.  An unassociated
+        terminal holds no usable knowledge, so this models a plain
+        strongest-signal join rather than a scored decision."""
+        best = None
+        for j in sensed:
+            if any(v > 0 for v in self.table[qos_now[j]].values()):
+                x, y = self.aps[j].position
+                d = math.hypot(x - position[0], y - position[1])
+                if best is None or d < best[0]:
+                    best = (d, j)
+        return best[1] if best is not None else None
+
+    def score(self, j: int, number: int, prof: _Profile) -> float:
+        """Vector ``number`` of AP ``j`` scored for ``prof``, once: within a
+        family a score depends only on the vector, the requirements and the
+        gate (the AP id does not enter the value)."""
+        value = prof.memo[number]
         if value is None:
-            value = prof.memo[id(qos)] = score_network(
-                ap_id, qos, prof.required, self.config.criteria,
+            value = prof.memo[number] = score_network(
+                self.ap_order[j], self.table[number], prof.required, self.config.criteria,
                 gated=prof.gated, max_benefit=self.config.max_benefit,
             ).value
         return value
@@ -356,9 +396,9 @@ def _replay(family: _Family, strategy: StabilityStrategy, waits: List[float],
         now = k * dt
         decisions = []
         differs = False
-        for i, best_id in step.fired:
+        for i, best in step.fired:
             _, action, c_asso, best_value, suppressed = rows[i][k]
-            outcome = decide(c_asso, CombinedScore(best_id, best_value), strategy, waits[i],
+            outcome = decide(c_asso, CombinedScore(best, best_value), strategy, waits[i],
                              now, rngs[i])
             waits[i] = outcome.wait_until
             decisions.append(outcome)
@@ -381,12 +421,16 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     if seed is None:
         seed = config.rng_seed
     slot = _slot.get()
-    family = slot[0] if slot and slot[0].holds(config, seed, qos_model) else None
-    # a family's record was made by a validated run, so only the strategy is new
-    violations = validate(config) if family is None else strategy_violations(config.strategy)
+    # the scope's record was made by a validated run, so a config equal to its
+    # own but for the strategy (a frozen dataclass's vars are its fields) needs
+    # only the strategy checked, whatever the seed
+    same = slot and dict(vars(config), strategy=None) == dict(vars(slot[0].config), strategy=None)
+    violations = strategy_violations(config.strategy) if same else validate(config)
     if violations:
         raise ValueError("invalid config: " + "; ".join(violations))
-    if family is None:
+    if same and slot[0].seed == seed and slot[0].qos_model is qos_model:
+        family = slot[0]
+    else:
         if slot:
             del slot[0]  # freed before the new record's world pass
         family = _Family(seed, config, qos_model)
@@ -415,10 +459,11 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
 
     diffuse_every = int(round(config.diffusion_period / dt))
     sigma = config.qos_jitter_sigma
-    aps, ap_order, offered, score = family.aps, family.ap_order, family.offered, family.score
+    # the loop holds APs by index and vectors by number; a row names its AP
+    ap_order, offered, score = family.ap_order, family.offered, family.score
     asso_profiles, cand_profiles = family.asso_profiles, family.cand_profiles
 
-    def switch(pending: List[Tuple[int, str, bool]]) -> None:
+    def switch(pending: List[Tuple[int, int, bool]]) -> None:
         # (4) apply switches atomically; they take effect next step
         for i, target, is_handover in pending:
             assoc[i] = target
@@ -432,12 +477,12 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     # from phase (4).
     step = family.start if index < 0 else family.steps[index]
     rows = [[] for _ in mt_order] if index < 0 else [list(r[:step.k + 1]) for r in family.rows]
-    assoc = [r[-1][0] if r else None for r in rows]
+    assoc = [family.index.get(r[-1][0]) if r else None for r in rows]
     # Each terminal's knowledge in closed form: the view its AP held at the
     # last round at which it was associated (see knowledge.known).
     disconnected, views, nb_ho = list(step.disconnected), list(step.views), list(step.nb_ho)
     current = step.current
-    pending = [(i, ap_id, False) for i, ap_id in step.rejoins]
+    pending = [(i, j, False) for i, j in step.rejoins]
     for (i, _), outcome in zip(step.fired, decisions):
         ap_id, _, c_asso, c_best, _ = rows[i][-1]
         rows[i][-1] = (ap_id, outcome.action, c_asso, c_best, outcome.suppressed)
@@ -453,33 +498,22 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     # the next round moves current to previous before reading it, unless the
     # first step's qos_now equals current, when previous = current is right
     previous = current
-    qos_now: Dict[str, QosVector] = {}
-    last_loads: Optional[Dict[str, int]] = None
-    # the views of the last diffusion round, by AP
-    round_views: Dict[str, Dict[str, QosVector]] = {}
+    last_loads: Optional[List[int]] = None
+    # the views of the last diffusion round, by AP index
+    round_views: List[Optional[tuple]] = [None] * len(ap_order)
 
     for k in range(step.k + 1, config.nb_steps):
         now = k * dt
 
         # (1) load and offered QoS per AP
-        loads = dict(family.static_loads)
-        for ap_id in assoc:
-            if ap_id is not None:
-                loads[ap_id] += 1
+        loads = list(family.static_loads)
+        for j in assoc:
+            if j is not None:
+                loads[j] += 1
         if sigma > 0:
-            qos_now = {}
-            for ap_id, noise in zip(ap_order, family.noise[k]):
-                key = (k, ap_id, loads[ap_id])
-                qos = family.jittered.get(key)
-                if qos is None:
-                    qos = offered(ap_id, loads[ap_id])
-                    if len(qos) != len(noise):
-                        raise ValueError(f"with jitter on, qos_model must give ap {ap_id!r} "
-                                         "vectors of one length at every load")
-                    qos = family.jittered[key] = apply_jitter(qos, noise)
-                qos_now[ap_id] = qos
+            qos_now = family.jittered_at(k, loads)
         elif loads != last_loads:
-            qos_now = {ap_id: offered(ap_id, loads[ap_id]) for ap_id in ap_order}
+            qos_now = tuple(map(offered, range(len(loads)), loads))
             qos_now = current if qos_now == current else qos_now  # keeps its views
             last_loads = loads
 
@@ -488,13 +522,12 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         if k % diffuse_every == 0:
             if qos_now is not current or previous is not current:
                 previous, current = current, qos_now
-                round_views = {}
-            for i, ap_id in enumerate(assoc):
-                if ap_id is not None:
-                    view = round_views.get(ap_id)
+                round_views = [None] * len(ap_order)
+            for i, j in enumerate(assoc):
+                if j is not None:
+                    view = round_views[j]
                     if view is None:
-                        view = round_views[ap_id] = known(
-                            ap_id, aps[ap_id].wired_neighbors, current, previous)
+                        view = round_views[j] = known(j, family.neighbors[j], current, previous)
                     views[i] = view
 
         # (3) per-terminal decisions against a frozen snapshot; movement
@@ -502,62 +535,62 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         pending = []
         fired = []
         for i, sensed in enumerate(family.world.sensed[k]):
-            ap_id = assoc[i]
-            if ap_id is not None and ap_id not in sensed:
+            j = assoc[i]
+            if j is not None and j not in sensed:
                 # walked out of coverage: connectivity lost, not a handover
-                assoc[i] = ap_id = None
+                assoc[i] = j = None
 
             if disconnected[i]:
                 disconnected[i] -= 1
-                rows[i].append((ap_id, STAY, 0.0, 0.0, False))
+                rows[i].append((None if j is None else ap_order[j], STAY, 0.0, 0.0, False))
                 continue
 
-            if ap_id is None:
+            if j is None:
                 xy = family.world.xy[k, i]
-                target = _nearest_usable((float(xy[0]), float(xy[1])), sensed, aps, qos_now)
+                target = family.nearest_usable((float(xy[0]), float(xy[1])), sensed, qos_now)
                 if target is not None:
                     pending.append((i, target, False))
                 rows[i].append(_UNASSOCIATED)
                 continue
 
             view = views[i]
-            qos = view.get(ap_id)
+            v = view[j]
             c_asso = 0.0
-            if qos is not None:
+            if v is not None:
                 prof = asso_profiles[i]
-                c_asso = prof.memo.get(id(qos))
-                c_asso = score(ap_id, qos, prof) if c_asso is None else c_asso
+                c_asso = prof.memo[v]
+                c_asso = score(j, v, prof) if c_asso is None else c_asso
 
-            # one pass for the best candidate; ties go to the lowest AP id,
-            # as in best_candidate
+            # one pass for the best candidate; sensed indices ascend, so the
+            # first best is the lowest AP id, as in best_candidate
             prof = cand_profiles[i]
-            best_id = None
-            best_value = 0.0
+            memo = prof.memo
+            best, best_value = None, 0.0
             for cand in sensed:
-                if cand == ap_id:
+                if cand == j:
                     continue
-                qos = view.get(cand)
-                if qos is None:
+                v = view[cand]
+                if v is None:
                     continue
-                value = prof.memo.get(id(qos))
-                value = score(cand, qos, prof) if value is None else value
-                if best_id is None or value > best_value or (value == best_value and cand < best_id):
-                    best_id = cand
-                    best_value = value
+                value = memo[v]
+                value = score(cand, v, prof) if value is None else value
+                if best is None or value > best_value:
+                    best, best_value = cand, value
 
             # Unless the best candidate beats the associated network, the base
             # rule does not fire and decide would keep the terminal in place,
             # unsuppressed, with its wait time and rng untouched.
-            if best_id is None or best_value <= c_asso:
+            ap_id = ap_order[j]
+            if best is None or best_value <= c_asso:
                 rows[i].append((ap_id, STAY, c_asso, best_value, False))
                 continue
-            outcome = decide(c_asso, CombinedScore(best_id, best_value), config.strategy, waits[i],
+            outcome = decide(c_asso, CombinedScore(best, best_value), config.strategy, waits[i],
                              now, strat_rng[i])
             waits[i] = outcome.wait_until
             if outcome.action == HANDOVER:
                 pending.append((i, outcome.target, True))
             rows[i].append((ap_id, outcome.action, c_asso, best_value, outcome.suppressed))
-            fired.append((i, best_id))
+            fired.append((i, best))
 
         # only a step at which the base rule fired can differ between the
         # runs of a family, so only such a step is recorded
@@ -573,23 +606,6 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         family.rows, family.nb_ho, family.steps = log, tuple(nb_ho), steps
     return EventLog(seed=seed, config=config, mt_ids=list(mt_order),
                     outcomes=dict(zip(mt_order, log)), nb_ho=dict(zip(mt_order, nb_ho)))
-
-
-def _nearest_usable(position: Tuple[float, float], sensed: Tuple[str, ...],
-                    aps: Dict[str, ApProfile], qos_now: Dict[str, QosVector]) -> Optional[str]:
-    """Blind (re-)association: nearest sensed AP currently offering any
-    nonzero QoS, ties broken by id.  An unassociated terminal holds no usable
-    knowledge, so this models a plain strongest-signal join rather than a
-    scored decision."""
-    best = None
-    for ap_id in sensed:
-        if not any(v > 0 for v in qos_now[ap_id].values()):
-            continue
-        ap = aps[ap_id]
-        d = math.hypot(ap.position[0] - position[0], ap.position[1] - position[1])
-        if best is None or d < best[0]:
-            best = (d, ap_id)
-    return best[1] if best is not None else None
 
 
 def events_csv(log: EventLog) -> str:

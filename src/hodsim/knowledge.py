@@ -17,21 +17,24 @@ between one and two periods old.  Terminals only ever learn about APs
 relayed by their associated AP; a sensed AP without a record is simply not a
 candidate.
 
-``known`` is that closed form.  The record-merging protocol itself, with
-timestamped records and latest-wins merges, is kept only as the check of
-``known`` (``ref_diffuse`` in ``tests/reference.py``).
+``known`` is that closed form on APs numbered 0..A-1, by index.  The
+record-merging protocol itself, with timestamped records and latest-wins
+merges, is kept only as the check of ``known`` (``ref_diffuse`` in
+``tests/reference.py``, through an id-to-index map).
 """
 
-from typing import Dict, Mapping, Tuple, TypeVar
+from typing import Optional, Sequence, Tuple, TypeVar
 
 V = TypeVar("V")
 
 
-def known(home: str, neighbors: Tuple[str, ...], current: Mapping[str, V],
-          previous: Mapping[str, V]) -> Dict[str, V]:
-    """What AP ``home`` knows after a round: its own entry of ``current``
-    (this round) and its wired neighbors' entries of ``previous`` (the round
-    before; empty before the first round), by AP id."""
-    view = {n: previous[n] for n in neighbors if n in previous}
+def known(home: int, neighbors: Sequence[int], current: Sequence[V],
+          previous: Sequence[Optional[V]]) -> Tuple[Optional[V], ...]:
+    """What AP ``home`` knows after a round, by AP index: its own entry of
+    ``current`` (this round), its wired neighbors' entries of ``previous``
+    (the round before; all None before the first round), None elsewhere."""
+    view = [None] * len(current)
+    for n in neighbors:
+        view[n] = previous[n]
     view[home] = current[home]
-    return view
+    return tuple(view)

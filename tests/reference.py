@@ -10,6 +10,7 @@ streams, which draw the numbers a run is made of.
 import math
 
 from hodsim.engine import _stream
+from hodsim.knowledge import known
 
 # The largest float below 1: a saturated utility stays below 1.
 _BELOW_ONE = 1.0 - 2.0 ** -53
@@ -121,6 +122,18 @@ def ref_diffuse(ap_records, neighbors, measured, associations, now):
         if ap is not None:
             terminals[mt] = dict(new_records[ap])
     return new_records, terminals
+
+
+def known_by_id(home, neighbors, current, previous):
+    """``hodsim.knowledge.known`` through an id-to-index map, for comparing
+    it with ``ref_diffuse``.  The APs named in the arguments are numbered in
+    id order; ``current`` and ``previous`` (records by AP id, ``previous``
+    empty before the first round) become sequences by index, and the view
+    comes back by AP id, without the APs it does not know."""
+    ids = sorted({home, *neighbors, *current, *previous})
+    view = known(ids.index(home), [ids.index(n) for n in neighbors],
+                 [current.get(a) for a in ids], [previous.get(a) for a in ids])
+    return {a: record for a, record in zip(ids, view) if record is not None}
 
 
 def ref_sensed(position, aps):

@@ -18,12 +18,11 @@ from scipy.stats import spearmanr
 from hodsim.cli import main
 from hodsim.decision import CombinedScore, decide, utility
 from hodsim.engine import events_csv, run_simulation
-from hodsim.knowledge import known
 from hodsim.metrics import confidence_interval, sweep
 from hodsim.mobility import draw_waypoint, init_mobility, step_mobility
 from hodsim.scenario import StabilityStrategy, UserProfile, default_scenario, with_strategy
 
-from reference import ref_diffuse
+from reference import known_by_id, ref_diffuse
 from test_decision import assert_pipelines_agree, run_both_pipelines
 
 SEEDS = list(range(1, 11))
@@ -217,7 +216,7 @@ def test_criterion_7_invariant_suites():
             aps, mts = ref_diffuse(aps, neigh, qos, {"mt": ids[0]}, k * period)
             rounds.append({a: (qos[a], k * period) for a in ids})
         mt_view = mts["mt"]
-        assert mt_view == known(ids[0], neigh[ids[0]], rounds[-1], rounds[-2])
+        assert mt_view == known_by_id(ids[0], neigh[ids[0]], rounds[-1], rounds[-2])
         for b in neigh[ids[0]]:
             if b in mt_view:
                 age = 5 * period + period - 1e-9 - mt_view[b][1]

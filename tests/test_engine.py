@@ -125,20 +125,28 @@ def knowledge_spy(monkeypatch):
     """Record every QoS record a decision reads from a terminal's knowledge.
 
     The engine reads knowledge only through the views knowledge.known
-    builds; each view is wrapped so that every lookup is logged as
+    builds, tuples of vector numbers by AP index; each view is wrapped so
+    that every lookup is logged, through the tables of the run's family, as
     (AP id, QoS vector or None when the AP is not known).
     """
     import hodsim.engine
 
-    lookups = []
+    lookups, families = [], []
     known = hodsim.engine.known
 
-    class RecordingView(dict):
-        def get(self, ap_id, default=None):
-            qos = dict.get(self, ap_id, default)
-            lookups.append((ap_id, qos))
-            return qos
+    class Recorded(hodsim.engine._Family):
+        def __init__(self, *args):
+            super().__init__(*args)
+            families.append(self)
 
+    class RecordingView(tuple):
+        def __getitem__(self, j):
+            number = tuple.__getitem__(self, j)
+            family = families[-1]
+            lookups.append((family.ap_order[j], None if number is None else family.table[number]))
+            return number
+
+    monkeypatch.setattr(hodsim.engine, "_Family", Recorded)
     monkeypatch.setattr(hodsim.engine, "known", lambda *args: RecordingView(known(*args)))
     return lookups
 

@@ -183,6 +183,22 @@ def test_default_scenario_events(default_config, seed):
     assert sha256(events_csv(log)) == DEFAULT_EVENTS[seed]
 
 
+def test_cli_run_validates_the_scenario_twice_for_three_seeds(tmp_path, monkeypatch, capsys):
+    # `hodsim run --seeds 1,2,3` validates the document once as it loads it
+    # and once at the first seed's run; the later seeds' runs share that
+    # run's scope, whose record holds a config equal to theirs
+    import hodsim.scenario
+
+    calls = []
+    for module in (hodsim.scenario, hodsim.engine):
+        monkeypatch.setattr(module, "validate",
+                            lambda config, check=module.validate: calls.append(1) or check(config))
+    assert main(["run", "--seeds", "1,2,3", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2
+    for seed, digest in DEFAULT_EVENTS.items():
+        assert hashlib.sha256((tmp_path / f"events_s{seed}.csv").read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("period_steps", sorted(HYSTERESIS_EVENTS))
 def test_default_scenario_hysteresis_handovers(default_config, period_steps):
     config = replace(with_strategy(default_config, "hysteresis", 0.05), handover_cost_steps=1,
@@ -219,7 +235,10 @@ def test_tiny_events_with_jitter():
 def test_boundary_users_sense_the_circle_inclusively():
     config = load_scenario(boundary_document())
     ids = sorted(u.id for u in config.users)
-    initial = dict(zip(ids, hodsim.engine._world(config, 1).initial))
+    world = hodsim.engine._world(config, 1)
+    # what each user senses, by AP index, named again by AP id
+    ap_order = list(world.index)
+    initial = {u: {ap_order[j] for j in hits} for u, hits in zip(ids, world.initial)}
     for ap in config.aps:
         for name in ("on", "on_diagonal", "inside"):
             assert ap.id in initial[f"{ap.id}_{name}"]

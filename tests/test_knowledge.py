@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from hodsim.knowledge import known
 
-from reference import ref_diffuse, ref_merge
+from reference import known_by_id, ref_diffuse, ref_merge
 
 
 def stamped(measured, now):
@@ -24,7 +24,7 @@ def test_two_aps_exchange_previous_period_measurements():
 
     aps, _ = ref_diffuse({"ap1": {}, "ap2": {}}, neighbors, q0, {}, now=0.0)
     assert set(aps["ap1"]) == {"ap1"}
-    assert aps["ap1"] == known("ap1", neighbors["ap1"], r0, {})
+    assert aps["ap1"] == known_by_id("ap1", neighbors["ap1"], r0, {})
 
     aps, _ = ref_diffuse(aps, neighbors, q1, {}, now=1.0)
     assert aps["ap1"]["ap1"][1] == 1.0
@@ -32,7 +32,7 @@ def test_two_aps_exchange_previous_period_measurements():
     assert aps["ap1"]["ap2"][0] == {"bw": 20.0}
     assert aps["ap2"]["ap1"][0] == {"bw": 10.0}
     for ap_id in neighbors:
-        assert aps[ap_id] == known(ap_id, neighbors[ap_id], r1, r0)
+        assert aps[ap_id] == known_by_id(ap_id, neighbors[ap_id], r1, r0)
 
 
 def test_isolated_ap_knows_only_itself():
@@ -41,7 +41,7 @@ def test_isolated_ap_knows_only_itself():
         measured = {"solo": {"bw": 1.0}}
         aps, _ = ref_diffuse(aps, {"solo": ()}, measured, {}, now=float(t))
         current = stamped(measured, float(t))
-        assert aps["solo"] == known("solo", (), current, previous)
+        assert aps["solo"] == known_by_id("solo", (), current, previous)
         previous = current
     assert set(aps["solo"]) == {"solo"}
 
@@ -52,7 +52,7 @@ def test_terminal_receives_copy_of_associated_ap_base():
     aps, _ = ref_diffuse({"ap1": {}, "ap2": {}}, neighbors, qos, {}, now=0.0)
     aps, mts = ref_diffuse(aps, neighbors, qos, {"mt1": "ap1"}, now=1.0)
     assert set(mts["mt1"]) == {"ap1", "ap2"}
-    assert mts["mt1"] == known("ap1", neighbors["ap1"], stamped(qos, 1.0), stamped(qos, 0.0))
+    assert mts["mt1"] == known_by_id("ap1", neighbors["ap1"], stamped(qos, 1.0), stamped(qos, 0.0))
 
 
 def test_unassociated_terminal_receives_nothing():
@@ -80,7 +80,7 @@ def test_timestamps_never_regress_across_rounds():
         aps, _ = ref_diffuse(aps, neighbors, qos, {}, now=float(t))
         current = stamped(qos, float(t))
         for owner in ap_ids:
-            view = known(owner, neighbors[owner], current, previous)
+            view = known_by_id(owner, neighbors[owner], current, previous)
             assert view == aps[owner]
             for ap_id, (_, timestamp) in view.items():
                 held = seen[owner].get(ap_id)
@@ -98,7 +98,7 @@ def test_neighbor_records_at_most_two_periods_old():
         qos = {"a": {"bw": 1.0}, "b": {"bw": 2.0}}
         aps, mts = ref_diffuse(aps, neighbors, qos, {"mt": "a"}, now=now)
         current = stamped(qos, now)
-        view = known("a", neighbors["a"], current, previous)
+        view = known_by_id("a", neighbors["a"], current, previous)
         assert mts["mt"] == view
         previous = current
         if k >= 1:
@@ -109,12 +109,12 @@ def test_neighbor_records_at_most_two_periods_old():
 
 
 def test_known_is_own_current_and_neighbors_previous():
-    current = {"a": "a1", "b": "b1", "c": "c1"}
-    previous = {"a": "a0", "b": "b0", "c": "c0"}
-    assert known("b", ("a", "c"), current, previous) == {"a": "a0", "b": "b1", "c": "c0"}
-    assert known("a", ("b",), current, previous) == {"a": "a1", "b": "b0"}
+    # APs a, b, c are indices 0, 1, 2
+    current, previous = ("a1", "b1", "c1"), ("a0", "b0", "c0")
+    assert known(1, (0, 2), current, previous) == ("a0", "b1", "c0")
+    assert known(0, (1,), current, previous) == ("a1", "b0", None)
     # before the first round nothing has been pushed
-    assert known("b", ("a", "c"), current, {}) == {"b": "b1"}
+    assert known(1, (0, 2), current, (None,) * 3) == (None, "b1", None)
 
 
 TERMINALS = ("m0", "m1", "m2")
@@ -144,7 +144,7 @@ def diffusion_histories(draw):
 def test_closed_form_matches_the_merging_protocol(history):
     # At every step each terminal must hold the same AP -> (QoS, timestamp)
     # map under the reference record-merging protocol and under the closed
-    # form: known() of the rounds at the last round at which the terminal
+    # form: known_by_id() of the rounds at the last round at which the terminal
     # was associated.
     ids, neighbors, period, steps = history
     dt = 0.5
@@ -162,7 +162,7 @@ def test_closed_form_matches_the_merging_protocol(history):
             rounds.append(stamped(measured, now))
             previous = rounds[-2] if len(rounds) > 1 else {}
             for a in ids:
-                assert ref_aps[a] == known(a, neighbors[a], rounds[-1], previous)
+                assert ref_aps[a] == known_by_id(a, neighbors[a], rounds[-1], previous)
             for mt, ap in associations.items():
                 if ap is not None:
                     holds[mt] = (ap, len(rounds) - 1)
@@ -171,5 +171,5 @@ def test_closed_form_matches_the_merging_protocol(history):
             closed = {}
             if mt in holds:
                 home, r = holds[mt]
-                closed = known(home, neighbors[home], rounds[r], rounds[r - 1] if r else {})
+                closed = known_by_id(home, neighbors[home], rounds[r], rounds[r - 1] if r else {})
             assert closed == expected

@@ -216,7 +216,7 @@ def test_jitter_disabled_is_identity(monkeypatch):
         return out
 
     def measuring(home, neighbors, current, previous):
-        measured.extend(current.values())
+        measured.extend(current)  # vector numbers, by AP index
         return known(home, neighbors, current, previous)
 
     def unexpected(*args):
@@ -225,9 +225,12 @@ def test_jitter_disabled_is_identity(monkeypatch):
     monkeypatch.setattr(hodsim.engine, "_stream", lambda *a: streams.append(a[1:]) or stream(*a))
     monkeypatch.setattr(hodsim.engine, "apply_jitter", unexpected)
     monkeypatch.setattr(hodsim.engine, "known", measuring)
-    hodsim.engine.run_simulation(load_scenario(tiny_document()), 1, qos_model=model)
+    with hodsim.engine.shared_worlds():
+        hodsim.engine.run_simulation(load_scenario(tiny_document()), 1, qos_model=model)
+        (family,) = hodsim.engine._slot.get()
     assert ("qos-jitter",) not in streams
-    assert measured and all(returned.get(id(q)) is q for q in measured)
+    vectors = [family.table[number] for number in measured]
+    assert vectors and all(returned.get(id(q)) is q for q in vectors)
 
 
 def test_jitter_clips_at_zero_and_is_seeded():

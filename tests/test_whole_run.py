@@ -28,19 +28,25 @@ def crowded(ap, load):
 # and scores often tie and every tie-break is exercised.
 coordinate = st.integers(0, 6).map(lambda i: i * 10.0)
 
+# Ids are drawn shuffled from these, so that their sorted order differs from
+# the document's and from the numeric order of their digits ("ap10" < "ap9").
+AP_NAMES = ("ap9", "ap10", "b", "a0", "ap2", "ap11")
+USER_NAMES = ("u9", "u10", "m", "a1", "u2", "u11", "ua", "b0")
+
 
 @st.composite
 def documents(draw):
     """A small valid scenario: 1-6 APs with symmetric wired links, 1-8 users
     of whom at least one is mobile, nonzero requirements, every strategy kind,
-    the gate on or off, jitter on or off."""
+    the gate on or off, jitter on or off, and ids out of sorted order."""
     n_aps = draw(st.integers(1, 6))
+    ap_ids = draw(st.permutations(AP_NAMES))[:n_aps]
     # a few nominal QoS vectors shared by the APs, so that scores tie
     palette = draw(st.lists(st.fixed_dictionaries({
         "bandwidth": st.sampled_from([11.0, 36.0, 54.0]),
         "delay": st.sampled_from([0.0, 2.0, 5.0])}), min_size=1, max_size=3))
     aps = [{
-        "id": f"ap{j}",
+        "id": ap_ids[j],
         "position": [draw(coordinate), draw(coordinate)],
         "coverage_radius": draw(st.sampled_from([15.0, 25.0, 40.0, 80.0])),
         "base_qos": dict(draw(st.sampled_from(palette))),
@@ -54,8 +60,9 @@ def documents(draw):
         aps[b]["wired_neighbors"].append(aps[a]["id"])
     n_users = draw(st.integers(1, 8))
     n_mobile = draw(st.integers(1, n_users))
+    user_ids = draw(st.permutations(USER_NAMES))[:n_users]
     users = [{
-        "id": f"u{i}",
+        "id": user_ids[i],
         "mobile": i < n_mobile,
         "initial_position": [draw(coordinate), draw(coordinate)],
         "speed": draw(st.sampled_from([2.0, 8.0, 20.0])),

@@ -83,14 +83,24 @@ def test_world_pass_senses_in_blocks_of_whole_steps(default_config, monkeypatch)
     per_block = hodsim.engine._SENSE_BLOCK // checks
     assert 1 < per_block < steps
     assert len(calls) == 1 + -(-steps // per_block)
+    # the world holds AP indices in ascending order, which name the ids
+    # sensed_aps returned in id order
+    ap_order = list(world.index)
+    assert ap_order == sorted(ap.id for ap in default_config.aps)
+    assert list(world.index.values()) == list(range(len(ap_order)))
+
+    def named(row):
+        assert all(list(hits) == sorted(hits) for hits in row)
+        return [tuple(ap_order[j] for j in hits) for hits in row]
+
     assert calls[0][0].tolist() == [list(u.initial_position) for u in users]
-    assert list(world.initial) == calls[0][1]
+    assert named(world.initial) == calls[0][1]
     k = 0
     for positions, result in calls[1:]:
         assert len(positions) == n * min(per_block, steps - k)
         for i in range(0, len(positions), n):
             assert np.array_equal(positions[i:i + n], world.xy[k])
-            assert list(world.sensed[k]) == result[i:i + n]
+            assert named(world.sensed[k]) == result[i:i + n]
             k += 1
     assert k == steps == len(world.sensed)
     # equal sensed tuples are one object
@@ -365,7 +375,7 @@ def test_no_family_record_outlives_its_scope(tiny_config, family_spy):
         run_simulation(with_strategy(tiny_config, "randomized_wait", 3.0), 1)
         # one record per family: the latest run of (tiny_config, seed 1)
         (family,) = hodsim.engine._slot.get()
-        assert family.vectors and family.rows and family.steps
+        assert family.table and family.rows and family.steps
         del family
     assert len(family_spy) == 4 and hodsim.engine._slot.get() is None
     gc.collect()
@@ -434,7 +444,8 @@ def test_a_jitter_family_computes_each_vector_and_score_once(tiny_config, monkey
         shared = [events_csv(run_simulation(with_strategy(config, "randomized_wait", v), 1, model))
                   for v in values]
         (family,) = hodsim.engine._slot.get()
-        assert len(built) == len(family.jittered)
+        # jittered[k] holds step k's jittered vector numbers by (AP, load)
+        assert len(built) == sum(map(len, family.jittered))
     assert shared == fresh and len(set(fresh)) == len(values)
     assert modelled and len(modelled) == len(set(modelled))
     assert scored and len(scored) == len(set(scored))
