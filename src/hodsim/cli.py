@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .engine import events_csv, run_simulation, shared_worlds
+from .engine import events_csv, run_simulation
 from .metrics import (
     SWEEP_HEADER,
     RunMetrics,
@@ -217,14 +217,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     seeds = _seeds(args, config)
     out_dir = _out_dir(args)
     _write(out_dir, "scenario.json", json.dumps(serialize(config), separators=(",", ":")) + "\n")
-    # in one scope the later seeds' runs find the config validated
-    with shared_worlds():
-        for seed in seeds:
-            log = run_simulation(config, seed)
-            rm = run_metrics(log)
-            _write(out_dir, f"events_s{seed}.csv", events_csv(log))
-            _write(out_dir, f"metrics_s{seed}.csv", metrics_csv(rm))
-            print(f"seed {seed}: HO_rate {rm.ho_rate!r} Score_rate {rm.score_rate!r}")
+    for seed in seeds:
+        log = run_simulation(config, seed)
+        rm = run_metrics(log)
+        _write(out_dir, f"events_s{seed}.csv", events_csv(log))
+        _write(out_dir, f"metrics_s{seed}.csv", metrics_csv(rm))
+        del log  # one seed's rows in memory at a time
+        print(f"seed {seed}: HO_rate {rm.ho_rate!r} Score_rate {rm.score_rate!r}")
     return EXIT_OK
 
 

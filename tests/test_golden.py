@@ -12,6 +12,7 @@ import io
 import json
 import math
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -183,10 +184,9 @@ def test_default_scenario_events(default_config, seed):
     assert sha256(events_csv(log)) == DEFAULT_EVENTS[seed]
 
 
-def test_cli_run_validates_the_scenario_twice_for_three_seeds(tmp_path, monkeypatch, capsys):
+def test_cli_run_validates_once_at_load_and_once_per_seed(tmp_path, monkeypatch, capsys):
     # `hodsim run --seeds 1,2,3` validates the document once as it loads it
-    # and once at the first seed's run; the later seeds' runs share that
-    # run's scope, whose record holds a config equal to theirs
+    # and once in each seed's run, since each seed runs alone
     import hodsim.scenario
 
     calls = []
@@ -194,7 +194,29 @@ def test_cli_run_validates_the_scenario_twice_for_three_seeds(tmp_path, monkeypa
         monkeypatch.setattr(module, "validate",
                             lambda config, check=module.validate: calls.append(1) or check(config))
     assert main(["run", "--seeds", "1,2,3", "--out", str(tmp_path)]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 4
+    for seed, digest in DEFAULT_EVENTS.items():
+        assert hashlib.sha256((tmp_path / f"events_s{seed}.csv").read_bytes()).hexdigest() == digest
+
+
+def test_cli_run_keeps_nothing_between_seeds(tmp_path, monkeypatch, capsys):
+    # no family scope is open during the runs, and each seed's log is gone
+    # before the next seed's run starts
+    import hodsim.cli
+
+    previous, seen = [], []
+
+    def run(config, seed):
+        # (no scope open, every earlier log freed); asserted after main, which
+        # would turn a failed assert here into exit code 2
+        seen.append((hodsim.engine._slot.get() is None, all(ref() is None for ref in previous)))
+        log = run_simulation(config, seed)
+        previous.append(weakref.ref(log))
+        return log
+
+    monkeypatch.setattr(hodsim.cli, "run_simulation", run)
+    assert main(["run", "--seeds", "1,2,3", "--out", str(tmp_path)]) == 0
+    assert seen == [(True, True)] * 3
     for seed, digest in DEFAULT_EVENTS.items():
         assert hashlib.sha256((tmp_path / f"events_s{seed}.csv").read_bytes()).hexdigest() == digest
 
