@@ -8,7 +8,7 @@ value in [0, k) for k criteria.  Strategies compare these scores.
 """
 
 import math
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ HANDOVER = "handover"
 
 
 class CombinedScore(NamedTuple):
-    ap_id: Union[str, int]  # an AP id; the engine's are AP indices
+    ap_id: str
     value: float
 
 
@@ -28,7 +28,7 @@ class Decision(NamedTuple):
     """One terminal's decision and the ``wait_until`` it leaves (see ``decide``)."""
 
     action: str
-    target: Union[str, int, None]  # best.ap_id: an AP id, or the engine's AP index
+    target: Optional[str]
     suppressed: bool
     wait_until: float
 

@@ -21,7 +21,7 @@ each score memo.  Offered vectors come from a table by (AP, load); with
 jitter, the whole run's noise is drawn at once and a jittered vector comes
 from a table by (step, AP, load).  Each vector is scored once per
 (requirements, gate).  AP ids come back only in the log's rows and in the
-calls of ``score_network`` and the QoS model.
+calls of ``score_network``, ``best_candidate``, ``decide`` and the QoS model.
 
 The run's log keeps, per terminal and step, a plain tuple of exactly the
 last five fields of its ``events_*.csv`` row (associated AP id, action,
@@ -138,29 +138,14 @@ def _restored(state: dict) -> np.random.Generator:
     return rng
 
 
-@dataclass(frozen=True, eq=False)
-class _World:
-    """The strategy-independent part of one run.
-
-    ``index`` numbers the AP ids 0..A-1 in id order, and holds them in that
-    order.  ``initial[i]`` is what the i-th user in id order senses at t=0;
-    ``sensed[k][i]`` and ``xy[k, i]`` are what the i-th mobile terminal in id
-    order senses, as ascending AP indices, and where it is, after the move of
-    step ``k``.  Equal sensed tuples are one object, and ``xy`` is read-only.
-    """
-
-    index: Dict[str, int]
-    initial: Tuple[Tuple[int, ...], ...]
-    sensed: Tuple[Tuple[Tuple[int, ...], ...], ...]
-    xy: np.ndarray
-
-
 # Most position x AP checks per sensing call, in whole steps (at least one).
 _SENSE_BLOCK = 2 ** 14
 
 
-def _world(config: ScenarioConfig, seed: int) -> _World:
+def _world(config: ScenarioConfig, seed: int, index: Dict[str, int]) -> tuple:
     """Move every mobile terminal through the run, then record what it senses.
+    Return what each user in id order senses at t=0, as ascending AP indices
+    by ``index``, then ``sensed`` and ``xy`` (see ``_Family``).
 
     Each terminal draws only from its own stream ``_stream(seed, "mobility",
     m)``, so its trajectory depends neither on the other terminals nor on the
@@ -172,7 +157,6 @@ def _world(config: ScenarioConfig, seed: int) -> _World:
     dt, area, nb_steps = config.decision_step, config.area, config.nb_steps
     mobile = sorted((u for u in config.users if u.mobile), key=attrgetter("id"))
     n = len(mobile)
-    index = {ap_id: j for j, ap_id in enumerate(sorted(ap.id for ap in config.aps))}
     interned: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
 
     def sense(positions) -> Tuple[Tuple[int, ...], ...]:
@@ -181,7 +165,7 @@ def _world(config: ScenarioConfig, seed: int) -> _World:
             interned[ids] = tuple(index[ap_id] for ap_id in ids)
         return tuple(map(interned.__getitem__, hits))
 
-    initial = sense([u.initial_position for u in sorted(config.users, key=attrgetter("id"))])
+    at_start = sense([u.initial_position for u in sorted(config.users, key=attrgetter("id"))])
     xy = np.empty((nb_steps, n, 2))
     for i, u in enumerate(mobile):
         rng = _stream(seed, "mobility", u.id)
@@ -193,7 +177,7 @@ def _world(config: ScenarioConfig, seed: int) -> _World:
         stop = min(start + block, nb_steps)
         hits = sense(xy[start:stop])
         sensed += [hits[i * n:(i + 1) * n] for i in range(stop - start)]
-    return _World(index, initial, tuple(sensed), xy)
+    return at_start, tuple(sensed), xy
 
 
 class _Step(NamedTuple):
@@ -222,8 +206,12 @@ class _Family:
     """What the runs of one family share inside a ``shared_worlds()`` scope
     until another family's run replaces it (a run outside one drops it).
 
-    AP ``j`` is ``ap_order[j]`` and vector ``v`` is ``table[v]``.  The
-    constructor makes the world pass, the APs' profiles and neighbors by
+    AP ``j`` is ``ap_order[j]``, the APs being numbered in id order (``index``
+    maps an id to its number), and vector ``v`` is ``table[v]``.
+    ``sensed[k][i]`` and ``xy[k, i]`` are what the i-th mobile terminal in id
+    order senses, as ascending AP indices, and where it is, after the move of
+    step ``k``; equal sensed tuples are one object, and ``xy`` is read-only.
+    The constructor makes the world pass, the APs' profiles and neighbors by
     index, each terminal's score profiles (equal ones are one object) and
     the start: ``start``, the static loads and, with jitter on,
     ``noise[k][j]``, AP j's at step k; if it raises, no record is kept.
@@ -235,9 +223,9 @@ class _Family:
 
     def __init__(self, seed: int, config: ScenarioConfig, qos_model) -> None:
         self.seed, self.config, self.qos_model = seed, config, qos_model
-        self.world = _world(config, seed)
-        self.index = self.world.index
-        self.ap_order = list(self.index)
+        self.ap_order = sorted(ap.id for ap in config.aps)
+        self.index = {ap_id: j for j, ap_id in enumerate(self.ap_order)}
+        at_start, self.sensed, self.xy = _world(config, seed, self.index)
         by_id = config.ap_by_id()
         self.aps = [by_id[ap_id] for ap_id in self.ap_order]
         self.neighbors = [tuple(self.index[a] for a in ap.wired_neighbors) for ap in self.aps]
@@ -265,20 +253,21 @@ class _Family:
 
         # Initial association at t=0: users in id order greedily pick the
         # best sensed AP by live QoS, strategy-free; each pick loads the AP
-        # for the next user's view.  Candidates carry AP indices.
+        # for the next user's view.
         loads = [0] * len(self.aps)
         self.static_loads = list(loads)
         initial: Dict[str, int] = {}
-        for user, sensed in zip(users, self.world.initial):
+        for user, sensed in zip(users, at_start):
             prof = profile(user, gate)
-            best = best_candidate([CombinedScore(j, self.score(j, self.offered(j, loads[j]), prof))
+            best = best_candidate([CombinedScore(self.ap_order[j],
+                                                 self.score(j, self.offered(j, loads[j]), prof))
                                    for j in sensed])
             if best is not None:
-                initial[user.id] = best.ap_id
-                loads[best.ap_id] += 1
+                j = initial[user.id] = self.index[best.ap_id]
+                loads[j] += 1
                 if not user.mobile:
                     # stationary users never move, so they keep their AP and its load
-                    self.static_loads[best.ap_id] += 1
+                    self.static_loads[j] += 1
         self.noise: List[Tuple[Tuple[float, ...], ...]] = []
         self.jittered: List[Dict[int, int]] = []
         if config.qos_jitter_sigma > 0:
@@ -390,7 +379,7 @@ def _replay(family: _Family, strategy: StabilityStrategy, waits: List[float],
     outcomes differ from the tape.  Return that step's index in
     ``family.steps`` and this run's decisions at it, or None if no step
     differs."""
-    rows = family.rows
+    rows, ap_order = family.rows, family.ap_order
     for index, step in enumerate(family.steps):
         k = step.k
         now = k * dt
@@ -398,8 +387,8 @@ def _replay(family: _Family, strategy: StabilityStrategy, waits: List[float],
         differs = False
         for i, best in step.fired:
             _, action, c_asso, best_value, suppressed = rows[i][k]
-            outcome = decide(c_asso, CombinedScore(best, best_value), strategy, waits[i],
-                             now, rngs[i])
+            outcome = decide(c_asso, CombinedScore(ap_order[best], best_value), strategy,
+                             waits[i], now, rngs[i])
             waits[i] = outcome.wait_until
             decisions.append(outcome)
             differs = differs or outcome.action != action or outcome.suppressed != suppressed
@@ -459,7 +448,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
 
     diffuse_every = int(round(config.diffusion_period / dt))
     sigma = config.qos_jitter_sigma
-    # the loop holds APs by index and vectors by number; a row names its AP
+    # the loop holds APs by index and vectors by number; rows and decide get ids
     ap_order, offered, score = family.ap_order, family.offered, family.score
     asso_profiles, cand_profiles = family.asso_profiles, family.cand_profiles
 
@@ -483,11 +472,11 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     disconnected, views, nb_ho = list(step.disconnected), list(step.views), list(step.nb_ho)
     current = step.current
     pending = [(i, j, False) for i, j in step.rejoins]
-    for (i, _), outcome in zip(step.fired, decisions):
+    for (i, best), outcome in zip(step.fired, decisions):
         ap_id, _, c_asso, c_best, _ = rows[i][-1]
         rows[i][-1] = (ap_id, outcome.action, c_asso, c_best, outcome.suppressed)
         if outcome.action == HANDOVER:
-            pending.append((i, outcome.target, True))
+            pending.append((i, best, True))
     # the steps this run records for its family; None outside a scope
     steps = None if slot is None else family.steps[:index + 1]
     # this run replaces the tape; detach it now, so that its steps after
@@ -534,7 +523,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         # and sensing come from the world pass
         pending = []
         fired = []
-        for i, sensed in enumerate(family.world.sensed[k]):
+        for i, sensed in enumerate(family.sensed[k]):
             j = assoc[i]
             if j is not None and j not in sensed:
                 # walked out of coverage: connectivity lost, not a handover
@@ -546,7 +535,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
                 continue
 
             if j is None:
-                xy = family.world.xy[k, i]
+                xy = family.xy[k, i]
                 target = family.nearest_usable((float(xy[0]), float(xy[1])), sensed, qos_now)
                 if target is not None:
                     pending.append((i, target, False))
@@ -584,11 +573,11 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
             if best is None or best_value <= c_asso:
                 rows[i].append((ap_id, STAY, c_asso, best_value, False))
                 continue
-            outcome = decide(c_asso, CombinedScore(best, best_value), config.strategy, waits[i],
-                             now, strat_rng[i])
+            outcome = decide(c_asso, CombinedScore(ap_order[best], best_value), config.strategy,
+                             waits[i], now, strat_rng[i])
             waits[i] = outcome.wait_until
             if outcome.action == HANDOVER:
-                pending.append((i, outcome.target, True))
+                pending.append((i, best, True))
             rows[i].append((ap_id, outcome.action, c_asso, best_value, outcome.suppressed))
             fired.append((i, best))
 

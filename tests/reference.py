@@ -309,3 +309,46 @@ def ref_events_csv(log):
             lines.append(",".join([repr(k * dt), m, associated if associated is not None else "",
                                    action, repr(c_asso), repr(c_best), "1" if suppressed else "0"]))
     return "\n".join(lines) + "\n"
+
+
+def ref_sweep_csv(grid, seeds, qos_model):
+    """The ``sweep_*.csv`` text of a sweep, from ``ref_run`` texts.
+
+    ``grid`` lists ``(value, config)``; each value's row covers its config's
+    runs over ``seeds``.  A terminal's handovers are its ``handover`` rows
+    and its score rate the mean of its ``c_asso`` column; a run's rates are
+    means over its terminals.  The interval is the Student-t one of
+    ``scipy.stats.t`` over the handover counts of every terminal of every
+    run.  Floats are added in the order, and by the function, that the
+    package adds them, so that the rows compare byte for byte.
+    """
+    from scipy.stats import t
+
+    lines = ["# hodsim sweep schema v1",
+             "value,runs,mean_ho_rate,worst_ho,ci_low,ci_high,mean_score_rate"]
+    for value, config in grid:
+        ho_rates, score_rates, counts = [], [], []
+        for seed in seeds:
+            handovers, c_asso = {}, {}
+            for line in ref_run(config, seed, qos_model).splitlines()[2:]:
+                _, m, _, action, score, _, _ = line.split(",")
+                handovers[m] = handovers.get(m, 0) + (action == "handover")
+                c_asso.setdefault(m, []).append(float(score))
+            total = 0.0
+            for m in c_asso:
+                total += sum(c_asso[m]) / len(c_asso[m])
+            ho_rates.append(sum(handovers.values()) / len(handovers))
+            score_rates.append(total / len(c_asso))
+            counts += [float(c) for c in handovers.values()]
+        n = len(counts)
+        if n == 1:
+            low = high = counts[0]
+        else:
+            mean = sum(counts) / n
+            variance = sum((c - mean) ** 2 for c in counts) / (n - 1)
+            spread = t.ppf(0.975, n - 1) * math.sqrt(variance / n)
+            low, high = mean - spread, mean + spread
+        row = [float(value), len(seeds), sum(ho_rates) / len(seeds), int(max(counts)), low, high,
+               sum(score_rates) / len(seeds)]
+        lines.append(",".join(str(x) if isinstance(x, int) else repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"

@@ -216,7 +216,7 @@ def test_a_run_too_large_to_hold_exits_one_before_any_allocation(assignments, tm
                                                                   monkeypatch):
     # these documents validated (or crashed validate) and then ended with
     # exit 2, from np.empty in the world pass or an overflow in validate
-    def refused(config, seed):
+    def refused(config, seed, index):
         raise AssertionError("a world pass started")
 
     monkeypatch.setattr(hodsim.engine, "_world", refused)
@@ -239,7 +239,7 @@ def test_a_jittered_run_with_too_many_ap_steps_exits_one_before_any_allocation(
         tmp_path, capsys, monkeypatch):
     # jitter keeps ~0.6 KB per AP and step, so 40 APs x 100,000 steps is
     # refused although the step and terminal-step counts are in bounds
-    def refused(config, seed):
+    def refused(config, seed, index):
         raise AssertionError("a world pass started")
 
     monkeypatch.setattr(hodsim.engine, "_world", refused)

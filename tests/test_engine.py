@@ -223,6 +223,45 @@ def test_each_distinct_score_input_is_scored_once(default_config, monkeypatch):
     assert len(keys) < read - associated
 
 
+def test_decide_and_best_candidate_get_ap_ids(default_config, monkeypatch):
+    # the engine numbers its APs, but every CombinedScore it hands to decide
+    # or best_candidate names its AP by the config's id: in a fresh run, in
+    # a run that replays its family's tape in a scope, and in a jittered
+    # randomized_wait run
+    import hodsim.engine
+
+    ids = {ap.id for ap in default_config.aps}
+    seen = {"decide": [], "best_candidate": []}
+    decide, best_candidate = hodsim.engine.decide, hodsim.engine.best_candidate
+
+    def deciding(c_asso, best, *args):
+        seen["decide"].append(best.ap_id)
+        return decide(c_asso, best, *args)
+
+    def picking(candidates):
+        seen["best_candidate"] += [c.ap_id for c in candidates]
+        return best_candidate(candidates)
+
+    def names(config):
+        for got in seen.values():
+            got.clear()
+        run_simulation(config, 1)
+        assert set(seen["decide"]) | set(seen["best_candidate"]) <= ids
+        return {name: len(got) for name, got in seen.items()}
+
+    hysteresis = with_strategy(default_config, "hysteresis", 0.05)
+    jittered = with_strategy(replace(default_config, qos_jitter_sigma=0.5), "randomized_wait", 3.0)
+    monkeypatch.setattr(hodsim.engine, "decide", deciding)
+    monkeypatch.setattr(hodsim.engine, "best_candidate", picking)
+    assert all(names(hysteresis).values()) and all(names(jittered).values())
+    with shared_worlds():
+        names(hysteresis)
+        (family,) = hodsim.engine._slot.get()
+        assert family.rows is not None
+        # the family's start is made, so only the replay reaches decide
+        assert names(with_strategy(default_config, "hysteresis", 0.1))["decide"] > 0
+
+
 def test_stationary_users_hold_their_association(tiny_config):
     log = run_simulation(tiny_config, 1)
     # stationary users are not logged as terminals

@@ -257,10 +257,10 @@ def test_tiny_events_with_jitter():
 def test_boundary_users_sense_the_circle_inclusively():
     config = load_scenario(boundary_document())
     ids = sorted(u.id for u in config.users)
-    world = hodsim.engine._world(config, 1)
+    ap_order = sorted(ap.id for ap in config.aps)
+    at_start, _, _ = hodsim.engine._world(config, 1, {a: j for j, a in enumerate(ap_order)})
     # what each user senses, by AP index, named again by AP id
-    ap_order = list(world.index)
-    initial = {u: {ap_order[j] for j in hits} for u, hits in zip(ids, world.initial)}
+    initial = {u: {ap_order[j] for j in hits} for u, hits in zip(ids, at_start)}
     for ap in config.aps:
         for name in ("on", "on_diagonal", "inside"):
             assert ap.id in initial[f"{ap.id}_{name}"]

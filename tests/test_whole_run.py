@@ -3,17 +3,20 @@
 Each layer of a run has its own reference; these tests check how the layers
 compose.  A run on its own and every run of a grid in one scope, which
 replay and resume their family's tape, must print the reference's events
-CSV byte for byte.
+CSV byte for byte, and a sweep or a compare the CSV that
+``reference.ref_sweep_csv`` builds from those texts.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hodsim.cli import compare_csv
 from hodsim.engine import events_csv, run_simulation, shared_worlds
+from hodsim.metrics import sweep, sweep_csv, sweeps
 from hodsim.radio import ap_qos
 from hodsim.scenario import STRATEGY_KINDS, load_scenario, with_strategy
 
-from reference import ref_run
+from reference import ref_run, ref_sweep_csv
 
 # parameter grid index -> value: hysteresis margins step by 0.05, waits by 0.5 s
 GRID_STEP = {"none": 0.0, "hysteresis": 0.05, "waiting_time": 0.5, "randomized_wait": 0.5}
@@ -108,3 +111,21 @@ def test_default_sweep_runs_equal_the_reference_run(default_config):
             for margin in margins:
                 config = with_strategy(default_config, "hysteresis", margin)
                 assert events_csv(run_simulation(config, seed)) == ref_run(config, seed, ap_qos)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=documents(), kinds=st.lists(st.sampled_from(STRATEGY_KINDS), min_size=2, max_size=2),
+       grids=st.lists(st.lists(st.integers(0, 20), min_size=1, max_size=3), min_size=2, max_size=2),
+       seeds=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=3, unique=True))
+def test_sweep_and_compare_csvs_equal_the_reference(doc, kinds, grids, seeds):
+    config = load_scenario(doc)
+    plans = [(kind, [round(i * GRID_STEP[kind], 10) for i in grid])
+             for kind, grid in zip(kinds, grids)]
+    expected = [ref_sweep_csv([(v, with_strategy(config, kind, v)) for v in values], seeds, ap_qos)
+                for kind, values in plans]
+    assert sweep_csv(sweep(config, *plans[0], seeds)) == expected[0]
+    rows = [f"{kind},{line}" for (kind, _), text in zip(plans, expected)
+            for line in text.splitlines()[2:]]
+    compare = "\n".join(["# hodsim compare schema v1", "strategy," + expected[0].splitlines()[1]]
+                        + rows) + "\n"
+    assert compare_csv(*sweeps(config, plans, seeds)) == compare

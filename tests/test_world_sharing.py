@@ -34,14 +34,13 @@ GRID_STEP = {"none": 0.0, "hysteresis": 0.05, "waiting_time": 0.5, "randomized_w
 
 @pytest.fixture
 def world_spy(monkeypatch):
-    """Weak references to every world computed while the test runs."""
+    """The seed of every world pass made while the test runs."""
     made = []
     world = hodsim.engine._world
 
-    def recording(config, seed):
-        result = world(config, seed)
-        made.append(weakref.ref(result))
-        return result
+    def recording(config, seed, index):
+        made.append(seed)
+        return world(config, seed, index)
 
     monkeypatch.setattr(hodsim.engine, "_world", recording)
     return made
@@ -73,7 +72,13 @@ def test_world_pass_senses_in_blocks_of_whole_steps(default_config, monkeypatch)
         return result
 
     monkeypatch.setattr(hodsim.engine, "sensed_aps", recording)
-    world = hodsim.engine._world(default_config, 1)
+    returned = []
+    world = hodsim.engine._world
+    monkeypatch.setattr(hodsim.engine, "_world",
+                        lambda *args: returned.append(world(*args)) or returned[-1])
+    family = hodsim.engine._Family(1, default_config, ap_qos)
+    ((at_start, sensed, xy),) = returned
+    assert sensed is family.sensed and xy is family.xy
     users = sorted(default_config.users, key=lambda u: u.id)
     n = sum(u.mobile for u in users)
     steps, checks = default_config.nb_steps, n * len(default_config.aps)
@@ -85,38 +90,39 @@ def test_world_pass_senses_in_blocks_of_whole_steps(default_config, monkeypatch)
     assert len(calls) == 1 + -(-steps // per_block)
     # the world holds AP indices in ascending order, which name the ids
     # sensed_aps returned in id order
-    ap_order = list(world.index)
+    ap_order = family.ap_order
     assert ap_order == sorted(ap.id for ap in default_config.aps)
-    assert list(world.index.values()) == list(range(len(ap_order)))
+    assert family.index == {ap_id: j for j, ap_id in enumerate(ap_order)}
 
     def named(row):
         assert all(list(hits) == sorted(hits) for hits in row)
         return [tuple(ap_order[j] for j in hits) for hits in row]
 
     assert calls[0][0].tolist() == [list(u.initial_position) for u in users]
-    assert named(world.initial) == calls[0][1]
+    assert named(at_start) == calls[0][1]
     k = 0
     for positions, result in calls[1:]:
         assert len(positions) == n * min(per_block, steps - k)
         for i in range(0, len(positions), n):
-            assert np.array_equal(positions[i:i + n], world.xy[k])
-            assert named(world.sensed[k]) == result[i:i + n]
+            assert np.array_equal(positions[i:i + n], xy[k])
+            assert named(sensed[k]) == result[i:i + n]
             k += 1
-    assert k == steps == len(world.sensed)
+    assert k == steps == len(sensed)
     # equal sensed tuples are one object
-    sensed = list(world.initial) + [hits for row in world.sensed for hits in row]
-    assert len({id(hits) for hits in sensed}) == len(set(sensed)) < len(sensed)
+    everything = list(at_start) + [hits for row in sensed for hits in row]
+    assert len({id(hits) for hits in everything}) == len(set(everything)) < len(everything)
 
 
-def test_no_world_outlives_a_call(tiny_config, world_spy):
+def test_no_world_outlives_a_call(tiny_config, world_spy, family_spy):
+    # a world lives only in its family's record
     run_simulation(tiny_config, 1)
     run_simulation(tiny_config, 1)
-    assert len(world_spy) == 2
+    assert len(world_spy) == len(family_spy) == 2
     sweep(tiny_config, "hysteresis", [0.0, 0.5], [1, 2])
-    assert len(world_spy) == 4
+    assert len(world_spy) == len(family_spy) == 4
     assert hodsim.engine._slot.get() is None
     gc.collect()
-    assert all(ref() is None for ref in world_spy)
+    assert all(ref() is None for ref in family_spy)
 
 
 def test_compare_computes_each_seeds_world_once(tiny_config, world_spy):
@@ -181,7 +187,8 @@ def test_shared_worlds_match_fresh_runs(default_config, world_spy):
         for cfg, seed in plan:
             shared.append(events_csv(run_simulation(cfg, seed)))
             # the scope's record holds the latest world
-            assert not world_spy[-1]().xy.flags.writeable
+            (family,) = hodsim.engine._slot.get()
+            assert not family.xy.flags.writeable
         # a scope holds one record, so a world is made at each change of
         # family: every run but (default_config, 2) after (hysteresis, 2)
         assert len(world_spy) - len(plan) == len(plan) - 1
@@ -515,9 +522,9 @@ def test_a_sweep_drops_each_seeds_record_before_the_next(tiny_config, family_spy
     alive = []
     world = hodsim.engine._world
 
-    def spying(config, seed):
+    def spying(config, seed, index):
         alive.append([ref() is not None for ref in family_spy])
-        return world(config, seed)
+        return world(config, seed, index)
 
     monkeypatch.setattr(hodsim.engine, "_world", spying)
     sweeps(tiny_config, [("hysteresis", [0.0, 0.05, 0.2]), ("waiting_time", [0.0, 2.0])], [1, 2, 3])
