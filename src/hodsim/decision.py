@@ -28,7 +28,6 @@ class Decision(NamedTuple):
     """One terminal's decision and the ``wait_until`` it leaves (see ``decide``)."""
 
     action: str
-    target: Optional[str]
     suppressed: bool
     wait_until: float
 
@@ -108,16 +107,17 @@ def best_candidate(candidates: Sequence[CombinedScore]) -> Optional[CombinedScor
     return best
 
 
-def decide(c_asso: float, best: Optional[CombinedScore], strategy: StabilityStrategy,
+def decide(c_asso: float, c_best: Optional[float], strategy: StabilityStrategy,
            wait_until: float, now: float,
            rng: Optional[np.random.Generator] = None) -> Decision:
     """Apply the decision rule plus the run's stability strategy for one
     terminal, which may not hand over again before ``wait_until``.
 
-    Base rule: switch when the best candidate strictly beats the associated
-    network.  Hysteresis additionally requires the candidate to clear the
-    margin ``strategy.parameter``; waiting strategies let the base rule fire
-    but refuse to execute before ``wait_until``, and every executed handover
+    Base rule: switch when the best candidate's score ``c_best`` (None
+    without candidates; the caller knows its AP) strictly beats ``c_asso``.
+    Hysteresis additionally requires it to clear the margin
+    ``strategy.parameter``; waiting strategies let the base rule fire but
+    refuse to execute before ``wait_until``, and every executed handover
     returns a new one, ``now`` plus the wait (``parameter``, or drawn
     uniformly in [0, parameter] for the randomized variant).  Otherwise the
     returned ``wait_until`` is the one passed in.  ``suppressed`` marks
@@ -126,24 +126,24 @@ def decide(c_asso: float, best: Optional[CombinedScore], strategy: StabilityStra
     """
     if c_asso < 0:
         raise ValueError("c_asso must be >= 0")
-    if best is None or best.value <= c_asso:
-        return Decision(STAY, None, False, wait_until)
+    if c_best is None or c_best <= c_asso:
+        return Decision(STAY, False, wait_until)
 
     kind, parameter = strategy.kind, strategy.parameter
     if kind == "hysteresis":
-        if best.value > c_asso + parameter:
-            return Decision(HANDOVER, best.ap_id, False, wait_until)
-        return Decision(STAY, None, True, wait_until)
+        if c_best > c_asso + parameter:
+            return Decision(HANDOVER, False, wait_until)
+        return Decision(STAY, True, wait_until)
 
     if kind in ("waiting_time", "randomized_wait"):
         if now < wait_until:
-            return Decision(STAY, None, True, wait_until)
+            return Decision(STAY, True, wait_until)
         if kind == "waiting_time":
             wait = parameter
         else:
             if rng is None:
                 raise ValueError("randomized_wait requires an rng")
             wait = float(rng.uniform(0.0, parameter))
-        return Decision(HANDOVER, best.ap_id, False, now + wait)
+        return Decision(HANDOVER, False, now + wait)
 
-    return Decision(HANDOVER, best.ap_id, False, wait_until)
+    return Decision(HANDOVER, False, wait_until)

@@ -21,7 +21,7 @@ each score memo.  Offered vectors come from a table by (AP, load); with
 jitter, the whole run's noise is drawn at once and a jittered vector comes
 from a table by (step, AP, load).  Each vector is scored once per
 (requirements, gate).  AP ids come back only in the log's rows and in the
-calls of ``score_network``, ``best_candidate``, ``decide`` and the QoS model.
+calls of ``score_network``, ``best_candidate`` and the QoS model.
 
 The run's log keeps, per terminal and step, a plain tuple of exactly the
 last five fields of its ``events_*.csv`` row (associated AP id, action,
@@ -185,8 +185,9 @@ class _Step(NamedTuple):
     a family's state before step 0 (``k`` = -1), from which a fresh run starts.
 
     ``fired`` is the step's tape: ``(i, best)`` for each such terminal in
-    order, plain tuples so that the garbage collector stops tracking them
-    (the call's other inputs and outcome are in row ``i`` at step ``k``);
+    order, ``best`` being a handover's target, plain tuples so that the
+    garbage collector stops tracking them (the ``decide`` call's inputs and
+    outcome are in row ``i`` at step ``k``);
     ``rejoins`` holds its blind re-joins ``(i, j)``, before step 0 the
     initial associations.  The other fields and the rows' associated APs
     are the loop state after phase (3) that a later step reads; APs are
@@ -374,21 +375,20 @@ def shared_worlds() -> Iterator[None]:
 
 def _replay(family: _Family, strategy: StabilityStrategy, waits: List[float],
             rngs: list, dt: float) -> Optional[Tuple[int, List[Decision]]]:
-    """Feed the family's tape to ``decide`` with this run's strategy, wait
-    times and generators, as a fresh run would, up to the first step whose
-    outcomes differ from the tape.  Return that step's index in
-    ``family.steps`` and this run's decisions at it, or None if no step
-    differs."""
-    rows, ap_order = family.rows, family.ap_order
+    """Feed each fired tape entry's logged ``c_asso`` and ``c_best`` to
+    ``decide`` with this run's strategy, wait times and generators, as a
+    fresh run would, up to the first step whose outcomes differ from the
+    tape.  Return that step's index in ``family.steps`` and this run's
+    decisions at it, or None if no step differs."""
+    rows = family.rows
     for index, step in enumerate(family.steps):
         k = step.k
         now = k * dt
         decisions = []
         differs = False
-        for i, best in step.fired:
-            _, action, c_asso, best_value, suppressed = rows[i][k]
-            outcome = decide(c_asso, CombinedScore(ap_order[best], best_value), strategy,
-                             waits[i], now, rngs[i])
+        for i, _ in step.fired:
+            _, action, c_asso, c_best, suppressed = rows[i][k]
+            outcome = decide(c_asso, c_best, strategy, waits[i], now, rngs[i])
             waits[i] = outcome.wait_until
             decisions.append(outcome)
             differs = differs or outcome.action != action or outcome.suppressed != suppressed
@@ -448,7 +448,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
 
     diffuse_every = int(round(config.diffusion_period / dt))
     sigma = config.qos_jitter_sigma
-    # the loop holds APs by index and vectors by number; rows and decide get ids
+    # the loop holds APs by index and vectors by number; rows get ids
     ap_order, offered, score = family.ap_order, family.offered, family.score
     asso_profiles, cand_profiles = family.asso_profiles, family.cand_profiles
 
@@ -573,8 +573,7 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
             if best is None or best_value <= c_asso:
                 rows[i].append((ap_id, STAY, c_asso, best_value, False))
                 continue
-            outcome = decide(c_asso, CombinedScore(ap_order[best], best_value), config.strategy,
-                             waits[i], now, strat_rng[i])
+            outcome = decide(c_asso, best_value, config.strategy, waits[i], now, strat_rng[i])
             waits[i] = outcome.wait_until
             if outcome.action == HANDOVER:
                 pending.append((i, best, True))

@@ -16,7 +16,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from hodsim.cli import main
-from hodsim.decision import CombinedScore, decide, utility
+from hodsim.decision import decide, utility
 from hodsim.engine import events_csv, run_simulation
 from hodsim.metrics import confidence_interval, sweep
 from hodsim.mobility import draw_waypoint, init_mobility, step_mobility
@@ -190,10 +190,10 @@ def test_criterion_7_invariant_suites():
     # hysteresis monotonicity
     for _ in range(1000):
         c_asso = float(rng.uniform(0, 3))
-        best = CombinedScore("B", float(rng.uniform(0, 3)))
+        c_best = float(rng.uniform(0, 3))
         h1, h2 = sorted(rng.uniform(0, 1, size=2).tolist())
-        fired_hi = decide(c_asso, best, StabilityStrategy("hysteresis", h2), 0.0, 0.0).action
-        fired_lo = decide(c_asso, best, StabilityStrategy("hysteresis", h1), 0.0, 0.0).action
+        fired_hi = decide(c_asso, c_best, StabilityStrategy("hysteresis", h2), 0.0, 0.0).action
+        fired_lo = decide(c_asso, c_best, StabilityStrategy("hysteresis", h1), 0.0, 0.0).action
         if fired_hi == "handover":
             assert fired_lo == "handover"
 

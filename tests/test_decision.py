@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hodsim.decision import (
     CombinedScore,
+    Decision,
     best_candidate,
     decide,
     meets_requirements,
@@ -206,15 +207,15 @@ def hyst(h):
 
 
 def test_hysteresis_blocks_small_gains():
-    d = decide(0.5, CombinedScore("B", 0.8), hyst(0.45), 0.0, now=0.0)
+    d = decide(0.5, 0.8, hyst(0.45), 0.0, now=0.0)
     assert d.action == "stay"
     assert d.suppressed is True
 
 
 def test_hysteresis_allows_large_gains():
-    d = decide(0.5, CombinedScore("B", 0.99), hyst(0.45), 0.0, now=0.0)
+    d = decide(0.5, 0.99, hyst(0.45), 0.0, now=0.0)
     assert d.action == "handover"
-    assert d.target == "B"
+    assert d.suppressed is False
 
 
 def test_no_candidates_means_stay():
@@ -222,8 +223,13 @@ def test_no_candidates_means_stay():
     assert d.action == "stay" and not d.suppressed
 
 
+def test_a_decision_names_no_target():
+    # decide compares scores only; the caller knows the best candidate's AP
+    assert Decision._fields == ("action", "suppressed", "wait_until")
+
+
 def test_equal_scores_mean_stay():
-    d = decide(0.5, CombinedScore("B", 0.5), NONE, 0.0, now=0.0)
+    d = decide(0.5, 0.5, NONE, 0.0, now=0.0)
     assert d.action == "stay"
 
 
@@ -231,18 +237,18 @@ def test_waiting_time_window():
     # handover at t=10 arms a 5 s window; a decision at t=12 is suppressed,
     # at t=15.5 allowed again
     strategy = StabilityStrategy("waiting_time", 5.0)
-    d1 = decide(0.2, CombinedScore("B", 0.4), strategy, 0.0, now=10.0)
+    d1 = decide(0.2, 0.4, strategy, 0.0, now=10.0)
     assert d1.action == "handover"
     assert d1.wait_until == 15.0
-    d2 = decide(0.2, CombinedScore("A", 0.4), strategy, d1.wait_until, now=12.0)
+    d2 = decide(0.2, 0.4, strategy, d1.wait_until, now=12.0)
     assert d2.action == "stay" and d2.suppressed is True
     assert d2.wait_until == 15.0
-    d3 = decide(0.2, CombinedScore("A", 0.4), strategy, d2.wait_until, now=15.5)
+    d3 = decide(0.2, 0.4, strategy, d2.wait_until, now=15.5)
     assert d3.action == "handover"
 
 
 def test_waiting_window_not_armed_without_firing():
-    d = decide(0.9, CombinedScore("B", 0.1), StabilityStrategy("waiting_time", 5.0), 0.0, now=1.0)
+    d = decide(0.9, 0.1, StabilityStrategy("waiting_time", 5.0), 0.0, now=1.0)
     assert d.action == "stay" and not d.suppressed
     assert d.wait_until == 0.0
 
@@ -250,23 +256,21 @@ def test_waiting_window_not_armed_without_firing():
 def test_randomized_wait_draws_within_bound():
     rng = np.random.default_rng(5)
     strategy = StabilityStrategy("randomized_wait", 8.0)
-    d = decide(0.1, CombinedScore("B", 0.9), strategy, 0.0, now=100.0, rng=rng)
+    d = decide(0.1, 0.9, strategy, 0.0, now=100.0, rng=rng)
     assert d.action == "handover"
     assert 100.0 <= d.wait_until <= 108.0
 
 
 def test_randomized_wait_requires_rng():
     with pytest.raises(ValueError):
-        decide(0.1, CombinedScore("B", 0.9), StabilityStrategy("randomized_wait", 8.0), 0.0,
-               now=0.0, rng=None)
+        decide(0.1, 0.9, StabilityStrategy("randomized_wait", 8.0), 0.0, now=0.0, rng=None)
 
 
 def test_randomized_wait_is_seeded():
     outs = []
     for _ in range(2):
         rng = np.random.default_rng(77)
-        d = decide(0.1, CombinedScore("B", 0.9), StabilityStrategy("randomized_wait", 8.0), 0.0,
-                   now=0.0, rng=rng)
+        d = decide(0.1, 0.9, StabilityStrategy("randomized_wait", 8.0), 0.0, now=0.0, rng=rng)
         outs.append(d.wait_until)
     assert outs[0] == outs[1]
 
@@ -276,29 +280,24 @@ score_floats = st.floats(0, 3)
 
 @given(score_floats, score_floats, st.floats(0, 30))
 def test_zero_hysteresis_equals_no_strategy(c_asso, c_best, now):
-    best = CombinedScore("B", c_best)
-    none_d = decide(c_asso, best, NONE, 0.0, now)
-    h0_d = decide(c_asso, best, hyst(0.0), 0.0, now)
-    assert (none_d.action, none_d.target, none_d.suppressed) == \
-        (h0_d.action, h0_d.target, h0_d.suppressed)
+    none_d = decide(c_asso, c_best, NONE, 0.0, now)
+    h0_d = decide(c_asso, c_best, hyst(0.0), 0.0, now)
+    assert (none_d.action, none_d.suppressed) == (h0_d.action, h0_d.suppressed)
 
 
 @given(score_floats, score_floats, st.floats(0, 30), st.floats(0, 30))
 def test_zero_wait_equals_no_strategy(c_asso, c_best, now, prev_ho):
     # with T=0 the window armed by any previous handover has already expired
-    best = CombinedScore("B", c_best)
-    none_d = decide(c_asso, best, NONE, 0.0, now + prev_ho)
-    t0_d = decide(c_asso, best, StabilityStrategy("waiting_time", 0.0), prev_ho, now + prev_ho)
-    assert (none_d.action, none_d.target, none_d.suppressed) == \
-        (t0_d.action, t0_d.target, t0_d.suppressed)
+    none_d = decide(c_asso, c_best, NONE, 0.0, now + prev_ho)
+    t0_d = decide(c_asso, c_best, StabilityStrategy("waiting_time", 0.0), prev_ho, now + prev_ho)
+    assert (none_d.action, none_d.suppressed) == (t0_d.action, t0_d.suppressed)
 
 
 @given(score_floats, score_floats, st.floats(0, 1), st.floats(0, 1))
 def test_hysteresis_monotone_in_margin(c_asso, c_best, h1, h2):
     lo, hi = sorted((h1, h2))
-    best = CombinedScore("B", c_best)
-    if decide(c_asso, best, hyst(hi), 0.0, 0.0).action == "handover":
-        assert decide(c_asso, best, hyst(lo), 0.0, 0.0).action == "handover"
+    if decide(c_asso, c_best, hyst(hi), 0.0, 0.0).action == "handover":
+        assert decide(c_asso, c_best, hyst(lo), 0.0, 0.0).action == "handover"
 
 
 @given(st.sampled_from(["none", "hysteresis", "waiting_time", "randomized_wait"]),
@@ -311,10 +310,9 @@ def test_decide_leaves_a_terminal_alone_unless_the_base_rule_fires(
     # wait time unchanged and no random draw
     if c_best is not None and c_best > c_asso:
         c_best = c_asso
-    best = None if c_best is None else CombinedScore("B", c_best)
     rng = np.random.default_rng(3)
-    d = decide(c_asso, best, StabilityStrategy(kind, parameter), wait_until, now, rng)
-    assert (d.action, d.target, d.suppressed, d.wait_until) == ("stay", None, False, wait_until)
+    d = decide(c_asso, c_best, StabilityStrategy(kind, parameter), wait_until, now, rng)
+    assert d == ("stay", False, wait_until)
     assert rng.uniform() == np.random.default_rng(3).uniform()
 
 
@@ -322,7 +320,7 @@ def test_decide_leaves_a_terminal_alone_unless_the_base_rule_fires(
        score_floats, score_floats, st.floats(0, 10), st.floats(0, 30), st.floats(0, 30))
 def test_decide_moves_the_wait_only_when_a_waiting_strategy_hands_over(
         kind, c_asso, c_best, parameter, wait_until, now):
-    d = decide(c_asso, CombinedScore("B", c_best), StabilityStrategy(kind, parameter),
+    d = decide(c_asso, c_best, StabilityStrategy(kind, parameter),
                wait_until, now, np.random.default_rng(3))
     if d.action != "handover" or kind in ("none", "hysteresis"):
         assert d.wait_until == wait_until
@@ -337,7 +335,9 @@ def test_decide_moves_the_wait_only_when_a_waiting_strategy_hands_over(
 def run_both_pipelines(criteria_doc, offered_by_ap, required,
                        assoc_offered, strategy, now, gated=True, cap=1e6):
     """Run the production pipeline and the brute-force reference on the same
-    instance; return both (action, target, scores) results."""
+    instance; return both (action, target, suppressed, c_asso, scores)
+    results.  ``decide`` gets scores only, so the production target is the
+    best candidate's AP when it hands over."""
     criteria = [DecisionCriterion(c["id"], c["direction"], c["alpha"]) for c in criteria_doc]
 
     c_asso = score_network("asso", assoc_offered, required, criteria,
@@ -346,9 +346,11 @@ def run_both_pipelines(criteria_doc, offered_by_ap, required,
         score_network(ap, qos, required, criteria, gated=gated, max_benefit=cap)
         for ap, qos in sorted(offered_by_ap.items())
     ]
-    got = decide(c_asso, best_candidate(scored),
+    best = best_candidate(scored)
+    got = decide(c_asso, None if best is None else best.value,
                  StabilityStrategy(strategy["kind"], strategy["parameter"]),
                  strategy["wait_until"], now, np.random.default_rng(0))
+    target = best.ap_id if got.action == "handover" else None
 
     ref_casso = reference.ref_score(assoc_offered, required, criteria_doc, True, cap)
     ref_scored = [
@@ -359,7 +361,7 @@ def run_both_pipelines(criteria_doc, offered_by_ap, required,
         ref_casso, ref_scored, strategy["kind"], strategy["parameter"],
         strategy["wait_until"], now)
 
-    prod = (got.action, got.target, got.suppressed, c_asso, {s.ap_id: s.value for s in scored})
+    prod = (got.action, target, got.suppressed, c_asso, {s.ap_id: s.value for s in scored})
     ref = (ref_action, ref_target, ref_suppressed, ref_casso, dict(ref_scored))
     return prod, ref
 

@@ -223,20 +223,21 @@ def test_each_distinct_score_input_is_scored_once(default_config, monkeypatch):
     assert len(keys) < read - associated
 
 
-def test_decide_and_best_candidate_get_ap_ids(default_config, monkeypatch):
-    # the engine numbers its APs, but every CombinedScore it hands to decide
-    # or best_candidate names its AP by the config's id: in a fresh run, in
-    # a run that replays its family's tape in a scope, and in a jittered
-    # randomized_wait run
+def test_decide_gets_row_scores_and_best_candidate_gets_ap_ids(default_config, monkeypatch):
+    # decide gets, as floats, the c_asso and c_best that the row it decides
+    # logs, and every CombinedScore the engine hands to best_candidate names
+    # its AP by the config's id: in a fresh hysteresis run, in a jittered
+    # randomized_wait run, and in runs that replay their family's tape in a
+    # scope
     import hodsim.engine
 
     ids = {ap.id for ap in default_config.aps}
     seen = {"decide": [], "best_candidate": []}
     decide, best_candidate = hodsim.engine.decide, hodsim.engine.best_candidate
 
-    def deciding(c_asso, best, *args):
-        seen["decide"].append(best.ap_id)
-        return decide(c_asso, best, *args)
+    def deciding(c_asso, c_best, strategy, wait_until, now, rng=None):
+        seen["decide"].append((now, c_asso, c_best))
+        return decide(c_asso, c_best, strategy, wait_until, now, rng)
 
     def picking(candidates):
         seen["best_candidate"] += [c.ap_id for c in candidates]
@@ -245,8 +246,15 @@ def test_decide_and_best_candidate_get_ap_ids(default_config, monkeypatch):
     def names(config):
         for got in seen.values():
             got.clear()
-        run_simulation(config, 1)
-        assert set(seen["decide"]) | set(seen["best_candidate"]) <= ids
+        log = run_simulation(config, 1)
+        assert set(seen["best_candidate"]) <= ids
+        # the base rule fires exactly where c_best beats c_asso, and decide
+        # is called once per such row, in step and then terminal order
+        fired = [(k * config.decision_step, row[2], row[3]) for k in range(log.nb_steps)
+                 for row in (log.outcomes[m][k] for m in log.mt_ids) if row[3] > row[2]]
+        assert seen["decide"] == fired
+        assert all(type(c_asso) is float and type(c_best) is float
+                   for _, c_asso, c_best in seen["decide"])
         return {name: len(got) for name, got in seen.items()}
 
     hysteresis = with_strategy(default_config, "hysteresis", 0.05)
@@ -255,11 +263,15 @@ def test_decide_and_best_candidate_get_ap_ids(default_config, monkeypatch):
     monkeypatch.setattr(hodsim.engine, "best_candidate", picking)
     assert all(names(hysteresis).values()) and all(names(jittered).values())
     with shared_worlds():
-        names(hysteresis)
-        (family,) = hodsim.engine._slot.get()
-        assert family.rows is not None
-        # the family's start is made, so only the replay reaches decide
-        assert names(with_strategy(default_config, "hysteresis", 0.1))["decide"] > 0
+        for first, then in ((hysteresis, with_strategy(default_config, "hysteresis", 0.1)),
+                            (jittered, with_strategy(jittered, "randomized_wait", 1.5))):
+            names(first)
+            (family,) = hodsim.engine._slot.get()
+            assert family.rows is not None
+            # the run takes the family's start, so it picks no initial AP;
+            # decide is reached by the replay and the steps executed after it
+            counts = names(then)
+            assert counts["decide"] > 0 and counts["best_candidate"] == 0
 
 
 def test_stationary_users_hold_their_association(tiny_config):

@@ -257,10 +257,10 @@ def test_replayed_runs_make_the_same_decide_calls(default_config, monkeypatch):
     calls = []
     decide = hodsim.engine.decide
 
-    def recording(c_asso, best, strategy, wait_until, now, rng=None):
+    def recording(c_asso, c_best, strategy, wait_until, now, rng=None):
         drawn = None if rng is None else rng.bit_generator.state["state"]["state"]
-        calls.append((c_asso, best, strategy, wait_until, now, drawn))
-        return decide(c_asso, best, strategy, wait_until, now, rng)
+        calls.append((c_asso, c_best, strategy, wait_until, now, drawn))
+        return decide(c_asso, c_best, strategy, wait_until, now, rng)
 
     monkeypatch.setattr(hodsim.engine, "decide", recording)
     plan = [("hysteresis", 0.3, 1), ("hysteresis", 0.05, 1), ("waiting_time", 2.0, 1),
@@ -539,10 +539,10 @@ def test_a_run_that_fails_leaves_its_family_usable(monkeypatch):
     fresh = [events_csv(run_simulation(with_strategy(config, "hysteresis", v), 1)) for v in values]
     decide = hodsim.engine.decide
 
-    def failing(c_asso, best, strategy, wait_until, now, rng=None):
+    def failing(c_asso, c_best, strategy, wait_until, now, rng=None):
         if now >= 20.0:
             raise RuntimeError("decide failed")
-        return decide(c_asso, best, strategy, wait_until, now, rng)
+        return decide(c_asso, c_best, strategy, wait_until, now, rng)
 
     with shared_worlds():
         run_simulation(with_strategy(config, "hysteresis", 0.0), 1)
