@@ -107,6 +107,11 @@ def best_candidate(candidates: Sequence[CombinedScore]) -> Optional[CombinedScor
     return best
 
 
+def clears_margin(c_asso: float, c_best: float, margin: float) -> bool:
+    """Hysteresis's rule: ``c_best`` beats ``c_asso`` by more than ``margin``."""
+    return c_best > c_asso + margin
+
+
 def decide(c_asso: float, c_best: Optional[float], strategy: StabilityStrategy,
            wait_until: float, now: float,
            rng: Optional[np.random.Generator] = None) -> Decision:
@@ -115,10 +120,10 @@ def decide(c_asso: float, c_best: Optional[float], strategy: StabilityStrategy,
 
     Base rule: switch when the best candidate's score ``c_best`` (None
     without candidates; the caller knows its AP) strictly beats ``c_asso``.
-    Hysteresis additionally requires it to clear the margin
-    ``strategy.parameter``; waiting strategies let the base rule fire but
-    refuse to execute before ``wait_until``, and every executed handover
-    returns a new one, ``now`` plus the wait (``parameter``, or drawn
+    Hysteresis additionally requires ``clears_margin`` with the margin
+    ``strategy.parameter`` and draws nothing; waiting strategies let the base
+    rule fire but refuse to execute before ``wait_until``, and every executed
+    handover returns a new one, ``now`` plus the wait (``parameter``, or drawn
     uniformly in [0, parameter] for the randomized variant).  Otherwise the
     returned ``wait_until`` is the one passed in.  ``suppressed`` marks
     decisions where the base rule fired but the strategy held the terminal in
@@ -131,9 +136,8 @@ def decide(c_asso: float, c_best: Optional[float], strategy: StabilityStrategy,
 
     kind, parameter = strategy.kind, strategy.parameter
     if kind == "hysteresis":
-        if c_best > c_asso + parameter:
-            return Decision(HANDOVER, False, wait_until)
-        return Decision(STAY, True, wait_until)
+        handover = clears_margin(c_asso, c_best, parameter)
+        return Decision(HANDOVER if handover else STAY, not handover, wait_until)
 
     if kind in ("waiting_time", "randomized_wait"):
         if now < wait_until:

@@ -32,14 +32,14 @@ Inside ``shared_worlds()`` the runs of one *family* (same seed,
 ``qos_model`` and config but for the strategy) share one record, a
 ``_Family``: its world pass, start and tables, and its latest run's log and
 *tape*.  The strategy enters a run only through ``decide``, which is called
-only where the base rule fires, so the tape is every step at which it
-fired, with the loop state after phase (3).  A later run of the family
-replays the tape through ``decide`` with its own strategy, wait times and
-generators, and executes only from the first step whose outcomes differ (a
-run with no tape, from the state before step 0); if none differs, it reuses
-the whole log.  Every row, ``decide`` call and generator draw is the one a
-fresh run makes.  Outside a scope a run builds the same record without a
-tape and drops it.
+only where the base rule fires, so the tape is every step at which it fired,
+with the loop state after phase (3).  A later run of the family replays the
+tape with its own strategy, wait times and generators, and executes only
+from the first step whose outcomes differ (a run with no tape, from the
+state before step 0); if none differs, it reuses the whole log.  Every row
+and generator draw is the one a fresh run makes, and so is every ``decide``
+call but those that hysteresis skips (see ``_replay``).  Outside a scope a
+run builds the same record without a tape and drops it.
 """
 
 import hashlib
@@ -59,6 +59,7 @@ from .decision import (
     CombinedScore,
     Decision,
     best_candidate,
+    clears_margin,
     decide,
     score_network,
 )
@@ -361,8 +362,8 @@ def shared_worlds() -> Iterator[None]:
 
     A family is a seed, a ``qos_model`` and a config but for the strategy.
     Its record holds the family's world pass, start and tables, and its latest
-    run with that run's tape: a later run replays the tape's decisions through
-    ``decide`` and executes only from the first step whose outcomes differ.
+    run with that run's tape: a later run replays the tape's decisions (see
+    ``_replay``) and executes only from the first step whose outcomes differ.
     A block holds one record, which another family's run replaces; a block
     opened inside another holds its own and leaves the outer one's in place.
     """
@@ -376,19 +377,26 @@ def shared_worlds() -> Iterator[None]:
 def _replay(family: _Family, strategy: StabilityStrategy, waits: List[float],
             rngs: list, dt: float) -> Optional[Tuple[int, List[Decision]]]:
     """Feed each fired tape entry's logged ``c_asso`` and ``c_best`` to
-    ``decide`` with this run's strategy, wait times and generators, as a
-    fresh run would, up to the first step whose outcomes differ from the
-    tape.  Return that step's index in ``family.steps`` and this run's
-    decisions at it, or None if no step differs."""
+    ``decide`` with this run's strategy, wait times and generators, as a fresh
+    run would, up to the first step whose outcomes differ from the tape;
+    hysteresis keeps no state, so until that step it only checks
+    ``clears_margin``.  Return that step's index in ``family.steps`` and this
+    run's decisions at it, or None if no step differs."""
     rows = family.rows
+    margin = strategy.parameter if strategy.kind == "hysteresis" else None
     for index, step in enumerate(family.steps):
         k = step.k
-        now = k * dt
-        decisions = []
-        differs = False
+        if margin is not None:
+            for i, _ in step.fired:
+                _, action, c_asso, c_best, _ = rows[i][k]
+                if clears_margin(c_asso, c_best, margin) != (action == HANDOVER):
+                    break
+            else:
+                continue
+        decisions, differs = [], False
         for i, _ in step.fired:
             _, action, c_asso, c_best, suppressed = rows[i][k]
-            outcome = decide(c_asso, c_best, strategy, waits[i], now, rngs[i])
+            outcome = decide(c_asso, c_best, strategy, waits[i], k * dt, rngs[i])
             waits[i] = outcome.wait_until
             decisions.append(outcome)
             differs = differs or outcome.action != action or outcome.suppressed != suppressed

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hodsim.decision import HANDOVER
 from hodsim.engine import EventLog, events_csv, run_simulation, shared_worlds, _stream
 from hodsim.radio import ap_qos
 from hodsim.scenario import ScenarioError, load_scenario, with_strategy
@@ -228,7 +229,9 @@ def test_decide_gets_row_scores_and_best_candidate_gets_ap_ids(default_config, m
     # logs, and every CombinedScore the engine hands to best_candidate names
     # its AP by the config's id: in a fresh hysteresis run, in a jittered
     # randomized_wait run, and in runs that replay their family's tape in a
-    # scope
+    # scope.  A scoped hysteresis run checks the tape by the margin rule, so
+    # it calls decide only from the first step at which a fired row of the
+    # tape decides otherwise at its margin
     import hodsim.engine
 
     ids = {ap.id for ap in default_config.aps}
@@ -243,34 +246,42 @@ def test_decide_gets_row_scores_and_best_candidate_gets_ap_ids(default_config, m
         seen["best_candidate"] += [c.ap_id for c in candidates]
         return best_candidate(candidates)
 
-    def names(config):
+    def names(config, since=0):
         for got in seen.values():
             got.clear()
         log = run_simulation(config, 1)
         assert set(seen["best_candidate"]) <= ids
         # the base rule fires exactly where c_best beats c_asso, and decide
-        # is called once per such row, in step and then terminal order
-        fired = [(k * config.decision_step, row[2], row[3]) for k in range(log.nb_steps)
+        # is called once per such row from step ``since`` on, in step and
+        # then terminal order
+        fired = [(k * config.decision_step, row[2], row[3]) for k in range(since, log.nb_steps)
                  for row in (log.outcomes[m][k] for m in log.mt_ids) if row[3] > row[2]]
         assert seen["decide"] == fired
         assert all(type(c_asso) is float and type(c_best) is float
                    for _, c_asso, c_best in seen["decide"])
-        return {name: len(got) for name, got in seen.items()}
+        return log, {name: len(got) for name, got in seen.items()}
+
+    def first_flip(log, margin):
+        # the first step at which a fired row of log decides otherwise at margin
+        return min(k for m in log.mt_ids for k, row in enumerate(log.outcomes[m])
+                   if row[3] > row[2] and (row[3] > row[2] + margin) != (row[1] == HANDOVER))
 
     hysteresis = with_strategy(default_config, "hysteresis", 0.05)
     jittered = with_strategy(replace(default_config, qos_jitter_sigma=0.5), "randomized_wait", 3.0)
     monkeypatch.setattr(hodsim.engine, "decide", deciding)
     monkeypatch.setattr(hodsim.engine, "best_candidate", picking)
-    assert all(names(hysteresis).values()) and all(names(jittered).values())
+    assert all(names(hysteresis)[1].values()) and all(names(jittered)[1].values())
     with shared_worlds():
         for first, then in ((hysteresis, with_strategy(default_config, "hysteresis", 0.1)),
                             (jittered, with_strategy(jittered, "randomized_wait", 1.5))):
-            names(first)
+            log, _ = names(first)
             (family,) = hodsim.engine._slot.get()
             assert family.rows is not None
+            since = first_flip(log, 0.1) if then.strategy.kind == "hysteresis" else 0
+            assert since > 0 or then.strategy.kind != "hysteresis"
             # the run takes the family's start, so it picks no initial AP;
             # decide is reached by the replay and the steps executed after it
-            counts = names(then)
+            _, counts = names(then, since)
             assert counts["decide"] > 0 and counts["best_candidate"] == 0
 
 

@@ -7,6 +7,10 @@ CSV byte for byte, and a sweep or a compare the CSV that
 ``reference.ref_sweep_csv`` builds from those texts.
 """
 
+import math
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +106,43 @@ def test_runs_equal_the_reference_run(doc, kind, grid, seed, qos_model):
     with shared_worlds():
         for c, text in zip(configs, expected):
             assert events_csv(run_simulation(c, seed, qos_model)) == text
+
+
+def flip_margins(log, rnd, size):
+    """Margins at the flip points of ``log``'s fired rows, shuffled: for a
+    sample of ``size`` distinct gaps ``d = c_best - c_asso``, ``d`` and its
+    two float neighbours, those >= 0."""
+    gaps = sorted({row[3] - row[2] for m in log.mt_ids for row in log.outcomes[m]
+                   if row[3] > row[2]})
+    margins = [h for d in rnd.sample(gaps, min(size, len(gaps)))
+               for h in (math.nextafter(d, -math.inf), d, math.nextafter(d, math.inf)) if h >= 0]
+    rnd.shuffle(margins)
+    return margins
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_margins_at_flip_points_equal_fresh_runs(default_config, seed):
+    # a grid that steps by 0.05 never lands on a flip; these margins sit on
+    # either side of one, in one scope, so that every replay decides a
+    # fired row of its tape as close to its margin as floats allow
+    log = run_simulation(with_strategy(default_config, "hysteresis", 0.0), seed)
+    configs = [with_strategy(default_config, "hysteresis", h)
+               for h in flip_margins(log, random.Random(seed), 24)]
+    fresh = [events_csv(run_simulation(c, seed)) for c in configs]
+    with shared_worlds():
+        assert [events_csv(run_simulation(c, seed)) for c in configs] == fresh
+    assert len(set(fresh)) > 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=documents(), seed=st.integers(0, 2 ** 16), rnd=st.randoms(use_true_random=False))
+def test_margins_at_flip_points_equal_the_reference_run(doc, seed, rnd):
+    config = load_scenario(doc)
+    log = run_simulation(with_strategy(config, "hysteresis", 0.0), seed)
+    with shared_worlds():
+        for h in flip_margins(log, rnd, 3):
+            c = with_strategy(config, "hysteresis", h)
+            assert events_csv(run_simulation(c, seed)) == ref_run(c, seed, ap_qos)
 
 
 def test_default_sweep_runs_equal_the_reference_run(default_config):
