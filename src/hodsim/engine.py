@@ -30,16 +30,16 @@ the time and the terminal id follow from the row's position.
 
 Inside ``shared_worlds()`` the runs of one *family* (same seed,
 ``qos_model`` and config but for the strategy) share one record, a
-``_Family``: its world pass, start and tables, and its latest run's log and
-*tape*.  The strategy enters a run only through ``decide``, which is called
-only where the base rule fires, so the tape is every step at which it fired,
-with the loop state after phase (3).  A later run of the family replays the
-tape with its own strategy, wait times and generators, and executes only
-from the first step whose outcomes differ (a run with no tape, from the
-state before step 0); if none differs, it reuses the whole log.  Every row
-and generator draw is the one a fresh run makes, and so is every ``decide``
-call but those that hysteresis skips (see ``_replay``).  Outside a scope a
-run builds the same record without a tape and drops it.
+``_Family``: its world pass, start and tables, and its latest hysteresis
+run's log and *tape*.  The strategy enters a run only through ``decide``,
+which is called only where the base rule fires, so the tape is every step at
+which it fired, with the loop state after phase (3).  A later hysteresis run
+checks the tape by its margin (see ``_replay``) and executes only from the
+first step whose outcomes differ, or reuses the whole log; other runs
+execute every step from the state before step 0 and leave the tape in place.
+Every row, ``decide`` call and generator draw is the one a fresh run makes,
+but for the ``decide`` calls a replay skips.  Outside a scope a run builds
+the same record without a tape and drops it.
 """
 
 import hashlib
@@ -57,7 +57,6 @@ from .decision import (
     HANDOVER,
     STAY,
     CombinedScore,
-    Decision,
     best_candidate,
     clears_margin,
     decide,
@@ -66,7 +65,7 @@ from .decision import (
 from .knowledge import known
 from .mobility import init_mobility, step_mobility, walk_mobility
 from .radio import QosVector, ap_qos, apply_jitter, sensed_aps
-from .scenario import ScenarioConfig, StabilityStrategy, strategy_violations, validate
+from .scenario import ScenarioConfig, strategy_violations, validate
 
 # Nothing calls these or step_mobility (each terminal walks once), but
 # perfbench/tracing.py wraps all three, and init_mobility, by their names here.
@@ -182,8 +181,8 @@ def _world(config: ScenarioConfig, seed: int, index: Dict[str, int]) -> tuple:
 
 
 class _Step(NamedTuple):
-    """One step of a run at which the base rule fired for some terminal, or
-    a family's state before step 0 (``k`` = -1), from which a fresh run starts.
+    """A hysteresis run's step at which the base rule fired for some terminal,
+    or a family's state before step 0 (``k`` = -1), where a fresh run starts.
 
     ``fired`` is the step's tape: ``(i, best)`` for each such terminal in
     order, ``best`` being a handover's target, plain tuples so that the
@@ -219,8 +218,8 @@ class _Family:
     ``noise[k][j]``, AP j's at step k; if it raises, no record is kept.
     Runs fill the vector numbers by (AP, load), equal vectors sharing one,
     and by (step, AP, load) when jittered; the score memos; the initial
-    strategy-generator states; and the latest run's rows, handover counts
-    and tape (``steps``), ``rows`` being None while no tape is attached.
+    strategy-generator states; and the latest hysteresis run's rows, handover
+    counts and tape (``steps``), ``rows`` being None while no tape is attached.
     """
 
     def __init__(self, seed: int, config: ScenarioConfig, qos_model) -> None:
@@ -362,8 +361,8 @@ def shared_worlds() -> Iterator[None]:
 
     A family is a seed, a ``qos_model`` and a config but for the strategy.
     Its record holds the family's world pass, start and tables, and its latest
-    run with that run's tape: a later run replays the tape's decisions (see
-    ``_replay``) and executes only from the first step whose outcomes differ.
+    hysteresis run's tape: a later hysteresis run executes only from the first
+    step whose outcomes differ (see ``_replay``), any other run every step.
     A block holds one record, which another family's run replaces; a block
     opened inside another holds its own and leaves the outer one's in place.
     """
@@ -374,34 +373,17 @@ def shared_worlds() -> Iterator[None]:
         _slot.reset(slot)
 
 
-def _replay(family: _Family, strategy: StabilityStrategy, waits: List[float],
-            rngs: list, dt: float) -> Optional[Tuple[int, List[Decision]]]:
-    """Feed each fired tape entry's logged ``c_asso`` and ``c_best`` to
-    ``decide`` with this run's strategy, wait times and generators, as a fresh
-    run would, up to the first step whose outcomes differ from the tape;
-    hysteresis keeps no state, so until that step it only checks
-    ``clears_margin``.  Return that step's index in ``family.steps`` and this
-    run's decisions at it, or None if no step differs."""
+def _replay(family: _Family, margin: float) -> Optional[int]:
+    """The index in ``family.steps`` of the first tape step at which a fired
+    row decides otherwise under ``clears_margin`` at ``margin``, or None if
+    no step does.  Hysteresis keeps no state, so before that step a run at
+    ``margin`` makes the tape's decisions."""
     rows = family.rows
-    margin = strategy.parameter if strategy.kind == "hysteresis" else None
     for index, step in enumerate(family.steps):
-        k = step.k
-        if margin is not None:
-            for i, _ in step.fired:
-                _, action, c_asso, c_best, _ = rows[i][k]
-                if clears_margin(c_asso, c_best, margin) != (action == HANDOVER):
-                    break
-            else:
-                continue
-        decisions, differs = [], False
         for i, _ in step.fired:
-            _, action, c_asso, c_best, suppressed = rows[i][k]
-            outcome = decide(c_asso, c_best, strategy, waits[i], k * dt, rngs[i])
-            waits[i] = outcome.wait_until
-            decisions.append(outcome)
-            differs = differs or outcome.action != action or outcome.suppressed != suppressed
-        if differs:
-            return index, decisions
+            _, action, c_asso, c_best, _ = rows[i][step.k]
+            if clears_margin(c_asso, c_best, margin) != (action == HANDOVER):
+                return index
     return None
 
 
@@ -413,7 +395,8 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     the default load-sharing model; it is called once per distinct (AP,
     load) the run (inside a ``shared_worlds()`` scope, its family) computes,
     so it must depend on nothing else.  With jitter on it must give each AP
-    vectors of one length at every load, or ValueError names the AP.
+    vectors of one length at every load, or ValueError names the AP.  In a
+    scope only a hysteresis run reads or replaces its family's tape.
     """
     if seed is None:
         seed = config.rng_seed
@@ -445,14 +428,14 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
         if family.strategy is None:
             family.strategy = [_stream(seed, "strategy", m).bit_generator.state for m in mt_order]
         strat_rng = [_restored(state) for state in family.strategy]
-    index, decisions = -1, []
-    if family.rows is not None:
-        resume = _replay(family, config.strategy, waits, strat_rng, dt)
-        if resume is None:
+    hysteresis = config.strategy.kind == "hysteresis"
+    index = -1
+    if hysteresis and family.rows is not None:
+        index = _replay(family, config.strategy.parameter)
+        if index is None:
             return EventLog(seed=seed, config=config, mt_ids=list(mt_order),
                             outcomes=dict(zip(mt_order, family.rows)),
                             nb_ho=dict(zip(mt_order, family.nb_ho)))
-        index, decisions = resume
 
     diffuse_every = int(round(config.diffusion_period / dt))
     sigma = config.qos_jitter_sigma
@@ -468,10 +451,10 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
                 nb_ho[i] += 1
                 disconnected[i] = config.handover_cost_steps
 
-    # Up to this step the run is its family's latest run (a fresh run starts
-    # from the pre-step-0 state): take that run's state after phase (3), its
-    # rows with this run's outcomes where the base rule fired, and go on
-    # from phase (4).
+    # Up to this step a resumed hysteresis run is the run that recorded the
+    # tape (any other run starts from the pre-step-0 state): take that run's
+    # state after phase (3), its rows with this run's decisions where the
+    # base rule fired, and go on from phase (4).
     step = family.start if index < 0 else family.steps[index]
     rows = [[] for _ in mt_order] if index < 0 else [list(r[:step.k + 1]) for r in family.rows]
     assoc = [family.index.get(r[-1][0]) if r else None for r in rows]
@@ -480,17 +463,20 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     disconnected, views, nb_ho = list(step.disconnected), list(step.views), list(step.nb_ho)
     current = step.current
     pending = [(i, j, False) for i, j in step.rejoins]
-    for (i, best), outcome in zip(step.fired, decisions):
+    for i, best in step.fired:
         ap_id, _, c_asso, c_best, _ = rows[i][-1]
+        outcome = decide(c_asso, c_best, config.strategy, waits[i], step.k * dt, strat_rng[i])
         rows[i][-1] = (ap_id, outcome.action, c_asso, c_best, outcome.suppressed)
         if outcome.action == HANDOVER:
             pending.append((i, best, True))
-    # the steps this run records for its family; None outside a scope
-    steps = None if slot is None else family.steps[:index + 1]
-    # this run replaces the tape; detach it now, so that its steps after
-    # this one are freed while the run goes on and a run that fails leaves
-    # the family without a tape rather than with half of one
-    family.rows, family.steps = None, []
+    # a hysteresis run in a scope records its steps for its family and
+    # replaces the tape: it detaches it now, so that its steps after this one
+    # are freed while the run goes on and a run that fails leaves the family
+    # without a tape rather than with half of one; other runs leave it alone
+    steps = None
+    if hysteresis and slot is not None:
+        steps = family.steps[:index + 1]
+        family.rows, family.steps = None, []
     switch(pending)
     # the next round moves current to previous before reading it, unless the
     # first step's qos_now equals current, when previous = current is right

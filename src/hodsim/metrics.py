@@ -109,7 +109,7 @@ def sweeps(config: ScenarioConfig, plans: Sequence[Tuple[str, Sequence[float]]],
     value; the confidence interval is over per-terminal counts pooled across
     the value's runs.  Runs go seed by seed, one record at a time (see
     engine.shared_worlds): a seed's runs, every plan's values in order, share
-    its world pass, QoS and score tables and the latest run's decision tape.
+    its world pass and tables; its hysteresis runs share the latest's tape.
     """
     if not seeds:
         raise ValueError("seeds must be non-empty")

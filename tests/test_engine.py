@@ -228,10 +228,11 @@ def test_decide_gets_row_scores_and_best_candidate_gets_ap_ids(default_config, m
     # decide gets, as floats, the c_asso and c_best that the row it decides
     # logs, and every CombinedScore the engine hands to best_candidate names
     # its AP by the config's id: in a fresh hysteresis run, in a jittered
-    # randomized_wait run, and in runs that replay their family's tape in a
-    # scope.  A scoped hysteresis run checks the tape by the margin rule, so
-    # it calls decide only from the first step at which a fired row of the
-    # tape decides otherwise at its margin
+    # randomized_wait run, and in later runs of their families in a scope.
+    # Only the hysteresis run leaves a tape: a scoped hysteresis run checks it
+    # by the margin rule, so it calls decide only from the first step at
+    # which a fired row of the tape decides otherwise at its margin, and the
+    # later randomized_wait run executes every step
     import hodsim.engine
 
     ids = {ap.id for ap in default_config.aps}
@@ -276,11 +277,11 @@ def test_decide_gets_row_scores_and_best_candidate_gets_ap_ids(default_config, m
                             (jittered, with_strategy(jittered, "randomized_wait", 1.5))):
             log, _ = names(first)
             (family,) = hodsim.engine._slot.get()
-            assert family.rows is not None
+            assert (family.rows is not None) == (first.strategy.kind == "hysteresis")
             since = first_flip(log, 0.1) if then.strategy.kind == "hysteresis" else 0
             assert since > 0 or then.strategy.kind != "hysteresis"
             # the run takes the family's start, so it picks no initial AP;
-            # decide is reached by the replay and the steps executed after it
+            # decide is reached from the resume step on, or from step 0
             _, counts = names(then, since)
             assert counts["decide"] > 0 and counts["best_candidate"] == 0
 

@@ -1,9 +1,9 @@
 """Whole runs against ``reference.ref_run``, the plain step loop.
 
 Each layer of a run has its own reference; these tests check how the layers
-compose.  A run on its own and every run of a grid in one scope, which
-replay and resume their family's tape, must print the reference's events
-CSV byte for byte, and a sweep or a compare the CSV that
+compose.  A run on its own and every run of a grid in one scope, where
+hysteresis runs replay and resume their family's tape, must print the
+reference's events CSV byte for byte, and a sweep or a compare the CSV that
 ``reference.ref_sweep_csv`` builds from those texts.
 """
 

@@ -1,8 +1,9 @@
 """The world pass (movement and sensing) is shared by the runs of one seed
 in a sweep or a compare and by nothing else, and sharing it never changes a
-run's events.  Nor does replaying the decision prefix a run has in common
-with the latest run of its family (same seed, QoS model and config but for
-the strategy).  A scope holds one family's record at a time."""
+run's events.  Nor does replaying the decision prefix a hysteresis run has
+in common with the latest hysteresis run of its family (same seed, QoS model
+and config but for the strategy).  A scope holds one family's record at a
+time."""
 
 import gc
 import math
@@ -142,8 +143,10 @@ def test_a_nested_scope_leaves_the_outer_record_in_place(tiny_config, world_spy)
     # block's record is back in place and later runs of its family use it
     with shared_worlds():
         outer = hodsim.engine._slot.get()
-        run_simulation(tiny_config, 1)
+        run_simulation(with_strategy(tiny_config, "hysteresis", 0.5), 1)
         (family,) = outer
+        rows = family.rows
+        assert rows is not None
         with shared_worlds():
             inner = hodsim.engine._slot.get()
             assert inner is not outer and inner == []
@@ -154,8 +157,9 @@ def test_a_nested_scope_leaves_the_outer_record_in_place(tiny_config, world_spy)
         # a sweep opens its own scope, so it leaves the outer record alone too
         sweep(tiny_config, "hysteresis", [0.0, 0.5], [1, 2])
         assert hodsim.engine._slot.get() is outer and outer == [family]
+        # a waiting run of the family uses the record and leaves its tape
         run_simulation(with_strategy(tiny_config, "waiting_time", 2.0), 1)
-        assert outer == [family] and family.rows is not None
+        assert outer == [family] and family.rows is rows
     # the outer block's family, the inner block's two and the sweep's two
     assert len(world_spy) == 5
     assert hodsim.engine._slot.get() is None
@@ -316,9 +320,11 @@ def test_a_sweep_executes_fewer_steps_than_independent_runs(default_config, monk
 def test_a_resumed_run_derives_each_rounds_views_once(default_config, monkeypatch):
     # A resumed run builds its first step's QoS map anew; a map equal to the
     # last measured one is kept as that one, so the next diffusion round
-    # reuses its views instead of deriving them again.  The counts are those
-    # of commit 939a71e, whose resume restored the measured map itself; with
-    # the extra round the hysteresis sweep made 2,799 calls.
+    # reuses its views instead of deriving them again.  The hysteresis count
+    # is that of commit 939a71e, whose resume restored the measured map
+    # itself; with the extra round the sweep made 2,799 calls.  Waiting runs
+    # do not resume: each executes every step, so the waiting sweep makes the
+    # calls of 42 fresh runs.
     calls = []
     known = hodsim.engine.known
 
@@ -333,7 +339,7 @@ def test_a_resumed_run_derives_each_rounds_views_once(default_config, monkeypatc
         calls.clear()
         sweep(default_config, kind, grid, [1, 2])
         counts[kind] = len(calls)
-    assert counts == {"hysteresis": 2737, "waiting_time": 19468}
+    assert counts == {"hysteresis": 2737, "waiting_time": 23363}
 
 
 def test_only_runs_of_one_family_share_a_prefix(default_config, world_spy):
@@ -392,9 +398,10 @@ def test_no_family_record_outlives_its_scope(tiny_config, family_spy):
         for value in (0.0, 2.0):
             run_simulation(with_strategy(tiny_config, "waiting_time", value), 1)
         run_simulation(with_strategy(tiny_config, "randomized_wait", 3.0), 1)
-        # one record per family: the latest run of (tiny_config, seed 1)
+        # one record per family, (tiny_config, seed 1): waiting runs fill
+        # its tables but record no tape
         (family,) = hodsim.engine._slot.get()
-        assert family.table and family.rows and family.steps
+        assert family.table and family.rows is None and not family.steps
         del family
     assert len(family_spy) == 4 and hodsim.engine._slot.get() is None
     gc.collect()
@@ -408,8 +415,8 @@ def test_a_familys_rows_and_noise_are_left_to_the_gc_untracked():
     families = []
     with shared_worlds():
         for seed in (1, 2):
-            for value in (0.0, 1.0, 2.5):
-                run_simulation(with_strategy(config, "randomized_wait", value), seed)
+            for value in (0.0, 0.05, 0.3):
+                run_simulation(with_strategy(config, "hysteresis", value), seed)
             families += hodsim.engine._slot.get()
         gc.collect()
         rows = [row for family in families for column in family.rows for row in column]
@@ -575,8 +582,8 @@ def test_a_run_that_fails_leaves_its_family_usable(monkeypatch):
 def test_a_familys_start_is_made_once(monkeypatch):
     # the initial association and the jitter noise do not depend on the
     # strategy, so the runs of one family in a scope make them once, at the
-    # first run, and a run that fails part way leaves them to the next run,
-    # which starts afresh from them
+    # first run.  A waiting run that fails part way had started afresh from
+    # them; it leaves them, and the hysteresis runs' tape, to the next run
     config = replace(SHORT, qos_jitter_sigma=0.5)
     values = [0.0, 0.05, 0.1, 0.2, 0.3]
     fresh = [events_csv(run_simulation(with_strategy(config, "hysteresis", v), 1)) for v in values]
@@ -598,13 +605,15 @@ def test_a_familys_start_is_made_once(monkeypatch):
     with shared_worlds():
         for index, v in enumerate(values):
             if index == 2:
+                (family,) = hodsim.engine._slot.get()
+                rows = family.rows
+                assert rows is not None
                 monkeypatch.setattr(hodsim.engine, "known", failing)
                 with pytest.raises(RuntimeError, match="known failed"):
                     run_simulation(with_strategy(config, "waiting_time", 2.0), 1)
                 monkeypatch.setattr(hodsim.engine, "known", known)
-                # the failed run had resumed: the tape is gone, the record kept
-                (family,) = hodsim.engine._slot.get()
-                assert family.rows is None
+                # the record and its tape are kept as they were
+                assert hodsim.engine._slot.get() == [family] and family.rows is rows
             shared.append(events_csv(run_simulation(with_strategy(config, "hysteresis", v), 1)))
     assert shared == fresh and len(set(fresh)) > 1
     # one pick per user, and the noise drawn once
@@ -637,6 +646,48 @@ def test_a_run_that_reuses_its_familys_whole_log_does_no_table_work(default_conf
     assert all(second.outcomes[m] is first.outcomes[m] for m in first.mt_ids)
     assert tape == 521
     assert not any(calls.values()), calls
+
+
+def test_wait_runs_leave_the_tape_alone(default_config, monkeypatch):
+    # only hysteresis runs record or replay a tape: waiting runs of the same
+    # family, one of them failing part way, execute from step 0 and leave the
+    # latest hysteresis run's tape as it was, so a later hysteresis run whose
+    # margin agrees with it reuses that run's whole log
+    assert default_config.qos_jitter_sigma == 0
+    configs = [with_strategy(default_config, kind, v) for kind, v in
+               (("hysteresis", 0.5), ("waiting_time", 2.0), ("randomized_wait", 3.0),
+                ("hysteresis", 0.6))]
+    fresh = [events_csv(run_simulation(cfg, 1)) for cfg in configs]
+    calls = dict.fromkeys(("decide", "known", "score_network"), 0)
+    originals = {name: getattr(hodsim.engine, name) for name in calls}
+
+    def counted(name):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return counting
+
+    def failing(c_asso, c_best, strategy, wait_until, now, rng=None):
+        if now >= default_config.sim_time / 2:
+            raise RuntimeError("decide failed")
+        return originals["decide"](c_asso, c_best, strategy, wait_until, now, rng)
+
+    with shared_worlds():
+        first = run_simulation(configs[0], 1)
+        (family,) = hodsim.engine._slot.get()
+        rows = family.rows
+        shared = [events_csv(first)] + [events_csv(run_simulation(cfg, 1)) for cfg in configs[1:3]]
+        monkeypatch.setattr(hodsim.engine, "decide", failing)
+        with pytest.raises(RuntimeError, match="decide failed"):
+            run_simulation(with_strategy(default_config, "waiting_time", 1.0), 1)
+        assert hodsim.engine._slot.get() == [family] and family.rows is rows
+        for name in calls:
+            monkeypatch.setattr(hodsim.engine, name, counted(name))
+        last = run_simulation(configs[3], 1)
+        shared.append(events_csv(last))
+    assert all(last.outcomes[m] is first.outcomes[m] for m in first.mt_ids)
+    assert not any(calls.values()), calls
+    assert shared == fresh
 
 
 def test_a_family_whose_start_fails_leaves_no_record(tiny_config, world_spy):
