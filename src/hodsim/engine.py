@@ -33,10 +33,10 @@ Inside ``shared_worlds()`` the runs of one *family* (same seed,
 ``_Family``: its world pass, start and tables, and its latest hysteresis
 run's log and *tape*.  The strategy enters a run only through ``decide``,
 which is called only where the base rule fires, so the tape is every step at
-which it fired, with the loop state after phase (3).  A later hysteresis run
-checks the tape by its margin (see ``_replay``) and executes only from the
-first step whose outcomes differ, or reuses the whole log; other runs
-execute every step from the state before step 0 and leave the tape in place.
+which it fired, with the loop state at its start.  A later hysteresis run
+checks the tape by its margin (see ``_replay``) and executes from the start
+of the first step whose outcomes differ, or reuses the whole log; other runs
+execute every step from the family's start and leave the tape in place.
 Every row, ``decide`` call and generator draw is the one a fresh run makes,
 but for the ``decide`` calls a replay skips.  Outside a scope a run builds
 the same record without a tape and drops it.
@@ -181,22 +181,20 @@ def _world(config: ScenarioConfig, seed: int, index: Dict[str, int]) -> tuple:
 
 
 class _Step(NamedTuple):
-    """A hysteresis run's step at which the base rule fired for some terminal,
-    or a family's state before step 0 (``k`` = -1), where a fresh run starts.
+    """The loop state at the start of step ``k`` of a hysteresis run at which
+    the base rule fired for some terminal, or a family's start (``k`` = 0):
+    a run executes from it.
 
-    ``fired`` is the step's tape: ``(i, best)`` for each such terminal in
-    order, ``best`` being a handover's target, plain tuples so that the
-    garbage collector stops tracking them (the ``decide`` call's inputs and
-    outcome are in row ``i`` at step ``k``);
-    ``rejoins`` holds its blind re-joins ``(i, j)``, before step 0 the
-    initial associations.  The other fields and the rows' associated APs
-    are the loop state after phase (3) that a later step reads; APs are
-    indices throughout.  A resumed run rebuilds its QoS.
+    ``fired`` is the step's tape: each such terminal's index ``i`` in order,
+    in a plain tuple so that the garbage collector stops tracking it (the
+    ``decide`` call's inputs and outcome are in row ``i`` at step ``k``).
+    The other fields are the state that step ``k`` reads; APs are indices
+    throughout.  A resumed run rebuilds its QoS.
     """
 
     k: int
     fired: tuple
-    rejoins: tuple
+    assoc: tuple
     disconnected: tuple
     views: tuple
     nb_ho: tuple
@@ -214,7 +212,8 @@ class _Family:
     step ``k``; equal sensed tuples are one object, and ``xy`` is read-only.
     The constructor makes the world pass, the APs' profiles and neighbors by
     index, each terminal's score profiles (equal ones are one object) and
-    the start: ``start``, the static loads and, with jitter on,
+    the start: ``start``, the loop state at the start of step 0, the static
+    loads and, with jitter on,
     ``noise[k][j]``, AP j's at step k; if it raises, no record is kept.
     Runs fill the vector numbers by (AP, load), equal vectors sharing one,
     and by (step, AP, load) when jittered; the score memos; the initial
@@ -282,11 +281,11 @@ class _Family:
             self.noise = [tuple(row[e - size:e] for size, e in zip(sizes, ends))
                           for row in map(tuple, drawn.tolist())]
             self.jittered = [{} for _ in range(config.nb_steps)]
-        # before step 0 the mobile terminals hold no AP and take their initial
-        # APs as re-joins; nothing is known, and no QoS measured
+        # at step 0 the mobile terminals hold their initial APs; nothing is
+        # known, and no QoS measured
         n, unknown = len(mobile), (None,) * len(self.aps)
-        rejoins = tuple((i, initial[m]) for i, m in enumerate(self.mt_order) if m in initial)
-        self.start = _Step(-1, (), rejoins, (0,) * n, (unknown,) * n, (0,) * n, unknown)
+        assoc = tuple(initial.get(m) for m in self.mt_order)
+        self.start = _Step(0, (), assoc, (0,) * n, (unknown,) * n, (0,) * n, unknown)
 
     def numbered(self, qos: QosVector) -> int:
         """Give ``qos`` the next vector number and every memo its slot."""
@@ -361,8 +360,9 @@ def shared_worlds() -> Iterator[None]:
 
     A family is a seed, a ``qos_model`` and a config but for the strategy.
     Its record holds the family's world pass, start and tables, and its latest
-    hysteresis run's tape: a later hysteresis run executes only from the first
-    step whose outcomes differ (see ``_replay``), any other run every step.
+    hysteresis run's tape: a later hysteresis run executes only from the start
+    of the first step whose outcomes differ (see ``_replay``), any other run
+    every step.
     A block holds one record, which another family's run replaces; a block
     opened inside another holds its own and leaves the outer one's in place.
     """
@@ -377,10 +377,10 @@ def _replay(family: _Family, margin: float) -> Optional[int]:
     """The index in ``family.steps`` of the first tape step at which a fired
     row decides otherwise under ``clears_margin`` at ``margin``, or None if
     no step does.  Hysteresis keeps no state, so before that step a run at
-    ``margin`` makes the tape's decisions."""
+    ``margin`` makes the tape's decisions and reaches the step's state."""
     rows = family.rows
     for index, step in enumerate(family.steps):
-        for i, _ in step.fired:
+        for i in step.fired:
             _, action, c_asso, c_best, _ = rows[i][step.k]
             if clears_margin(c_asso, c_best, margin) != (action == HANDOVER):
                 return index
@@ -443,41 +443,23 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     ap_order, offered, score = family.ap_order, family.offered, family.score
     asso_profiles, cand_profiles = family.asso_profiles, family.cand_profiles
 
-    def switch(pending: List[Tuple[int, int, bool]]) -> None:
-        # (4) apply switches atomically; they take effect next step
-        for i, target, is_handover in pending:
-            assoc[i] = target
-            if is_handover:
-                nb_ho[i] += 1
-                disconnected[i] = config.handover_cost_steps
-
-    # Up to this step a resumed hysteresis run is the run that recorded the
-    # tape (any other run starts from the pre-step-0 state): take that run's
-    # state after phase (3), its rows with this run's decisions where the
-    # base rule fired, and go on from phase (4).
+    # Before this step a resumed hysteresis run is the run that recorded the
+    # tape (any other run starts at the family's start): take that run's rows
+    # before the step and its state at the start of it, and execute the step.
     step = family.start if index < 0 else family.steps[index]
-    rows = [[] for _ in mt_order] if index < 0 else [list(r[:step.k + 1]) for r in family.rows]
-    assoc = [family.index.get(r[-1][0]) if r else None for r in rows]
+    rows = [[] for _ in mt_order] if index < 0 else [list(r[:step.k]) for r in family.rows]
+    assoc, disconnected = list(step.assoc), list(step.disconnected)
     # Each terminal's knowledge in closed form: the view its AP held at the
     # last round at which it was associated (see knowledge.known).
-    disconnected, views, nb_ho = list(step.disconnected), list(step.views), list(step.nb_ho)
-    current = step.current
-    pending = [(i, j, False) for i, j in step.rejoins]
-    for i, best in step.fired:
-        ap_id, _, c_asso, c_best, _ = rows[i][-1]
-        outcome = decide(c_asso, c_best, config.strategy, waits[i], step.k * dt, strat_rng[i])
-        rows[i][-1] = (ap_id, outcome.action, c_asso, c_best, outcome.suppressed)
-        if outcome.action == HANDOVER:
-            pending.append((i, best, True))
+    views, nb_ho, current = list(step.views), list(step.nb_ho), step.current
     # a hysteresis run in a scope records its steps for its family and
-    # replaces the tape: it detaches it now, so that its steps after this one
-    # are freed while the run goes on and a run that fails leaves the family
-    # without a tape rather than with half of one; other runs leave it alone
+    # replaces the tape: it detaches it now, so that the steps it executes are
+    # freed while it runs and a run that fails leaves the family without a
+    # tape rather than with half of one; other runs leave it alone
     steps = None
     if hysteresis and slot is not None:
-        steps = family.steps[:index + 1]
+        steps = family.steps[:max(index, 0)]
         family.rows, family.steps = None, []
-    switch(pending)
     # the next round moves current to previous before reading it, unless the
     # first step's qos_now equals current, when previous = current is right
     previous = current
@@ -485,8 +467,10 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
     # the views of the last diffusion round, by AP index
     round_views: List[Optional[tuple]] = [None] * len(ap_order)
 
-    for k in range(step.k + 1, config.nb_steps):
+    for k in range(step.k, config.nb_steps):
         now = k * dt
+        if steps is not None:
+            before = (tuple(assoc), tuple(disconnected), tuple(views), tuple(nb_ho), current)
 
         # (1) load and offered QoS per AP
         loads = list(family.static_loads)
@@ -572,15 +556,19 @@ def run_simulation(config: ScenarioConfig, seed: Optional[int] = None,
             if outcome.action == HANDOVER:
                 pending.append((i, best, True))
             rows[i].append((ap_id, outcome.action, c_asso, best_value, outcome.suppressed))
-            fired.append((i, best))
+            fired.append(i)
 
         # only a step at which the base rule fired can differ between the
         # runs of a family, so only such a step is recorded
         if steps is not None and fired:
-            steps.append(_Step(
-                k, tuple(fired), tuple((i, t) for i, t, h in pending if not h),
-                tuple(disconnected), tuple(views), tuple(nb_ho), current))
-        switch(pending)
+            steps.append(_Step(k, tuple(fired), *before))
+
+        # (4) apply switches atomically; they take effect next step
+        for i, target, is_handover in pending:
+            assoc[i] = target
+            if is_handover:
+                nb_ho[i] += 1
+                disconnected[i] = config.handover_cost_steps
 
     # the log is frozen once, and a family keeps the same tuples
     log = tuple(tuple(r) for r in rows)

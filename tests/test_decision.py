@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodsim.decision import (
@@ -55,6 +55,7 @@ def test_utility_rejects_bad_inputs():
 _NORMAL_BENEFIT = st.just(0.0) | st.floats(1e-300, 30)
 
 
+@settings(deadline=None)
 @given(_NORMAL_BENEFIT, _NORMAL_BENEFIT, st.floats(0.01, 1.2))
 def test_utility_strictly_monotone(a, b, alpha):
     # strict below float saturation (alpha * x <= 36); non-strict beyond
@@ -63,12 +64,14 @@ def test_utility_strictly_monotone(a, b, alpha):
         assert utility(lo, alpha) < utility(hi, alpha)
 
 
+@settings(deadline=None)
 @given(st.floats(0, 1e6), st.floats(0, 1e6), st.floats(0.01, 10))
 def test_utility_monotone_everywhere(a, b, alpha):
     lo, hi = sorted((a, b))
     assert utility(lo, alpha) <= utility(hi, alpha)
 
 
+@settings(deadline=None)
 @given(st.floats(0, 1e6), st.floats(0.01, 10))
 def test_utility_range(x, alpha):
     assert 0.0 <= utility(x, alpha) < 1.0
@@ -130,6 +133,7 @@ def test_missing_criterion_rejected_before_the_gate():
         score({"bandwidth": 5.0, "error": 0.1}, required, [BW, DELAY, error], gated=False)
 
 
+@settings(deadline=None)
 @given(st.lists(st.floats(0, 50), min_size=1, max_size=4))
 def test_zero_requirements_never_gate(values):
     # with all requirements at zero the gate is a no-op and the score is the
@@ -157,6 +161,7 @@ def test_combine_zeros():
     assert score({"bandwidth": 0.0}, {"bandwidth": 0.0}, [BW]) == 0.0
 
 
+@settings(deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.floats(0.01, 3), st.floats(0, 50),
                           st.just(0.0) | st.floats(0, 50)), min_size=1, max_size=5),
        st.booleans())
@@ -188,6 +193,7 @@ def test_best_candidate_tie_breaks_low_id():
     assert best.ap_id == "A"
 
 
+@settings(deadline=None)
 @given(st.lists(st.tuples(st.text("ab", min_size=1, max_size=3),
                           st.floats(0.01, 10)), min_size=1, max_size=6),
        st.floats(0.1, 100))
@@ -278,6 +284,7 @@ def test_randomized_wait_is_seeded():
 score_floats = st.floats(0, 3)
 
 
+@settings(deadline=None)
 @given(score_floats, score_floats, st.floats(0, 30))
 def test_zero_hysteresis_equals_no_strategy(c_asso, c_best, now):
     none_d = decide(c_asso, c_best, NONE, 0.0, now)
@@ -285,6 +292,7 @@ def test_zero_hysteresis_equals_no_strategy(c_asso, c_best, now):
     assert (none_d.action, none_d.suppressed) == (h0_d.action, h0_d.suppressed)
 
 
+@settings(deadline=None)
 @given(score_floats, score_floats, st.floats(0, 30), st.floats(0, 30))
 def test_zero_wait_equals_no_strategy(c_asso, c_best, now, prev_ho):
     # with T=0 the window armed by any previous handover has already expired
@@ -293,6 +301,7 @@ def test_zero_wait_equals_no_strategy(c_asso, c_best, now, prev_ho):
     assert (none_d.action, none_d.suppressed) == (t0_d.action, t0_d.suppressed)
 
 
+@settings(deadline=None)
 @given(score_floats, score_floats, st.floats(0, 1), st.floats(0, 1))
 def test_hysteresis_monotone_in_margin(c_asso, c_best, h1, h2):
     lo, hi = sorted((h1, h2))
@@ -300,6 +309,7 @@ def test_hysteresis_monotone_in_margin(c_asso, c_best, h1, h2):
         assert decide(c_asso, c_best, hyst(lo), 0.0, 0.0).action == "handover"
 
 
+@settings(deadline=None)
 @given(st.sampled_from(["none", "hysteresis", "waiting_time", "randomized_wait"]),
        score_floats, st.one_of(st.none(), score_floats), st.floats(0, 10),
        st.floats(0, 30), st.floats(0, 30))
@@ -316,6 +326,7 @@ def test_decide_leaves_a_terminal_alone_unless_the_base_rule_fires(
     assert rng.uniform() == np.random.default_rng(3).uniform()
 
 
+@settings(deadline=None)
 @given(st.sampled_from(["none", "hysteresis", "waiting_time", "randomized_wait"]),
        score_floats, score_floats, st.floats(0, 10), st.floats(0, 30), st.floats(0, 30))
 def test_decide_moves_the_wait_only_when_a_waiting_strategy_hands_over(

@@ -4,16 +4,19 @@ Each layer of a run has its own reference; these tests check how the layers
 compose.  A run on its own and every run of a grid in one scope, where
 hysteresis runs replay and resume their family's tape, must print the
 reference's events CSV byte for byte, and a sweep or a compare the CSV that
-``reference.ref_sweep_csv`` builds from those texts.
+``reference.ref_sweep_csv`` builds from those texts.  A hysteresis run
+resumed at any entry of its tape must print the fresh run's CSV.
 """
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hodsim.engine
 from hodsim.cli import compare_csv
 from hodsim.engine import events_csv, run_simulation, shared_worlds
 from hodsim.metrics import sweep, sweep_csv, sweeps
@@ -143,6 +146,42 @@ def test_margins_at_flip_points_equal_the_reference_run(doc, seed, rnd):
         for h in flip_margins(log, rnd, 3):
             c = with_strategy(config, "hysteresis", h)
             assert events_csv(run_simulation(c, seed)) == ref_run(c, seed, ap_qos)
+
+
+def resumed_at_every_step(config, seed):
+    """Record one hysteresis run of ``config`` in a scope, then resume it at
+    each entry of its tape in turn, at the same margin; every resumed run
+    must print the fresh run's events CSV and record the same tape again.
+    Return the tape."""
+    fresh = events_csv(run_simulation(config, seed))
+    with shared_worlds(), pytest.MonkeyPatch.context() as patch:
+        assert events_csv(run_simulation(config, seed)) == fresh
+        (family,) = hodsim.engine._slot.get()
+        tape = family.steps
+        for index in range(len(tape)):
+            patch.setattr(hodsim.engine, "_replay", lambda family, margin: index)
+            assert events_csv(run_simulation(config, seed)) == fresh, tape[index].k
+            assert family.steps == tape
+    return tape
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.02, 0.05])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_run_resumed_at_any_tape_entry_equals_the_fresh_run(default_config, seed, margin):
+    # a switching cost and a diffusion period of two steps, so that the
+    # snapshots hold disconnected terminals and steps between rounds
+    config = with_strategy(replace(default_config, handover_cost_steps=2, diffusion_period=1.0),
+                           "hysteresis", margin)
+    tape = resumed_at_every_step(config, seed)
+    assert any(any(step.disconnected) for step in tape)
+    assert {step.k % 2 for step in tape} == {0, 1}
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=documents(), seed=st.integers(0, 2 ** 16), margin=st.sampled_from([0.0, 0.02, 0.05]))
+def test_a_run_resumed_at_any_tape_entry_equals_the_fresh_run_on_any_world(doc, seed, margin):
+    # the documents draw jitter on and off, switching costs and periods
+    resumed_at_every_step(with_strategy(load_scenario(doc), "hysteresis", margin), seed)
 
 
 def test_default_sweep_runs_equal_the_reference_run(default_config):

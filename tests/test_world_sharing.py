@@ -318,13 +318,12 @@ def test_a_sweep_executes_fewer_steps_than_independent_runs(default_config, monk
 
 
 def test_a_resumed_run_derives_each_rounds_views_once(default_config, monkeypatch):
-    # A resumed run builds its first step's QoS map anew; a map equal to the
-    # last measured one is kept as that one, so the next diffusion round
-    # reuses its views instead of deriving them again.  The hysteresis count
-    # is that of commit 939a71e, whose resume restored the measured map
-    # itself; with the extra round the sweep made 2,799 calls.  Waiting runs
-    # do not resume: each executes every step, so the waiting sweep makes the
-    # calls of 42 fresh runs.
+    # A resumed run executes its resume step again, so it derives that step's
+    # round again if the step is on one.  It builds its QoS map anew; a map
+    # equal to the last measured one is kept as that one, so a later round
+    # whose QoS repeats reuses its views.  Waiting runs do not resume: each
+    # executes every step, so the waiting sweep makes the calls of 42 fresh
+    # runs.
     calls = []
     known = hodsim.engine.known
 
@@ -339,7 +338,7 @@ def test_a_resumed_run_derives_each_rounds_views_once(default_config, monkeypatc
         calls.clear()
         sweep(default_config, kind, grid, [1, 2])
         counts[kind] = len(calls)
-    assert counts == {"hysteresis": 2737, "waiting_time": 23363}
+    assert counts == {"hysteresis": 2750, "waiting_time": 23363}
 
 
 def test_only_runs_of_one_family_share_a_prefix(default_config, world_spy):
